@@ -25,8 +25,8 @@ from .fields import load_field_csv, random_smoothed_field, resolve_field, \
     save_field_csv, tilt_field
 from .generators import SpaceSpec, generate, parse_space_spec, refine, save_space
 from .hopflax import hj_forward_residual, make_trace, semigroup_defect
-from .inequalities import build_report, default_witness_suites, estimate_constant, \
-    phi_trace, psi_trace, verify_chain
+from .inequalities import _canon, build_report, default_witness_suites, \
+    estimate_constant, phi_trace, psi_trace, verify_chain
 from .space import doubling_constant, local_poincare_constant, validate_metric
 from .transport import w2
 
@@ -173,8 +173,16 @@ def _cmd_semigroup(cfg: RunConfig):
 
     study = opt.get("residual_study")
     if study:
+        bad = ValueError(f"bad --residual-study {study!r}; use T:S_MAX:LEVELS")
         parts = study.split(":")
-        t0, s_max, levels = float(parts[0]), float(parts[1]), int(parts[2])
+        if len(parts) != 3:
+            raise bad
+        try:
+            t0, s_max, levels = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError:
+            raise bad from None
+        if levels < 1:
+            raise bad
     else:
         mid = len(times) // 2
         t0 = float(times[mid])
@@ -219,10 +227,10 @@ def _cmd_semigroup(cfg: RunConfig):
 
 def _cmd_constants(cfg: RunConfig):
     opt = cfg.options
-    _, space = _load_space(cfg.space)
     which = opt["which"]
     names = ("lsi", "talagrand", "poincare") if which == "all" else \
-        tuple(w.strip() for w in which.split(","))
+        tuple(_canon(w.strip()) for w in which.split(","))
+    _, space = _load_space(cfg.space)
     report = build_report(space, seed=cfg.seed, budget=opt["budget"],
                           K=cfg.k, tau=cfg.tau)
     from .inequalities import _RATIOS  # reproducibility check uses the same ratios

@@ -33,9 +33,10 @@ def apply(space: MeasuredSpace, f: ScalarField, t: float) -> ScalarField:
     """Evolve f for time t >= 0 by exact minimization over all points."""
     vals = check_binding(space, f)
     t = _check_time(t, positive=False)
-    if t == 0:
+    # Q_0 f = f, and so is Q_t f once 1/(2t) overflows: every y != x costs inf
+    inv2t = 1.0 / (2.0 * t) if t > 0 else np.inf
+    if not np.isfinite(inv2t):
         return make_field(space, vals)
-    inv2t = 1.0 / (2.0 * t)
     out = (vals[None, :] + space.dist_sq * inv2t).min(axis=1)
     return make_field(space, out)
 
@@ -51,9 +52,10 @@ def apply_pruned(space: MeasuredSpace, f: ScalarField, t: float) -> ScalarField:
     """
     vals = check_binding(space, f)
     t = _check_time(t, positive=False)
-    if t == 0:
+    # Q_0 f = f, and so is Q_t f once 1/(2t) overflows: every y != x costs inf
+    inv2t = 1.0 / (2.0 * t) if t > 0 else np.inf
+    if not np.isfinite(inv2t):
         return make_field(space, vals)
-    inv2t = 1.0 / (2.0 * t)
     spread = float(vals.max() - vals.min())
     slack = 1e-12 * (1.0 + float(np.abs(vals).max()))
     cutoff = 2.0 * spread * t + 2.0 * t * slack

@@ -87,8 +87,14 @@ def talagrand_ratio(space: MeasuredSpace, F: ScalarField) -> float:
     mass = float(vals ** 2 @ space.measure)
     if mass <= 0:
         raise DegenerateWitnessError("witness carries no information: F vanishes nu-a.e.")
-    target = vals ** 2 * space.measure / mass
     ent = entropy_functional(space, F)
+    if ent <= 1e-12:
+        # |F| constant up to rounding: exact transport then returns a
+        # rounding-level distance (~1e-8), no more informative than ent
+        raise DegenerateWitnessError(
+            "witness carries no information: entropy of F^2 vanishes"
+        )
+    target = vals ** 2 * space.measure / mass
     distance, _ = w2(space, target, space.measure)
     if distance <= 1e-12:
         raise DegenerateWitnessError(

@@ -164,16 +164,16 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
         if key not in shortest_edge or length < shortest_edge[key]:
             shortest_edge[key] = length
 
+    keys = sorted(shortest_edge)
+    rows = np.array([k[0] for k in keys], dtype=np.int64)
+    cols = np.array([k[1] for k in keys], dtype=np.int64)
+    vals = np.array([shortest_edge[k] for k in keys], dtype=float)
     if n == 1:
         dist = np.zeros((1, 1))
         adjacency = [[]]
     else:
         if not shortest_edge:
             raise ValueError("graph has no edges; points 0 and 1 are not connected")
-        keys = sorted(shortest_edge)
-        rows = np.array([k[0] for k in keys])
-        cols = np.array([k[1] for k in keys])
-        vals = np.array([shortest_edge[k] for k in keys])
         graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
         dist = shortest_path(graph, method="D", directed=False)
         if np.isinf(dist).any():
@@ -210,6 +210,9 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
     digest.update(np.int64(n).tobytes())
     digest.update(np.ascontiguousarray(dist).tobytes())
     digest.update(np.ascontiguousarray(w).tobytes())
+    # the edges too: gradients and slopes read the graph, not just the metric
+    for arr in (rows, cols, vals):
+        digest.update(arr.tobytes())
 
     return MeasuredSpace(
         n=n,

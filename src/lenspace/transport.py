@@ -1,7 +1,9 @@
 """Exact order-2 Wasserstein distance between measures on a finite space.
 
 W2(mu0, mu1)^2 is the optimal value of the transportation linear program
-with cost d(x, y)^2 over couplings of mu0 and mu1.  The LP route (w2) is
+with cost d(x, y)^2 over couplings of mu0 and mu1.  On a path graph w2
+takes the monotone (quantile) coupling and certifies it with dual
+potentials; elsewhere it solves the dense LP.  The dense LP is
 cross-checked by two independent oracles: the monotone-rearrangement cost
 on path graphs, and exhaustive vertex enumeration of the coupling
 polytope for n <= 4.
@@ -72,11 +74,29 @@ def _coupling_constraints(n: int) -> csr_matrix:
 
 
 def w2(space: MeasuredSpace, mu0, mu1):
-    """Wasserstein distance and optimal plan, via an exact LP solve.
+    """Wasserstein distance and optimal plan.
 
-    Returns (distance, TransportPlan).  Optimality is certified by the
-    LP duality gap stored on the plan.
+    Returns (distance, TransportPlan).  On a path graph the plan is the
+    monotone (quantile) coupling, certified by dual potentials that pass
+    a reduced-cost check over every cell; any other space, or a path plan
+    whose check fails, goes to the dense LP.  Either way the plan carries
+    its duality gap.
     """
+    try:
+        order = _path_order(space)
+    except ValueError:
+        order = None
+    if order is not None:
+        a = _check_marginal(space, mu0, "mu0")
+        b = _check_marginal(space, mu1, "mu1")
+        plan = _monotone_plan(space, a, b, order)
+        if plan is not None:
+            return float(np.sqrt(plan.cost)), plan
+    return _w2_lp(space, mu0, mu1)
+
+
+def _w2_lp(space: MeasuredSpace, mu0, mu1):
+    """w2 by an exact dense LP solve over all n^2 cells, on any space."""
     a = _check_marginal(space, mu0, "mu0")
     b = _check_marginal(space, mu1, "mu1")
     if np.array_equal(a, b):
@@ -123,11 +143,80 @@ def _path_order(space: MeasuredSpace) -> list:
     return order
 
 
+def _staircase(a: np.ndarray, b: np.ndarray):
+    """Cells of the monotone coupling of two measures listed in path order.
+
+    Merges the two CDFs one row or column step at a time from cell (0, 0)
+    to cell (n-1, n-1), so the 2n-1 cells always form a spanning tree of
+    the source/target bipartite graph: where both sides run out at the
+    same step, the next cell carries zero mass.  Returns (rows, cols,
+    mass) in walk order.
+    """
+    a, b = a.tolist(), b.tolist()
+    last = len(a) - 1
+    rows, cols, mass = [], [], []
+    i = j = 0
+    ra, rb = a[0], b[0]
+    while True:
+        m = min(ra, rb)
+        rows.append(i)
+        cols.append(j)
+        mass.append(m)
+        if i == last and j == last:
+            break
+        ra -= m
+        rb -= m
+        # one of ra, rb is exactly zero now; step past the side that ran out
+        if j == last or (ra == 0.0 and i < last):
+            i += 1
+            ra = a[i]
+        else:
+            j += 1
+            rb = b[j]
+    return np.array(rows), np.array(cols), np.array(mass)
+
+
+def _monotone_plan(space: MeasuredSpace, a, b, order):
+    """The quantile coupling on a path graph with its dual certificate.
+
+    Potentials u, v solve u_i + v_j = d(i, j)^2 on the staircase cells;
+    the plan is optimal when every reduced cost d^2 - u - v is
+    nonnegative, checked over all n^2 cells.  Returns None when that
+    check fails.
+    """
+    order = np.asarray(order)
+    rows, cols, mass = _staircase(a[order], b[order])
+    src, dst = order[rows], order[cols]
+    cell_cost = space.dist_sq[src, dst]
+    u = np.zeros(space.n)
+    v = np.zeros(space.n)
+    v[dst[0]] = cell_cost[0]
+    # each cell after the first adds one new row or column to the tree
+    row_steps = np.diff(rows).tolist()
+    for i, j, c, row_step in zip(src[1:].tolist(), dst[1:].tolist(),
+                                 cell_cost[1:].tolist(), row_steps):
+        if row_step:
+            u[i] = c - v[j]
+        else:
+            v[j] = c - u[i]
+    d2 = space.dist_sq
+    reduced = d2 - u[:, None] - v[None, :]
+    if reduced.min() < -1e-10 * (1.0 + d2.max()):
+        return None
+    coupling = np.zeros((space.n, space.n))
+    coupling[src, dst] = mass
+    cost = float(mass @ cell_cost)
+    gap = abs(cost - (float(u @ a) + float(v @ b)))
+    return TransportPlan(coupling=coupling, source_marginal=a,
+                         target_marginal=b, cost=cost, duality_gap=gap)
+
+
 def w2_oracle_1d(space: MeasuredSpace, mu0, mu1) -> float:
     """Monotone-coupling W2 on a path graph, by merging the two CDFs.
 
     On a path the quadratic cost is minimized by the quantile coupling,
-    so the optimal cost is computed directly without an LP.
+    so the optimal cost is computed directly without an LP, from point
+    positions along the path rather than from the stored metric.
     """
     a = _check_marginal(space, mu0, "mu0")
     b = _check_marginal(space, mu1, "mu1")
@@ -135,28 +224,8 @@ def w2_oracle_1d(space: MeasuredSpace, mu0, mu1) -> float:
     pos = np.zeros(space.n)
     for k in range(1, space.n):
         pos[k] = pos[k - 1] + space.dist[order[k - 1], order[k]]
-    a = a[order]
-    b = b[order]
-    i = j = 0
-    ra, rb = a[0], b[0]
-    cost = 0.0
-    while True:
-        m = min(ra, rb)
-        if m > 0:
-            cost += m * (pos[i] - pos[j]) ** 2
-        ra -= m
-        rb -= m
-        if ra == 0.0:
-            i += 1
-            if i == space.n:
-                break
-            ra = a[i]
-        if rb == 0.0:
-            j += 1
-            if j == space.n:
-                break
-            rb = b[j]
-    return float(np.sqrt(cost))
+    rows, cols, mass = _staircase(a[order], b[order])
+    return float(np.sqrt(mass @ (pos[rows] - pos[cols]) ** 2))
 
 
 @lru_cache(maxsize=4)

@@ -19,6 +19,7 @@ from lenspace import (apply, apply_pruned, brute_force_w2, build_from_graph,
                       verify_chain, w2, w2_oracle_1d)
 from lenspace.fields import cosine_field, random_smoothed_field
 from lenspace.inequalities import default_witness_suites
+from lenspace.transport import _w2_lp
 
 
 def _space(text):
@@ -156,29 +157,36 @@ def _random_marginal(rng, n):
 def test_criterion_4_transport_cross_validation():
     start = time.monotonic()
     rng = np.random.default_rng(4)
-    worst_brute = 0.0
+    # the oracles check the dense LP; w2, which takes a fast path on path
+    # graphs, is checked against the dense LP in cost
+    worst_brute = worst_path = worst_w2 = 0.0
     for _ in range(200):
         space = _random_small_space(rng)
         mu0 = _random_marginal(rng, space.n)
         mu1 = _random_marginal(rng, space.n)
-        d_lp, _ = w2(space, mu0, mu1)
+        d_lp, plan_lp = _w2_lp(space, mu0, mu1)
         d_bf = brute_force_w2(space, mu0, mu1)
         worst_brute = max(worst_brute, abs(d_lp - d_bf))
-    worst_path = 0.0
+        _, plan = w2(space, mu0, mu1)
+        worst_w2 = max(worst_w2, abs(plan.cost - plan_lp.cost) / (1.0 + plan_lp.cost))
     for _ in range(50):
         n = int(rng.integers(2, 202))
         length = float(rng.uniform(0.5, 10.0))
         space = _space(f"path:{n}:{length!r}")
         mu0 = _random_marginal(rng, n)
         mu1 = _random_marginal(rng, n)
-        d_lp, _ = w2(space, mu0, mu1)
+        d_lp, plan_lp = _w2_lp(space, mu0, mu1)
         d_or = w2_oracle_1d(space, mu0, mu1)
         worst_path = max(worst_path, abs(d_lp - d_or))
+        _, plan = w2(space, mu0, mu1)
+        worst_w2 = max(worst_w2, abs(plan.cost - plan_lp.cost) / (1.0 + plan_lp.cost))
     elapsed = time.monotonic() - start
-    ok = worst_brute <= 1e-9 and worst_path <= 1e-8 and elapsed <= 30
+    ok = (worst_brute <= 1e-9 and worst_path <= 1e-8 and worst_w2 <= 1e-10
+          and elapsed <= 30)
     _verdict(4, ok,
-             f"200 brute instances, worst gap {worst_brute:.2e} <= 1e-9; "
-             f"50 path instances, worst gap {worst_path:.2e} <= 1e-8; "
+             f"200 brute instances, LP worst gap {worst_brute:.2e} <= 1e-9; "
+             f"50 path instances, LP vs oracle worst gap {worst_path:.2e} <= 1e-8; "
+             f"w2 vs LP worst relative cost gap {worst_w2:.2e} <= 1e-10; "
              f"{elapsed:.1f}s <= 30s")
 
 

@@ -120,6 +120,24 @@ def test_constants_which_subset(tmp_path):
     assert not (tmp_path / "witness_lsi.csv").exists()
 
 
+def test_constants_which_alias(tmp_path):
+    code = main(["--out-dir", str(tmp_path), "constants", "--space", "path:16",
+                 "--which", "t", "--budget", "1"])
+    assert code == 0
+    doc = _read(tmp_path / "constants.json")
+    assert [w["which"] for w in doc["witnesses"]] == ["talagrand"]
+    assert (tmp_path / "witness_talagrand.csv").exists()
+
+
+def test_constants_unknown_which_exit2(tmp_path, capsys):
+    code = main(["--out-dir", str(tmp_path), "constants", "--space", "path:16",
+                 "--which", "lsi,foo"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unknown inequality 'foo'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_chain_consistent_exit0(tmp_path):
     code = main(["--out-dir", str(tmp_path), "chain", "--space", "path:16",
                  "--K", "0.001", "--tau", "0.05", "--seed", "7",
@@ -243,3 +261,14 @@ def test_bad_time_grid_exit2(tmp_path):
                  "--times", "geo:0:1:4"]) == 2
     assert main(["--out-dir", str(tmp_path), "semigroup", "--space", "circle:16",
                  "--times", "abc"]) == 2
+
+
+@pytest.mark.parametrize("study", ["0.5", "0.5:0.1", "a:0.1:3", "0.5:0.1:x",
+                                   "0.5:0.1:0", "0.5:0.1:3:4"])
+def test_bad_residual_study_exit2(tmp_path, capsys, study):
+    code = main(["--out-dir", str(tmp_path), "semigroup", "--space", "circle:16",
+                 "--field", "cos", "--times", "0.5", "--residual-study", study])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad --residual-study" in err
+    assert len(err.strip().splitlines()) == 1

@@ -35,6 +35,14 @@ def test_zero_time_is_identity(two_point):
     assert q.values is not f.values
 
 
+def test_tiny_time_is_identity(two_point):
+    # 1/(2t) overflows to inf here; the limit Q_t f = f is returned
+    f = _f01(two_point)
+    for t in (1e-310, 5e-324):
+        assert np.array_equal(apply(two_point, f, t).values, f.values)
+        assert np.array_equal(apply_pruned(two_point, f, t).values, f.values)
+
+
 def test_negative_time_rejected(two_point):
     with pytest.raises(ValueError, match="nonnegative"):
         apply(two_point, _f01(two_point), -0.5)

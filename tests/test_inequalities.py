@@ -102,7 +102,7 @@ def test_talagrand_invariant_under_sign_flip(gauss101):
         talagrand_ratio(gauss101, f), rel=1e-9)
 
 
-def test_degenerate_witnesses_raise(two_point, circle64):
+def test_degenerate_witnesses_raise(two_point, circle64, gauss101):
     const = make_field(circle64, np.full(circle64.n, 2.0))
     with pytest.raises(DegenerateWitnessError):
         lsi_ratio(circle64, const)
@@ -110,6 +110,11 @@ def test_degenerate_witnesses_raise(two_point, circle64):
         talagrand_ratio(circle64, const)
     with pytest.raises(DegenerateWitnessError):
         poincare_ratio(circle64, const)
+    # on a path, w2 is exact, so rounding in F^2 nu / mass gives a tiny
+    # nonzero distance; the witness is still degenerate
+    for c in (0.3, 2.0, 7.0):
+        with pytest.raises(DegenerateWitnessError):
+            talagrand_ratio(gauss101, make_field(gauss101, np.full(gauss101.n, c)))
 
 
 def test_eigenfields_shape_and_normalization(circle256):

@@ -80,6 +80,22 @@ def test_space_id_is_stable_and_disambiguates(circle64):
     assert circle64.space_id != other.space_id
 
 
+def test_space_id_covers_edges():
+    # a redundant edge leaves dist and measure alone but changes the graph,
+    # and with it every gradient computed on the space
+    from lenspace.hopflax import grad_norm_field
+    path = build_from_graph([(0, 1, 1.0), (1, 2, 1.0)], np.ones(3), 3)
+    chorded = build_from_graph([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 2.0)], np.ones(3), 3)
+    assert np.array_equal(path.dist, chorded.dist)
+    assert path.space_id != chorded.space_id
+    f = make_field(path, [0.0, 4.0, 0.0])
+    with pytest.raises(ValueError, match="bound to space"):
+        grad_norm_field(chorded, f)
+    # edge order and parallel duplicates do not matter, only the graph
+    again = build_from_graph([(2, 1, 1.0), (1, 0, 3.0), (0, 1, 1.0)], np.ones(3), 3)
+    assert again.space_id == path.space_id
+
+
 def test_mesh_h_circle(circle64):
     assert circle64.mesh_h == pytest.approx(2 * math.pi / 64, rel=1e-12)
 

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from lenspace import brute_force_w2, build_from_graph, w2, w2_oracle_1d
 from lenspace import generate as _generate, parse_space_spec as _parse
-from lenspace.transport import _coupling_vertices
+from lenspace import transport
+from lenspace.transport import _coupling_vertices, _w2_lp
 
 
 def test_identical_marginals_give_zero(circle64):
@@ -81,9 +84,15 @@ def test_oracle_rejects_non_path(circle64):
 def test_oracle_matches_lp_on_gaussian_reflection(gauss101):
     # reflecting the measure across 0 is transport along the interval
     flipped = gauss101.measure[::-1].copy()
-    d_lp, _ = w2(gauss101, gauss101.measure, flipped)
+    d_lp, plan_lp = _w2_lp(gauss101, gauss101.measure, flipped)
     d_or = w2_oracle_1d(gauss101, gauss101.measure, flipped)
     assert abs(d_lp - d_or) <= 1e-8
+    # the flip moves only rounding-level mass, so compare w2 with the LP in
+    # cost: the square root turns the LP's 1e-10 feasibility slack into 1e-9
+    d, plan = w2(gauss101, gauss101.measure, flipped)
+    assert abs(plan.cost - plan_lp.cost) <= 1e-10
+    assert abs(d - d_or) <= 1e-12
+    plan.check(gauss101)
 
 
 def test_lp_matches_oracle_uneven_spacing():
@@ -94,8 +103,79 @@ def test_lp_matches_oracle_uneven_spacing():
     for _ in range(5):
         a = rng.uniform(0.0, 1.0, 4); a /= a.sum()
         b = rng.uniform(0.0, 1.0, 4); b /= b.sum()
-        d_lp, _ = w2(g, a, b)
+        d_lp, _ = _w2_lp(g, a, b)
         assert abs(d_lp - w2_oracle_1d(g, a, b)) <= 1e-10
+        assert abs(w2(g, a, b)[0] - d_lp) <= 1e-10
+
+
+@st.composite
+def _path_instance(draw):
+    # a path with irregular edges, labels permuted away from path order,
+    # and marginals that may vanish at some points
+    n = draw(st.integers(1, 9))
+    perm = draw(st.permutations(range(n)))
+    lengths = draw(st.lists(st.floats(1e-3, 50.0), min_size=n - 1, max_size=n - 1))
+    edges = [(perm[k], perm[k + 1], lengths[k]) for k in range(n - 1)]
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    marginals = []
+    for _ in range(2):
+        m = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+        if m.sum() == 0:
+            m[draw(st.integers(0, n - 1))] = 1.0
+        marginals.append(m / m.sum())
+    return build_from_graph(edges, np.ones(n), n), marginals[0], marginals[1]
+
+
+@given(_path_instance())
+@settings(max_examples=150, deadline=None)
+def test_path_fast_path_matches_dense_lp(instance):
+    g, a, b = instance
+    d, plan = w2(g, a, b)
+    _, plan_lp = _w2_lp(g, a, b)
+    # in cost, where the LP is certified; near zero distance the square root
+    # would magnify the LP's feasibility slack
+    assert abs(plan.cost - plan_lp.cost) <= 1e-10 * (1.0 + plan_lp.cost)
+    assert d == math.sqrt(plan.cost)
+    plan.check(g)
+
+
+def test_path_fast_path_solves_no_lp(gauss101, monkeypatch):
+    def no_lp(*args):
+        raise AssertionError("dense LP called on a path graph")
+
+    monkeypatch.setattr(transport, "_w2_lp", no_lp)
+    target = np.exp(gauss101.coords[:, 0]) * gauss101.measure
+    d, plan = w2(gauss101, target / target.sum(), gauss101.measure)
+    assert d > 0
+    plan.check(gauss101)
+    assert np.count_nonzero(plan.coupling) <= 2 * gauss101.n - 1
+
+
+def test_failed_certificate_falls_back_to_lp(gauss101, monkeypatch):
+    # an anti-monotone staircase is a feasible tree plan but not an optimal
+    # one; the reduced-cost check must reject it and the LP must answer
+    real = transport._staircase
+
+    def anti_monotone(a, b):
+        rows, cols, mass = real(a, b[::-1])
+        return rows, len(b) - 1 - cols, mass
+
+    lp_calls = []
+
+    def counted_lp(*args):
+        lp_calls.append(args)
+        return _w2_lp(*args)
+
+    monkeypatch.setattr(transport, "_staircase", anti_monotone)
+    monkeypatch.setattr(transport, "_w2_lp", counted_lp)
+    target = np.exp(gauss101.coords[:, 0]) * gauss101.measure
+    target /= target.sum()
+    d, plan = w2(gauss101, target, gauss101.measure)
+    d_lp, plan_lp = _w2_lp(gauss101, target, gauss101.measure)
+    assert len(lp_calls) == 1
+    assert d == d_lp
+    assert np.array_equal(plan.coupling, plan_lp.coupling)
+    plan.check(gauss101)
 
 
 def test_brute_force_matches_lp_small():
@@ -107,7 +187,7 @@ def test_brute_force_matches_lp_small():
         for _ in range(10):
             a = rng.uniform(0.0, 1.0, n); a /= a.sum()
             b = rng.uniform(0.0, 1.0, n); b /= b.sum()
-            d_lp, _ = w2(g, a, b)
+            d_lp, _ = _w2_lp(g, a, b)
             assert abs(d_lp - brute_force_w2(g, a, b)) <= 1e-9
 
 
