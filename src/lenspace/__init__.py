@@ -4,8 +4,8 @@ __version__ = "0.1.0"
 
 from .generators import SpaceSpec, generate, load_space, parse_space_spec, \
     refine, save_space
-from .hopflax import SemigroupTrace, apply, apply_pruned, grad_norm, \
-    hj_forward_residual, lipschitz_constant, make_trace, midpoint_identity_defect, \
+from .hopflax import SemigroupTrace, apply, grad_norm, hj_forward_residual, \
+    lipschitz_constant, make_trace, midpoint_identity_defect, \
     semigroup_defect, subgrad_norm
 from .inequalities import ChainReport, ConstantEstimate, InequalityReport, \
     build_report, dual_talagrand_defect, entropy_functional, estimate_constant, \
@@ -17,7 +17,7 @@ from .transport import TransportPlan, brute_force_w2, w2, w2_oracle_1d
 __all__ = [
     "MeasuredSpace", "ScalarField", "SemigroupTrace", "SpaceSpec",
     "TransportPlan", "ChainReport", "ConstantEstimate", "InequalityReport",
-    "apply", "apply_pruned", "ball", "build_from_graph", "build_report",
+    "apply", "ball", "build_from_graph", "build_report",
     "doubling_constant", "dual_talagrand_defect", "entropy_functional",
     "estimate_constant", "generate", "grad_norm", "hj_forward_residual",
     "lipschitz_constant", "load_space", "local_poincare_constant",

@@ -106,7 +106,6 @@ def _space_summary(space) -> dict:
         "kind": space.kind,
         "n": space.n,
         "mesh_h": space.mesh_h,
-        "midpoint_defect": space.midpoint_defect,
         "diameter": space.diameter,
     }
 
@@ -142,7 +141,7 @@ def _out_path(cfg: RunConfig, name: str) -> str:
 
 def _cmd_gen(cfg: RunConfig):
     opt = cfg.options
-    if cfg.space:
+    if cfg.space is not None:
         spec = parse_space_spec(cfg.space)
     else:
         spec = SpaceSpec(kind=opt["kind"], n=opt["n"], m=opt["m"],
@@ -343,7 +342,7 @@ def _cmd_doubling(cfg: RunConfig):
         f = resolve_field(space, opt["field"], cfg.seed)
         local = local_poincare_constant(space, f, opt["radius"], opt["dilation"])
     doc = {
-        "space": _space_summary(space),
+        "space": dict(_space_summary(space), midpoint_defect=space.midpoint_defect),
         "doubling_constant": value,
         "r_min": opt["r_min"], "r_max": opt["r_max"], "r_steps": opt["r_steps"],
         "metric_check": asdict(metric),
@@ -514,9 +513,10 @@ def main(argv=None) -> int:
     opts = vars(args).copy()
     command = opts.pop("command")
     out_dir = opts.pop("out_dir")
+    space = opts.pop("space", None)
     config = RunConfig(
         command=command,
-        space=opts.pop("space", None) or opts.get("spec"),
+        space=opts.get("spec") if space is None else space,
         k=opts.pop("K", None),
         times=opts.pop("times", None),
         seed=opts.pop("seed", 0),

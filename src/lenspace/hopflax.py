@@ -41,31 +41,6 @@ def apply(space: MeasuredSpace, f: ScalarField, t: float) -> ScalarField:
     return make_field(space, out)
 
 
-def apply_pruned(space: MeasuredSpace, f: ScalarField, t: float) -> ScalarField:
-    """Evolve f restricting each minimization to a ball around x.
-
-    The minimizer of f(y) + d(x,y)^2/(2t) always lies within distance
-    sqrt(C t) of x for C = 2 (max f - min f): any farther candidate has
-    d^2/(2t) > C/2 alone, already beating the trivial bound f(x) <= max f.
-    A small slack widens the ball so floating-point rounding can never
-    change which candidates matter; the result equals apply() bitwise.
-    """
-    vals = check_binding(space, f)
-    t = _check_time(t, positive=False)
-    # Q_0 f = f, and so is Q_t f once 1/(2t) overflows: every y != x costs inf
-    inv2t = 1.0 / (2.0 * t) if t > 0 else np.inf
-    if not np.isfinite(inv2t):
-        return make_field(space, vals)
-    spread = float(vals.max() - vals.min())
-    slack = 1e-12 * (1.0 + float(np.abs(vals).max()))
-    cutoff = 2.0 * spread * t + 2.0 * t * slack
-    out = np.empty(space.n)
-    for x in range(space.n):
-        inside = space.dist_sq[x] <= cutoff
-        out[x] = (vals[inside] + space.dist_sq[x][inside] * inv2t).min()
-    return make_field(space, out)
-
-
 def grad_norm(space: MeasuredSpace, f: ScalarField, x: int) -> float:
     """Local slope |grad f|(x): largest |f(y) - f(x)| / d(x, y) over graph neighbors."""
     vals = check_binding(space, f)
@@ -161,8 +136,12 @@ def hj_forward_residual(space: MeasuredSpace, f: ScalarField, t: float,
     """
     _check_time(t, positive=True)
     _check_time(s, positive=True)
-    here = apply(space, f, t)
-    there = apply(space, f, t + s)
+    return _residual(space, apply(space, f, t), apply(space, f, t + s), s)
+
+
+def _residual(space: MeasuredSpace, here: ScalarField, there: ScalarField,
+              s: float) -> ScalarField:
+    """The forward residual from here = Q_t f and there = Q_{t+s} f."""
     slope = subgrad_norm_field(space, here)
     r = (there.values - here.values) / s + 0.5 * slope ** 2
     return make_field(space, r)
@@ -222,9 +201,14 @@ def make_trace(space: MeasuredSpace, f: ScalarField, times) -> SemigroupTrace:
         steps = np.append(gaps, gaps[-1])
     else:
         steps = np.array([0.5 * times[0]])
-    residuals = [
-        hj_forward_residual(space, f, t, s) for t, s in zip(times, steps)
-    ]
+    # Q_{t+s} f is the next grid field whenever t + s lands on the next time
+    residuals = []
+    for i, (t, s) in enumerate(zip(times, steps)):
+        if i + 1 < times.size and t + s == times[i + 1]:
+            there = fields[i + 1]
+        else:
+            there = apply(space, f, t + s)
+        residuals.append(_residual(space, fields[i], there, s))
     mean_abs = np.array([
         float(np.abs(r.values) @ space.measure) for r in residuals
     ])

@@ -29,7 +29,8 @@ class MeasuredSpace:
 
         max_{x,y} min_z | max(d(x,z), d(z,y)) - d(x,y)/2 |
 
-    which vanishes in the continuum limit of a length space.
+    which vanishes in the continuum limit of a length space.  It costs
+    O(n^3), so it is computed on first read and cached.
     """
 
     n: int
@@ -37,7 +38,6 @@ class MeasuredSpace:
     measure: np.ndarray
     adjacency: list
     mesh_h: float
-    midpoint_defect: float
     space_id: str
     kind: str = "custom"
     params: dict = field(default_factory=dict)
@@ -66,6 +66,10 @@ class MeasuredSpace:
         src = np.asarray(src, dtype=np.intp)
         dst = np.asarray(dst, dtype=np.intp)
         return src, dst, self.dist[src, dst]
+
+    @cached_property
+    def midpoint_defect(self) -> float:
+        return _max_midpoint_defect(self.dist)
 
     @property
     def diameter(self) -> float:
@@ -116,8 +120,9 @@ def _max_midpoint_defect(dist: np.ndarray) -> float:
         return 0.0
     worst = 0.0
     for x in range(n):
-        # per (z, y): |max(d(x,z), d(z,y)) - d(x,y)/2|, minimized over z
-        gap = np.abs(np.maximum(dist[x][:, None], dist) - dist[x][None, :] / 2.0)
+        # per (z, y >= x): |max(d(x,z), d(z,y)) - d(x,y)/2|, minimized over z;
+        # dist is exactly symmetric, so the pairs y < x repeat earlier ones
+        gap = np.abs(np.maximum(dist[x][:, None], dist[:, x:]) - dist[x][None, x:] / 2.0)
         worst = max(worst, float(gap.min(axis=0).max()))
     return worst
 
@@ -220,7 +225,6 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
         measure=w,
         adjacency=adjacency,
         mesh_h=mesh_h,
-        midpoint_defect=_max_midpoint_defect(dist),
         space_id=digest.hexdigest()[:16],
         kind=kind,
         params=dict(params or {}),

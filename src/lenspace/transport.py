@@ -16,7 +16,6 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
 from .space import MeasuredSpace
@@ -97,6 +96,9 @@ def w2(space: MeasuredSpace, mu0, mu1):
 
 def _w2_lp(space: MeasuredSpace, mu0, mu1):
     """w2 by an exact dense LP solve over all n^2 cells, on any space."""
+    # imported here: scipy.optimize is a large share of the package import time
+    from scipy.optimize import linprog
+
     a = _check_marginal(space, mu0, "mu0")
     b = _check_marginal(space, mu1, "mu1")
     if np.array_equal(a, b):

@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
 from lenspace import load_space
 from lenspace.cli import main
@@ -236,6 +244,50 @@ def test_doubling_circle(tmp_path):
     assert doc["local_poincare"] is None
 
 
+def test_doubling_reports_exact_torus_midpoint_defect(tmp_path):
+    code = main(["--out-dir", str(tmp_path), "doubling", "--space", "torus2d:8:8",
+                 "--r-min", "0.8", "--r-max", "2.0"])
+    assert code == 0
+    space = _read(tmp_path / "doubling.json")["space"]
+    # on an equal-sided grid the worst midpoint is between neighbours: h / 2
+    h = 2 * math.pi / 8
+    assert abs(space["midpoint_defect"] - h / 2) <= 1e-12
+    assert space["mesh_h"] == pytest.approx(h, rel=1e-12)
+
+
+_NO_DEFECT_RUNS = [
+    ["gen", "--spec", "circle:16"],
+    ["semigroup", "--space", "circle:16", "--field", "cos", "--times", "0.5",
+     "--refinements", "2"],
+    ["transport", "--space", "circle:8", "--mu0", "point:0", "--mu1", "nu"],
+    ["constants", "--space", "path:8", "--budget", "1"],
+    ["chain", "--space", "path:8", "--K", "0.001", "--trace-fields", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", _NO_DEFECT_RUNS, ids=lambda a: a[0])
+def test_commands_never_compute_midpoint_defect(tmp_path, monkeypatch, argv):
+    import lenspace.space
+
+    def refuse(dist):
+        raise AssertionError("midpoint defect computed")
+
+    monkeypatch.setattr(lenspace.space, "_max_midpoint_defect", refuse)
+    assert main(["--out-dir", str(tmp_path)] + argv) == 0
+    for name in ("semigroup.json", "transport.json", "constants.json", "chain.json"):
+        if (tmp_path / name).exists():
+            assert "midpoint_defect" not in _read(tmp_path / name)["space"]
+
+
+def test_cli_import_skips_scipy_optimize():
+    # only the dense transport LP needs scipy.optimize; it imports it itself
+    import lenspace
+    src = os.path.dirname(os.path.dirname(lenspace.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, lenspace.cli; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_doubling_with_local_poincare(tmp_path):
     code = main(["--out-dir", str(tmp_path), "doubling", "--space", "circle:64",
                  "--r-min", "0.4", "--r-max", "1.0",
@@ -272,3 +324,84 @@ def test_bad_residual_study_exit2(tmp_path, capsys, study):
     err = capsys.readouterr().err
     assert "bad --residual-study" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_empty_space_spec_exit2(tmp_path, capsys):
+    # "" used to fall through to "no space given" and crash with a traceback
+    for argv in (["semigroup", "--space", ""], ["doubling", "--space", "",
+                                                "--r-min", "1", "--r-max", "2"],
+                 ["gen", "--spec", ""]):
+        assert main(["--out-dir", str(tmp_path)] + argv) == 2
+        err = capsys.readouterr().err
+        assert "unknown space spec ''" in err
+        assert len(err.strip().splitlines()) == 1
+
+
+# argv fuzz for gen, semigroup and doubling on small spaces (generator n <= 16)
+_NUM = st.one_of(
+    st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e-310", "5e-324", "1e308",
+                     "0.5", "2", "abc", ""]),
+    st.floats(-10, 10).map(repr))
+_N = st.one_of(st.integers(-2, 16).map(str), st.sampled_from(["x", "", "1.5"]))
+_SIDE = st.integers(-2, 4).map(str)
+_KIND = st.sampled_from(["circle", "gaussian_interval", "gauss", "torus2d", "path",
+                         "complete", "klein", ""])
+
+
+@st.composite
+def _spec(draw):
+    kind = draw(_KIND)
+    if kind.startswith("torus"):
+        args = [draw(_SIDE), draw(_SIDE)] + draw(st.lists(_NUM, max_size=2))
+    else:
+        args = draw(st.lists(st.one_of(_N, _NUM), max_size=3))
+    return ":".join([kind] + args)
+
+
+_FIELD = st.one_of(st.sampled_from(["cos", "coordinate", "random", "random:3", "sin",
+                                    "", "x.csv"]),
+                   _NUM.map("tilt:".__add__), _N.map("random:".__add__))
+_TIMES = st.one_of(
+    st.builds("{}:{}:{}:{}".format, st.sampled_from(["geo", "lin"]), _NUM, _NUM,
+              st.integers(-1, 12)),
+    st.lists(_NUM, max_size=4).map(",".join))
+_OPTIONS = {
+    "gen": {"--spec": _spec(), "--kind": _KIND, "--n": _N, "--m": _SIDE,
+            "--length": _NUM, "--sigma": _NUM, "--width": _NUM,
+            "--side-x": _NUM, "--side-y": _NUM},
+    "semigroup": {"--space": _spec(), "--field": _FIELD, "--times": _TIMES,
+                  "--seed": _N, "--refinements": st.sampled_from(["-1", "0", "1", "x"]),
+                  "--residual-study": st.builds("{}:{}:{}".format, _NUM, _NUM,
+                                                st.integers(-1, 3)),
+                  "--defect-t": _NUM, "--defect-s": _NUM},
+    "doubling": {"--space": _spec(), "--r-min": _NUM, "--r-max": _NUM,
+                 "--r-steps": _N, "--field": _FIELD, "--radius": _NUM,
+                 "--dilation": _NUM, "--seed": _N},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    flags = draw(st.lists(st.sampled_from(sorted(_OPTIONS[command])), unique=True))
+    argv = [command]
+    for flag in flags:
+        argv += [flag, draw(_OPTIONS[command][flag])]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_out(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz"))
+
+
+@given(argv=_argv())
+@example(argv=["semigroup", "--space", ""])
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_exit_codes(fuzz_out, argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["--out-dir", fuzz_out] + argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

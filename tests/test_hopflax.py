@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from lenspace import (apply, apply_pruned, grad_norm, hj_forward_residual,
+from lenspace import (apply, grad_norm, hj_forward_residual,
                       lipschitz_constant, make_field, make_trace,
                       midpoint_identity_defect, semigroup_defect, subgrad_norm)
 from lenspace import generate as _generate, parse_space_spec as _parse
@@ -40,7 +40,6 @@ def test_tiny_time_is_identity(two_point):
     f = _f01(two_point)
     for t in (1e-310, 5e-324):
         assert np.array_equal(apply(two_point, f, t).values, f.values)
-        assert np.array_equal(apply_pruned(two_point, f, t).values, f.values)
 
 
 def test_negative_time_rejected(two_point):
@@ -131,16 +130,6 @@ def test_lipschitz_regularization(circle64):
         assert lipschitz_constant(circle64, q) <= circle64.diameter / t + 1e-12
 
 
-def test_pruned_matches_exact_bitwise(circle256, gauss101):
-    for g in (circle256, gauss101):
-        for seed in range(3):
-            f = random_smoothed_field(g, np.random.default_rng([8, seed]))
-            for t in (0.01, 0.2, 1.0, 5.0):
-                a = apply(g, f, t)
-                b = apply_pruned(g, f, t)
-                assert np.array_equal(a.values, b.values)
-
-
 # properties the operator satisfies exactly, fuzzed on a small fixed space
 @given(st.lists(st.floats(-5, 5), min_size=8, max_size=8),
        st.floats(0.01, 3.0))
@@ -224,3 +213,23 @@ def test_trace_json_dict_shape(two_point):
     doc = tr.to_json_dict()
     assert set(doc) >= {"times", "fields", "lip_constants", "residual_summaries"}
     assert len(doc["fields"]) == 2
+
+
+@pytest.mark.parametrize("times, n_apply", [
+    # len(times) grid fields plus the last step, which leaves the grid
+    (np.geomspace(0.01, 1.0, 8), 9),
+    # 0.001 + (0.01 - 0.001) != 0.01 and 0.2 + (0.82 - 0.2) != 0.82 in
+    # floating point, so those two steps are recomputed
+    (np.array([0.001, 0.01, 0.2, 0.82, 1.5]), 8),
+])
+def test_trace_reuses_grid_fields(monkeypatch, circle64, times, n_apply):
+    import lenspace.hopflax as hopflax
+    f = random_smoothed_field(circle64, np.random.default_rng(11))
+    calls = []
+    real = hopflax.apply
+    monkeypatch.setattr(hopflax, "apply",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    tr = make_trace(circle64, f, times)
+    assert len(calls) == n_apply
+    for t, s, r in zip(tr.times, tr.steps, tr.residuals):
+        assert np.array_equal(r.values, hj_forward_residual(circle64, f, t, s).values)

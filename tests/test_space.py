@@ -184,3 +184,39 @@ def test_local_poincare_cosine_stable_under_refinement():
     c2 = local_poincare_constant(g2, cosine_field(g2), 0.1, 2.0)
     assert c1 > 0 and c2 > 0
     assert abs(c1 - c2) <= 0.2 * max(c1, c2)
+
+
+def test_midpoint_defect_is_lazy():
+    g = _generate(_parse("circle:512"))
+    assert "midpoint_defect" not in g.__dict__
+    h2 = math.pi / 512
+    assert abs(g.midpoint_defect - h2) <= 1e-12 * h2
+    assert "midpoint_defect" in g.__dict__
+
+
+def _full_midpoint_defect(dist):
+    # every ordered pair (x, y), no symmetry assumed
+    worst = 0.0
+    for x in range(dist.shape[0]):
+        gap = np.abs(np.maximum(dist[x][:, None], dist) - dist[x][None, :] / 2.0)
+        worst = max(worst, float(gap.min(axis=0).max()))
+    return worst
+
+
+@st.composite
+def _connected_graphs(draw):
+    n = draw(st.integers(2, 14))
+    length = st.floats(1e-3, 50.0, allow_nan=False)
+    # a random spanning tree keeps the graph connected; extra edges add cycles
+    edges = [(i, draw(st.integers(0, i - 1)), draw(length)) for i in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                    length), max_size=2 * n))
+    edges += [(i, j, w) for i, j, w in extra if i != j]
+    return build_from_graph(edges, np.ones(n), n)
+
+
+@given(_connected_graphs())
+@settings(max_examples=150, deadline=None)
+def test_half_loop_midpoint_defect_matches_full_matrix(g):
+    from lenspace.space import _max_midpoint_defect
+    assert _max_midpoint_defect(g.dist) == _full_midpoint_defect(g.dist)
