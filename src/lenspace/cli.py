@@ -24,8 +24,8 @@ from . import __version__
 from .fields import load_field_csv, random_smoothed_field, resolve_field, \
     save_field_csv, tilt_field
 from .generators import SpaceSpec, generate, parse_space_spec, refine, save_space
-from .hopflax import hj_forward_residual, make_trace, semigroup_defect
-from .inequalities import _canon, build_report, default_witness_suites, \
+from .hopflax import _check_time, _residual, apply, make_trace, semigroup_defect
+from .inequalities import _RATIOS, _canon, _check_K, default_witness_family, \
     estimate_constant, phi_trace, psi_trace, verify_chain
 from .space import doubling_constant, local_poincare_constant, validate_metric
 from .transport import w2
@@ -110,7 +110,7 @@ def _space_summary(space) -> dict:
     }
 
 
-def _resolve_marginal(space, text: str, seed: int) -> np.ndarray:
+def _resolve_marginal(space, text: str) -> np.ndarray:
     if text == "nu":
         return space.measure.copy()
     if text == "uniform":
@@ -187,10 +187,12 @@ def _cmd_semigroup(cfg: RunConfig):
         t0 = float(times[mid])
         s_max = min(t0 / 2.0, float(trace.steps[mid]))
         levels = 3
+    # every level shares Q_{t0} f; each step s needs only Q_{t0+s} f
+    here = apply(space, f, _check_time(t0, positive=True))
     rows = []
     for j in range(levels):
-        s = s_max / 2 ** j
-        r = hj_forward_residual(space, f, t0, s)
+        s = _check_time(s_max / 2 ** j, positive=True)
+        r = _residual(space, here, apply(space, f, t0 + s), s)
         rows.append((s, float(np.abs(r.values) @ space.measure)))
 
     defect_rows = None
@@ -224,39 +226,47 @@ def _cmd_semigroup(cfg: RunConfig):
     return (1 if failed else 0), doc, [out, field_csv]
 
 
+# relative tolerance when a witness's ratio is recomputed from the saved field
+_REPRODUCIBILITY = 1e-9
+
+
 def _cmd_constants(cfg: RunConfig):
     opt = cfg.options
     which = opt["which"]
     names = ("lsi", "talagrand", "poincare") if which == "all" else \
         tuple(_canon(w.strip()) for w in which.split(","))
+    K = None if cfg.k is None else _check_K(cfg.k)
     _, space = _load_space(cfg.space)
-    report = build_report(space, seed=cfg.seed, budget=opt["budget"],
-                          K=cfg.k, tau=cfg.tau)
-    from .inequalities import _RATIOS  # reproducibility check uses the same ratios
+    family = default_witness_family(space, cfg.seed)
+    # without --K the chain runs at the estimated LSI constant
+    estimated = set(names) | ({"lsi"} if K is None else set())
+    estimates = {name: estimate_constant(space, name, family=family,
+                                         budget=opt["budget"], seed=cfg.seed)
+                 for name in sorted(estimated)}
+    chain = verify_chain(space, estimates["lsi"].value if K is None else K,
+                         family, cfg.tau)
 
     artifacts = []
     witnesses = []
     failures = []
     for name in names:
-        est = report.estimates[name]
+        est = estimates[name]
         ref = _out_path(cfg, f"witness_{name}.csv")
         save_field_csv(est.witness, ref)
         artifacts.append(ref)
         again = _RATIOS[name](space, est.witness)
-        if abs(again - est.value) > 1e-9 * (1.0 + abs(est.value)):
+        if abs(again - est.value) > _REPRODUCIBILITY * (1.0 + abs(est.value)):
             failures.append(f"{name} witness ratio {est.value} not reproducible ({again})")
         witnesses.append({"which": name, "label": est.witness_label,
                           "ratio": est.value, "field_ref": os.path.basename(ref),
                           "evaluations": [[lab, r] for lab, r in est.evaluations]})
     doc = {
         "space": _space_summary(space),
-        "K_estimates": {"lsi": report.K_lsi_upper,
-                        "talagrand": report.K_talagrand_upper,
-                        "poincare": report.K_poincare_upper},
+        "K_estimates": {name: est.value for name, est in estimates.items()},
         "witnesses": witnesses,
-        "chain": [asdict(c) for c in report.chain.checks],
-        "chain_verdict": report.chain.verdict,
-        "tolerances": report.tolerances,
+        "chain": [asdict(c) for c in chain.checks],
+        "chain_verdict": chain.verdict,
+        "tolerances": {"tau": cfg.tau, "ratio_reproducibility": _REPRODUCIBILITY},
         "checks": {"reproducibility_failures": failures},
     }
     out = _out_path(cfg, opt["out"])
@@ -266,11 +276,13 @@ def _cmd_constants(cfg: RunConfig):
 
 def _cmd_chain(cfg: RunConfig):
     opt = cfg.options
+    if opt["trace_fields"] < 1:
+        raise ValueError(f"--trace-fields must be >= 1, got {opt['trace_fields']}")
     _, space = _load_space(cfg.space)
     if cfg.k is None:
         raise ValueError("chain needs --K")
-    suites = default_witness_suites(space, cfg.seed, opt["n_random"])
-    report = verify_chain(space, cfg.k, suites, cfg.tau)
+    family = default_witness_family(space, cfg.seed, opt["n_random"])
+    report = verify_chain(space, cfg.k, family, cfg.tau)
 
     psi_grid = _parse_times(opt["psi_times"])
     phi_grid = _parse_times(opt["phi_times"])
@@ -312,8 +324,8 @@ def _cmd_chain(cfg: RunConfig):
 def _cmd_transport(cfg: RunConfig):
     opt = cfg.options
     _, space = _load_space(cfg.space)
-    mu0 = _resolve_marginal(space, opt["mu0"], cfg.seed)
-    mu1 = _resolve_marginal(space, opt["mu1"], cfg.seed)
+    mu0 = _resolve_marginal(space, opt["mu0"])
+    mu1 = _resolve_marginal(space, opt["mu1"])
     distance, plan = w2(space, mu0, mu1)
     plan.check(space)
     triplets = [[int(i), int(j), float(plan.coupling[i, j])]

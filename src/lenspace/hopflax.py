@@ -29,6 +29,16 @@ def _check_time(t: float, *, positive: bool) -> float:
     return t
 
 
+def _time_grid(times) -> np.ndarray:
+    """A nonempty, strictly increasing grid of positive finite times."""
+    grid = np.array([_check_time(t, positive=True) for t in times])
+    if grid.size == 0:
+        raise ValueError("time grid is empty")
+    if not np.all(np.diff(grid) > 0):
+        raise ValueError("time grid must be strictly increasing")
+    return grid
+
+
 def apply(space: MeasuredSpace, f: ScalarField, t: float) -> ScalarField:
     """Evolve f for time t >= 0 by exact minimization over all points."""
     vals = check_binding(space, f)
@@ -41,34 +51,8 @@ def apply(space: MeasuredSpace, f: ScalarField, t: float) -> ScalarField:
     return make_field(space, out)
 
 
-def grad_norm(space: MeasuredSpace, f: ScalarField, x: int) -> float:
-    """Local slope |grad f|(x): largest |f(y) - f(x)| / d(x, y) over graph neighbors."""
-    vals = check_binding(space, f)
-    if not (0 <= x < space.n):
-        raise ValueError(f"point {x} outside 0..{space.n - 1}")
-    nbrs = space.adjacency[x]
-    if not nbrs:
-        raise ValueError(f"point {x} has no neighbors")
-    return max(abs(vals[j] - vals[x]) / space.dist[x, j] for j, _ in nbrs)
-
-
-def subgrad_norm(space: MeasuredSpace, f: ScalarField, x: int) -> float:
-    """Descending slope |grad^- f|(x): like grad_norm but only drops count.
-
-    Uses the positive part of f(x) - f(y), so the value is zero at a local
-    minimum and never exceeds grad_norm.
-    """
-    vals = check_binding(space, f)
-    if not (0 <= x < space.n):
-        raise ValueError(f"point {x} outside 0..{space.n - 1}")
-    nbrs = space.adjacency[x]
-    if not nbrs:
-        raise ValueError(f"point {x} has no neighbors")
-    return max(max(vals[x] - vals[j], 0.0) / space.dist[x, j] for j, _ in nbrs)
-
-
 def grad_norm_field(space: MeasuredSpace, f: ScalarField) -> np.ndarray:
-    """|grad f| at every point, as an array."""
+    """Local slope |grad f|(x): max |f(y) - f(x)| / d(x, y) over neighbors y."""
     vals = check_binding(space, f)
     src, dst, length = space.edge_arrays
     out = np.zeros(space.n)
@@ -77,7 +61,11 @@ def grad_norm_field(space: MeasuredSpace, f: ScalarField) -> np.ndarray:
 
 
 def subgrad_norm_field(space: MeasuredSpace, f: ScalarField) -> np.ndarray:
-    """|grad^- f| at every point, as an array."""
+    """Descending slope |grad^- f|(x): like |grad f|(x), but only drops count.
+
+    Uses the positive part of f(x) - f(y), so the value is zero at a local
+    minimum and never exceeds |grad f|(x).
+    """
     vals = check_binding(space, f)
     src, dst, length = space.edge_arrays
     out = np.zeros(space.n)
@@ -187,11 +175,7 @@ class SemigroupTrace:
 def make_trace(space: MeasuredSpace, f: ScalarField, times) -> SemigroupTrace:
     """Evolve f across a strictly increasing grid of positive times."""
     vals = check_binding(space, f)
-    times = np.array([_check_time(t, positive=True) for t in times])
-    if times.size == 0:
-        raise ValueError("time grid is empty")
-    if times.size > 1 and not np.all(np.diff(times) > 0):
-        raise ValueError("time grid must be strictly increasing")
+    times = _time_grid(times)
 
     fields = [apply(space, f, t) for t in times]
     lips = np.array([lipschitz_constant(space, fld) for fld in fields])

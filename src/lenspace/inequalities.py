@@ -28,7 +28,7 @@ from scipy.linalg import eigh
 from scipy.special import logsumexp
 
 from .fields import random_smoothed_field, tilt_field
-from .hopflax import apply, subgrad_norm_field
+from .hopflax import _time_grid, apply, subgrad_norm_field
 from .space import MeasuredSpace, ScalarField, check_binding, make_field
 from .transport import w2
 
@@ -162,22 +162,18 @@ def default_witness_family(space: MeasuredSpace, seed: int = 0,
     return family
 
 
-def default_witness_suites(space: MeasuredSpace, seed: int = 0,
-                           n_random: int = 6) -> dict:
-    """One family per chain stage; the same constructions serve all three."""
-    family = default_witness_family(space, seed, n_random)
-    return {"lsi": family, "talagrand": family, "poincare": family}
+def _members(family) -> list:
+    members = [(str(label), f) for label, f in family]
+    if not members:
+        raise ValueError("witness family is empty")
+    return members
 
 
-def _labeled(family) -> list:
-    out = []
-    for i, item in enumerate(family):
-        if isinstance(item, ScalarField):
-            out.append((f"witness:{i}", item))
-        else:
-            label, f = item
-            out.append((str(label), f))
-    return out
+def _check_K(K: float) -> float:
+    K = float(K)
+    if not (0 < K < np.inf):  # NaN fails every comparison
+        raise ValueError(f"K must be positive and finite, got {K}")
+    return K
 
 
 @dataclass(frozen=True)
@@ -230,9 +226,7 @@ def estimate_constant(space: MeasuredSpace, which: str, family=None,
         budget = DEFAULT_BUDGETS[which]
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    members = _labeled(default_witness_family(space, seed) if family is None else family)
-    if not members:
-        raise ValueError("witness family is empty")
+    members = _members(default_witness_family(space, seed) if family is None else family)
     best = None
     evaluations = []
     for idx, (label, f) in enumerate(members):
@@ -260,23 +254,10 @@ def dual_talagrand_defect(space: MeasuredSpace, g: ScalarField, K: float) -> flo
     Nonpositive for every g exactly when the dual form of T(K) holds.
     """
     vals = check_binding(space, g)
-    K = float(K)
-    if K <= 0:
-        raise ValueError(f"K must be positive, got {K}")
+    K = _check_K(K)
     q1 = apply(space, g, 1.0)
     lhs = float(logsumexp(K * q1.values, b=space.measure))
     return lhs - K * float(vals @ space.measure)
-
-
-def _trace_grid(times) -> np.ndarray:
-    t = np.array([float(x) for x in times])
-    if t.size == 0:
-        raise ValueError("time grid is empty")
-    if not np.all(np.isfinite(t)) or np.any(t <= 0):
-        raise ValueError("trace times must be positive and finite")
-    if t.size > 1 and not np.all(np.diff(t) > 0):
-        raise ValueError("trace times must be strictly increasing")
-    return t
 
 
 @dataclass(frozen=True)
@@ -304,10 +285,8 @@ class PhiTrace:
 
 def psi_trace(space: MeasuredSpace, h: ScalarField, K: float, times) -> PsiTrace:
     vals = check_binding(space, h)
-    K = float(K)
-    if K <= 0:
-        raise ValueError(f"K must be positive, got {K}")
-    grid = _trace_grid(times)
+    K = _check_K(K)
+    grid = _time_grid(times)
     centered = make_field(space, vals - float(vals @ space.measure))
     out = np.empty(grid.size)
     for i, t in enumerate(grid):
@@ -320,10 +299,8 @@ def psi_trace(space: MeasuredSpace, h: ScalarField, K: float, times) -> PsiTrace
 
 def phi_trace(space: MeasuredSpace, g: ScalarField, K: float, times) -> PhiTrace:
     vals = check_binding(space, g)
-    K = float(K)
-    if K <= 0:
-        raise ValueError(f"K must be positive, got {K}")
-    grid = _trace_grid(times)
+    K = _check_K(K)
+    grid = _time_grid(times)
     mean_g = float(vals @ space.measure)
 
     def phi_at(t: float) -> float:
@@ -369,27 +346,23 @@ class ChainReport:
     verdict: str
 
 
-def verify_chain(space: MeasuredSpace, K: float, witness_suites: dict,
-                 tau: float) -> ChainReport:
-    """Check LSI => T => P witness-wise with (1 - tau) slack per stage."""
-    K = float(K)
+def verify_chain(space: MeasuredSpace, K: float, family, tau: float) -> ChainReport:
+    """Check LSI => T => P witness-wise with (1 - tau) slack per stage.
+
+    family is a list of (label, field) pairs; every stage tests all of them.
+    """
+    K = _check_K(K)
     tau = float(tau)
-    if K <= 0:
-        raise ValueError(f"K must be positive, got {K}")
     if not (0 < tau < 1):
         raise ValueError(f"tau must be in (0, 1), got {tau}")
-    suites = {}
-    for stage in ("lsi", "talagrand", "poincare"):
-        if stage not in witness_suites or not witness_suites[stage]:
-            raise ValueError(f"witness suite for stage {stage!r} is empty")
-        suites[stage] = _labeled(witness_suites[stage])
+    members = _members(family)
 
     checks = []
 
     def run_stage(stage: str, threshold: float) -> bool:
         ratio_fn = _RATIOS[stage]
         clean = True
-        for label, f in suites[stage]:
+        for label, f in members:
             try:
                 r = ratio_fn(space, f)
             except DegenerateWitnessError:
@@ -421,40 +394,3 @@ def verify_chain(space: MeasuredSpace, K: float, witness_suites: dict,
                        hypothesis_refuted=not hypothesis_ok,
                        counterexample=counterexample,
                        consistent=consistent, verdict=verdict)
-
-
-@dataclass(frozen=True)
-class InequalityReport:
-    """Constant estimates for one space plus a witness-wise chain check."""
-
-    space_id: str
-    K_lsi_upper: float
-    K_talagrand_upper: float
-    K_poincare_upper: float
-    estimates: dict          # which -> ConstantEstimate
-    chain: ChainReport
-    tolerances: dict
-
-
-def build_report(space: MeasuredSpace, seed: int = 0, budget: int | None = None,
-                 K: float | None = None, tau: float = 0.05,
-                 n_random: int = 6) -> InequalityReport:
-    """Estimate all three constants and check the chain at K (default: the
-    estimated LSI constant)."""
-    family = default_witness_family(space, seed, n_random)
-    estimates = {
-        which: estimate_constant(space, which, family=family, budget=budget,
-                                 seed=seed)
-        for which in ("lsi", "talagrand", "poincare")
-    }
-    K_chain = float(estimates["lsi"].value if K is None else K)
-    chain = verify_chain(space, K_chain, {s: family for s in estimates}, tau)
-    return InequalityReport(
-        space_id=space.space_id,
-        K_lsi_upper=estimates["lsi"].value,
-        K_talagrand_upper=estimates["talagrand"].value,
-        K_poincare_upper=estimates["poincare"].value,
-        estimates=estimates,
-        chain=chain,
-        tolerances={"tau": tau, "ratio_reproducibility": 1e-9},
-    )

@@ -285,8 +285,8 @@ def doubling_constant(space: MeasuredSpace, r_min: float, r_max: float,
     measure(B(x, 2r)) / measure(B(x, r)).  Every sampled ball must carry
     positive measure.
     """
-    if not (0 < r_min <= r_max):
-        raise ValueError(f"need 0 < r_min <= r_max, got {r_min}, {r_max}")
+    if not (0 < r_min <= r_max < np.inf):  # NaN fails every comparison
+        raise ValueError(f"need 0 < r_min <= r_max < inf, got {r_min}, {r_max}")
     if r_steps < 1:
         raise ValueError("r_steps must be at least 1")
     radii = np.linspace(r_min, r_max, r_steps)
@@ -314,9 +314,9 @@ def local_poincare_constant(space: MeasuredSpace, f: ScalarField,
     from .hopflax import grad_norm_field
 
     vals = check_binding(space, f)
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if dilation < 1:
+    if not (0 < radius < np.inf):  # NaN fails every comparison
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    if not (dilation >= 1):
         raise ValueError(f"dilation must be >= 1, got {dilation}")
     grad = grad_norm_field(space, f)
     worst = 0.0

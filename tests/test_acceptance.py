@@ -18,7 +18,7 @@ from lenspace import (apply, brute_force_w2, build_from_graph,
                       parse_space_spec, phi_trace, psi_trace, semigroup_defect,
                       verify_chain, w2, w2_oracle_1d)
 from lenspace.fields import cosine_field, random_smoothed_field
-from lenspace.inequalities import default_witness_suites
+from lenspace.inequalities import default_witness_family
 from lenspace.transport import _w2_lp
 
 
@@ -228,9 +228,9 @@ def test_criterion_8_chain_ordering_with_slack(continuum_estimates):
 def test_criterion_6_chain_consistency():
     start = time.monotonic()
     space = _space("gaussian_interval:201:1:4")
-    suites = default_witness_suites(space, seed=0)
+    family = default_witness_family(space, seed=0)
 
-    report = verify_chain(space, 0.9, suites, 0.05)
+    report = verify_chain(space, 0.9, family, 0.05)
     consistent = report.consistent and not report.hypothesis_refuted
 
     psi_grid = np.geomspace(0.01, 2.0, 12)
@@ -241,7 +241,7 @@ def test_criterion_6_chain_consistency():
         max_excess = max(max_excess, psi_trace(space, h, 0.9, psi_grid).max_excess)
         max_step = max(max_step, phi_trace(space, h, 0.9, phi_grid).max_upward_step)
 
-    adversarial = verify_chain(space, 1.5, suites, 0.05)
+    adversarial = verify_chain(space, 1.5, family, 0.05)
     refuted_cleanly = (adversarial.hypothesis_refuted
                        and adversarial.counterexample is None)
 

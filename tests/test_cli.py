@@ -146,6 +146,83 @@ def test_constants_unknown_which_exit2(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_constants_chain_runs_at_estimated_lsi(tmp_path, monkeypatch):
+    import lenspace.cli
+    asked = []
+    real = lenspace.cli.estimate_constant
+    monkeypatch.setattr(lenspace.cli, "estimate_constant",
+                        lambda space, which, **kw: asked.append(which) or
+                        real(space, which, **kw))
+    code = main(["--out-dir", str(tmp_path), "constants", "--space", "path:16",
+                 "--which", "poincare", "--budget", "1"])
+    assert code == 0
+    doc = _read(tmp_path / "constants.json")
+    # without --K the chain needs the LSI estimate; Talagrand is never estimated
+    assert sorted(asked) == ["lsi", "poincare"]
+    assert set(doc["K_estimates"]) == {"lsi", "poincare"}
+    assert [w["which"] for w in doc["witnesses"]] == ["poincare"]
+    assert doc["tolerances"] == {"tau": 0.05, "ratio_reproducibility": 1e-9}
+    K = doc["K_estimates"]["lsi"]
+    assert K > 0
+    lsi_checks = [c for c in doc["chain"] if c["stage"] == "lsi"]
+    assert lsi_checks and all(c["threshold"] == K * (1 - 0.05) for c in lsi_checks)
+
+    asked.clear()
+    code = main(["--out-dir", str(tmp_path), "constants", "--space", "path:16",
+                 "--which", "poincare", "--budget", "1", "--K", "0.001"])
+    assert code == 0
+    doc = _read(tmp_path / "constants.json")
+    assert asked == ["poincare"]
+    assert set(doc["K_estimates"]) == {"poincare"}
+    assert all(c["threshold"] == 0.001 * (1 - 0.05)
+               for c in doc["chain"] if c["stage"] == "lsi")
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["chain", "--space", "path:8", "--K", "nan"], "K must be positive"),
+    (["chain", "--space", "path:8", "--K", "inf"], "K must be positive"),
+    (["constants", "--space", "path:8", "--K", "nan", "--budget", "1"],
+     "K must be positive"),
+    (["chain", "--space", "path:8", "--K", "0.001", "--trace-fields", "0"],
+     "--trace-fields must be >= 1"),
+    (["chain", "--space", "path:8", "--K", "0.001", "--trace-fields", "-1"],
+     "--trace-fields must be >= 1"),
+    (["doubling", "--space", "circle:16", "--r-min", "0.3", "--r-max", "1",
+      "--field", "cos", "--radius", "0.5", "--dilation", "nan"], "dilation must be >= 1"),
+    (["doubling", "--space", "circle:16", "--r-min", "0.3", "--r-max", "inf"],
+     "r_max < inf"),
+], ids=["chain-K-nan", "chain-K-inf", "constants-K-nan", "trace-fields-0",
+        "trace-fields-negative", "dilation-nan", "r-max-inf"])
+def test_nonfinite_inputs_exit2(tmp_path, capsys, argv, words):
+    # each of these used to exit 0 or 1, some writing NaN or Infinity tokens
+    assert main(["--out-dir", str(tmp_path)] + argv) == 2
+    err = capsys.readouterr().err
+    assert words in err
+    assert len(err.strip().splitlines()) == 1
+    assert not any(p.suffix == ".json" for p in tmp_path.iterdir())
+
+
+def test_residual_study_computes_base_field_once(tmp_path, monkeypatch):
+    import lenspace.cli
+    from lenspace import generate, hj_forward_residual, parse_space_spec
+    from lenspace.fields import cosine_field
+    calls = []
+    real = lenspace.cli.apply
+    monkeypatch.setattr(lenspace.cli, "apply",
+                        lambda space, f, t: calls.append(t) or real(space, f, t))
+    code = main(["--out-dir", str(tmp_path), "semigroup", "--space", "circle:32",
+                 "--field", "cos", "--times", "0.5", "--residual-study", "0.3:0.1:4"])
+    assert code == 0
+    assert calls == [0.3] + [0.3 + 0.1 / 2 ** j for j in range(4)]
+    space = generate(parse_space_spec("circle:32"))
+    f = cosine_field(space)
+    rows = _read(tmp_path / "semigroup.json")["residual_vs_s"]
+    for j, (s, mean_abs) in enumerate(rows):
+        r = hj_forward_residual(space, f, 0.3, 0.1 / 2 ** j)
+        assert s == 0.1 / 2 ** j
+        assert mean_abs == float(np.abs(r.values) @ space.measure)
+
+
 def test_chain_consistent_exit0(tmp_path):
     code = main(["--out-dir", str(tmp_path), "chain", "--space", "path:16",
                  "--K", "0.001", "--tau", "0.05", "--seed", "7",
@@ -337,7 +414,7 @@ def test_empty_space_spec_exit2(tmp_path, capsys):
         assert len(err.strip().splitlines()) == 1
 
 
-# argv fuzz for gen, semigroup and doubling on small spaces (generator n <= 16)
+# argv fuzz for every command on small spaces (generator n <= 16)
 _NUM = st.one_of(
     st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e-310", "5e-324", "1e308",
                      "0.5", "2", "abc", ""]),
@@ -365,25 +442,57 @@ _TIMES = st.one_of(
     st.builds("{}:{}:{}:{}".format, st.sampled_from(["geo", "lin"]), _NUM, _NUM,
               st.integers(-1, 12)),
     st.lists(_NUM, max_size=4).map(",".join))
+# valid small spaces reach the commands' own checks, fuzzed specs the parser
+_SPACE = st.one_of(st.sampled_from(["path:8", "circle:16", "gaussian_interval:9:1:4",
+                                    "torus2d:3:3", "complete:5"]), _spec())
+_SMALL = st.sampled_from(["-1", "0", "1", "2", "x", ""])
+_WHICH = st.sampled_from(["all", "lsi", "t", "p", "lsi,poincare", "talagrand,lsi",
+                          "lsi,lsi", "foo", ""])
+_MARGINAL = st.one_of(st.sampled_from(["nu", "uniform", "point:0", "point:15",
+                                       "point:99", "point:-1", "point:x", "blob",
+                                       "", "x.csv"]),
+                      _NUM.map("tilt:".__add__))
+# reports live in the fuzz output directory, which the test substitutes for OUT
+_REPORT = st.sampled_from(["OUT/chain.json", "OUT/semigroup.json",
+                           "OUT/constants.json", "OUT/nope.json", ""])
 _OPTIONS = {
     "gen": {"--spec": _spec(), "--kind": _KIND, "--n": _N, "--m": _SIDE,
             "--length": _NUM, "--sigma": _NUM, "--width": _NUM,
             "--side-x": _NUM, "--side-y": _NUM},
-    "semigroup": {"--space": _spec(), "--field": _FIELD, "--times": _TIMES,
+    "semigroup": {"--space": _SPACE, "--field": _FIELD, "--times": _TIMES,
                   "--seed": _N, "--refinements": st.sampled_from(["-1", "0", "1", "x"]),
                   "--residual-study": st.builds("{}:{}:{}".format, _NUM, _NUM,
                                                 st.integers(-1, 3)),
                   "--defect-t": _NUM, "--defect-s": _NUM},
-    "doubling": {"--space": _spec(), "--r-min": _NUM, "--r-max": _NUM,
+    "doubling": {"--space": _SPACE, "--r-min": _NUM, "--r-max": _NUM,
                  "--r-steps": _N, "--field": _FIELD, "--radius": _NUM,
                  "--dilation": _NUM, "--seed": _N},
+    "constants": {"--space": _SPACE, "--which": _WHICH, "--budget": _SMALL,
+                  "--seed": _N, "--K": _NUM, "--tau": _NUM},
+    "chain": {"--space": _SPACE, "--K": _NUM, "--tau": _NUM, "--seed": _N,
+              "--n-random": _SMALL, "--trace-fields": _SMALL,
+              "--psi-times": _TIMES, "--phi-times": _TIMES,
+              "--psi-tol": _NUM, "--phi-tol": _NUM},
+    "transport": {"--space": _SPACE, "--mu0": _MARGINAL, "--mu1": _MARGINAL,
+                  "--seed": _N},
+    "plot-data": {"--report": _REPORT, "--kind": st.sampled_from(
+        ["psi", "phi", "residual_vs_s", "defect_vs_mesh", "x"])},
 }
+
+
+_REQUIRED = {"semigroup": ["--space"], "constants": ["--space"],
+             "chain": ["--space", "--K"], "transport": ["--space", "--mu0", "--mu1"],
+             "doubling": ["--space", "--r-min", "--r-max"],
+             "plot-data": ["--report", "--kind"]}
 
 
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_OPTIONS)))
     flags = draw(st.lists(st.sampled_from(sorted(_OPTIONS[command])), unique=True))
+    if draw(st.booleans()):  # half the examples get past argparse's required flags
+        required = _REQUIRED.get(command, [])
+        flags = required + [f for f in flags if f not in required]
     argv = [command]
     for flag in flags:
         argv += [flag, draw(_OPTIONS[command][flag])]
@@ -392,16 +501,31 @@ def _argv(draw):
 
 @pytest.fixture(scope="module")
 def fuzz_out(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("fuzz"))
+    out = str(tmp_path_factory.mktemp("fuzz"))
+    # reports for plot-data to read
+    for argv in (["chain", "--space", "path:8", "--K", "0.001", "--trace-fields", "1"],
+                 ["semigroup", "--space", "circle:8", "--times", "0.5",
+                  "--refinements", "1"]):
+        assert main(["--out-dir", out] + argv) == 0
+    return out
 
 
 @given(argv=_argv())
 @example(argv=["semigroup", "--space", ""])
-@settings(max_examples=150, deadline=None)
+@example(argv=["chain", "--space", "path:8", "--K", "nan"])
+@example(argv=["chain", "--space", "path:8", "--K", "inf"])
+@example(argv=["constants", "--space", "path:8", "--K", "nan", "--budget", "1"])
+@example(argv=["chain", "--space", "path:8", "--trace-fields", "0"])
+@example(argv=["chain", "--space", "path:8", "--trace-fields", "-1"])
+@example(argv=["doubling", "--space", "circle:16", "--r-min", "0.3", "--r-max", "1",
+               "--field", "cos", "--radius", "0.5", "--dilation", "nan"])
+@example(argv=["doubling", "--space", "circle:16", "--r-min", "0.3", "--r-max", "inf"])
+@settings(max_examples=300, deadline=None)
 def test_cli_fuzz_exit_codes(fuzz_out, argv):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        code = main(["--out-dir", fuzz_out] + argv)
+        code = main(["--out-dir", fuzz_out]
+                    + [a.replace("OUT/", fuzz_out + os.sep) for a in argv])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()

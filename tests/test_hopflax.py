@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from lenspace import (apply, grad_norm, hj_forward_residual,
-                      lipschitz_constant, make_field, make_trace,
-                      midpoint_identity_defect, semigroup_defect, subgrad_norm)
+from lenspace import (apply, hj_forward_residual, lipschitz_constant,
+                      make_field, make_trace, midpoint_identity_defect,
+                      semigroup_defect)
 from lenspace import generate as _generate, parse_space_spec as _parse
 from lenspace.fields import random_smoothed_field
 from lenspace.hopflax import grad_norm_field, subgrad_norm_field
@@ -99,11 +99,13 @@ def test_residual_zero_for_constant(circle64):
 def test_grad_subgrad_hand_values(path3):
     f = make_field(path3, np.array([0.0, 1.0, -1.0]))
     # unit edges: slopes are plain neighbour differences
-    assert grad_norm(path3, f, 0) == 1.0
-    assert grad_norm(path3, f, 1) == 2.0
-    assert subgrad_norm(path3, f, 0) == 0.0   # 0 is a local min looking right
-    assert subgrad_norm(path3, f, 1) == 2.0
-    assert subgrad_norm(path3, f, 2) == 0.0
+    grad = grad_norm_field(path3, f)
+    sub = subgrad_norm_field(path3, f)
+    assert grad[0] == 1.0
+    assert grad[1] == 2.0
+    assert sub[0] == 0.0   # 0 is a local min looking right
+    assert sub[1] == 2.0
+    assert sub[2] == 0.0
 
 
 def test_subgrad_zero_at_local_min(circle64):

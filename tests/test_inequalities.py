@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from lenspace import (build_report, dual_talagrand_defect, entropy_functional,
+from lenspace import (dual_talagrand_defect, entropy_functional,
                       estimate_constant, lsi_ratio, make_field, phi_trace,
                       poincare_ratio, psi_trace, talagrand_ratio, verify_chain)
 from lenspace import generate as _generate, parse_space_spec as _parse
 from lenspace.fields import random_smoothed_field, tilt_field
 from lenspace.inequalities import (DegenerateWitnessError,
-                                   default_witness_suites,
+                                   default_witness_family,
                                    laplacian_eigenfields)
 
 _PATH8 = _generate(_parse("path:8"))
@@ -247,19 +247,18 @@ def test_endpoint_identity_random_pairs(gauss101):
 
 def test_verify_chain_validations(two_point):
     h = make_field(two_point, np.array([-1.0, 1.0]))
-    suites = {s: [("h", h)] for s in ("lsi", "talagrand", "poincare")}
+    family = [("h", h)]
     with pytest.raises(ValueError, match="K must be positive"):
-        verify_chain(two_point, -1.0, suites, 0.05)
+        verify_chain(two_point, -1.0, family, 0.05)
     with pytest.raises(ValueError, match="tau"):
-        verify_chain(two_point, 1.0, suites, 1.5)
-    with pytest.raises(ValueError, match="suite for stage"):
-        verify_chain(two_point, 1.0, {"lsi": [("h", h)]}, 0.05)
+        verify_chain(two_point, 1.0, family, 1.5)
+    with pytest.raises(ValueError, match="witness family is empty"):
+        verify_chain(two_point, 1.0, [], 0.05)
 
 
 def test_verify_chain_tiny_K_vacuous(two_point):
     F = _sqrt2_bump(two_point)
-    suites = {s: [("F", F)] for s in ("lsi", "talagrand", "poincare")}
-    rep = verify_chain(two_point, 1e-6, suites, 0.05)
+    rep = verify_chain(two_point, 1e-6, [("F", F)], 0.05)
     assert rep.consistent and not rep.hypothesis_refuted
     assert "consistent" in rep.verdict
     assert all(c.ratio is not None for c in rep.checks)
@@ -267,8 +266,7 @@ def test_verify_chain_tiny_K_vacuous(two_point):
 
 def test_verify_chain_huge_K_refutes_hypothesis_only(two_point):
     F = _sqrt2_bump(two_point)
-    suites = {s: [("F", F)] for s in ("lsi", "talagrand", "poincare")}
-    rep = verify_chain(two_point, 50.0, suites, 0.05)
+    rep = verify_chain(two_point, 50.0, [("F", F)], 0.05)
     assert rep.hypothesis_refuted
     assert rep.counterexample is None
     assert rep.consistent
@@ -280,28 +278,42 @@ def test_verify_chain_huge_K_refutes_hypothesis_only(two_point):
 def test_verify_chain_degenerate_witness_passes_as_no_information(two_point):
     h = make_field(two_point, np.array([-1.0, 1.0]))
     const = make_field(two_point, np.ones(2))
-    suites = {"lsi": [("h", h)], "talagrand": [("c", const)], "poincare": [("h", h)]}
-    rep = verify_chain(two_point, 1e-6, suites, 0.05)
-    tal = [c for c in rep.checks if c.stage == "talagrand"][0]
-    assert tal.ratio is None and tal.passed
+    rep = verify_chain(two_point, 1e-6, [("h", h), ("c", const)], 0.05)
+    # every stage tests every member; the constant informs none of them
+    assert [(c.stage, c.witness_label) for c in rep.checks] == [
+        (s, lab) for s in ("lsi", "talagrand", "poincare") for lab in ("h", "c")]
+    assert all(c.ratio is None for c in rep.checks if c.witness_label == "c")
+    assert all(c.passed for c in rep.checks)
     assert rep.consistent
 
 
-def test_default_witness_suites_cover_stages(gauss101):
-    suites = default_witness_suites(gauss101, seed=0)
-    assert set(suites) == {"lsi", "talagrand", "poincare"}
-    labels = [lab for lab, _ in suites["lsi"]]
+def test_default_witness_family_label_kinds(gauss101, circle64):
+    labels = [lab for lab, _ in default_witness_family(gauss101, seed=0)]
     assert any(lab.startswith("tilt:") for lab in labels)
     assert any(lab.startswith("eigen:") for lab in labels)
     assert any(lab.startswith("random:") for lab in labels)
+    assert len(labels) == len(set(labels))
+    # tilts realize the Gaussian extremals only on non-periodic 1-d spaces
+    labels = [lab for lab, _ in default_witness_family(circle64, seed=0, n_random=2)]
+    assert labels == ["eigen:1", "eigen:2", "eigen:3", "random:0", "random:1"]
 
 
-def test_build_report_shape_and_chain_default_K(gauss101):
-    rep = build_report(gauss101, seed=0, budget=1, n_random=2)
-    assert rep.space_id == gauss101.space_id
-    assert rep.K_lsi_upper > 0
-    assert rep.K_talagrand_upper > 0
-    assert rep.K_poincare_upper > 0
-    assert rep.chain.K == pytest.approx(rep.K_lsi_upper)
-    assert set(rep.estimates) == {"lsi", "talagrand", "poincare"}
-    assert rep.tolerances["tau"] == 0.05
+@pytest.mark.parametrize("K", [0.0, -1.0, math.nan, math.inf])
+def test_every_K_consumer_rejects_bad_K(two_point, K):
+    h = make_field(two_point, np.array([-1.0, 1.0]))
+    for call in (lambda: verify_chain(two_point, K, [("h", h)], 0.05),
+                 lambda: psi_trace(two_point, h, K, [0.5]),
+                 lambda: phi_trace(two_point, h, K, [0.5]),
+                 lambda: dual_talagrand_defect(two_point, h, K)):
+        with pytest.raises(ValueError, match="K must be positive"):
+            call()
+
+
+@pytest.mark.parametrize("grid, words", [([], "empty"), ([0.5, 0.5], "increasing"),
+                                         ([0.0, 1.0], "positive"),
+                                         ([math.nan], "positive")])
+def test_trace_grids_validated_like_make_trace(two_point, grid, words):
+    h = make_field(two_point, np.array([-1.0, 1.0]))
+    for trace in (psi_trace, phi_trace):
+        with pytest.raises(ValueError, match=words):
+            trace(two_point, h, 1.0, grid)

@@ -166,6 +166,25 @@ def test_doubling_constant_zero_ball_error():
         doubling_constant(g, 0.1, 0.5, 4)
 
 
+@pytest.mark.parametrize("r_min, r_max", [(0.1, math.inf), (0.1, math.nan),
+                                          (math.nan, 0.5), (math.inf, math.inf)])
+def test_doubling_constant_rejects_nonfinite_radii(circle64, r_min, r_max):
+    # r_max = inf used to reach linspace and report a "ball of radius nan"
+    with pytest.raises(ValueError, match="r_max < inf"):
+        doubling_constant(circle64, r_min, r_max, 4)
+
+
+@pytest.mark.parametrize("radius, dilation, words", [
+    (0.5, math.nan, "dilation must be >= 1"), (0.5, 0.5, "dilation must be >= 1"),
+    (math.nan, 2.0, "radius must be positive"), (math.inf, 2.0, "radius must be positive"),
+    (0.0, 2.0, "radius must be positive")])
+def test_local_poincare_rejects_bad_scales(circle64, radius, dilation, words):
+    # dilation = nan used to empty every dilated ball and return inf
+    f = make_field(circle64, np.cos(np.arange(circle64.n)))
+    with pytest.raises(ValueError, match=words):
+        local_poincare_constant(circle64, f, radius, dilation)
+
+
 def test_local_poincare_constant_zero_for_constant_field(circle64):
     f = make_field(circle64, np.ones(circle64.n))
     assert local_poincare_constant(circle64, f, 1.0, 2.0) == 0.0
