@@ -13,17 +13,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .fields import load_field_csv, random_smoothed_field, resolve_field, \
     save_field_csv, tilt_field
-from .generators import SpaceSpec, generate, parse_space_spec, refine, save_space
+from .generators import generate, parse_space_spec, refine, save_space
 from .hopflax import _check_time, _residual, apply, make_trace, semigroup_defect
 from .inequalities import _RATIOS, _canon, _check_K, default_witness_family, \
     estimate_constant, phi_trace, psi_trace, verify_chain
@@ -31,25 +32,11 @@ from .space import doubling_constant, local_poincare_constant, validate_metric
 from .transport import w2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation: command, space source, and tuning knobs."""
-
-    command: str
-    space: str | None = None
-    k: float | None = None
-    times: str | None = None
-    seed: int = 0
-    tau: float = 0.05
-    out_dir: str = "."
-    options: dict = field(default_factory=dict)
-
-
 def _jsonable(obj):
     if isinstance(obj, (bool, np.bool_)):  # before int: bool is an int subclass
         return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
+    if isinstance(obj, (np.floating, float)):  # JSON has no NaN or Infinity
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -63,7 +50,7 @@ def _jsonable(obj):
 
 def _write_json(doc: dict, path: str):
     with open(path, "w") as fh:
-        json.dump(_jsonable(doc), fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(doc), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -71,7 +58,9 @@ def _write_csv(path: str, header: str, rows):
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
+            # a report stores a non-finite value as null; a CSV cell says nan
             fh.write(",".join(
+                "nan" if x is None else
                 f"{x:.17g}" if isinstance(x, (float, np.floating)) else str(x)
                 for x in row) + "\n")
 
@@ -135,33 +124,21 @@ def _resolve_marginal(space, text: str) -> np.ndarray:
     )
 
 
-def _out_path(cfg: RunConfig, name: str) -> str:
-    return name if os.path.isabs(name) else os.path.join(cfg.out_dir, name)
+def _out_path(args: argparse.Namespace, name: str) -> str:
+    return name if os.path.isabs(name) else os.path.join(args.out_dir, name)
 
 
-def _cmd_gen(cfg: RunConfig):
-    opt = cfg.options
-    if cfg.space is not None:
-        spec = parse_space_spec(cfg.space)
-    else:
-        spec = SpaceSpec(kind=opt["kind"], n=opt["n"], m=opt["m"],
-                         length=opt["length"], sigma=opt["sigma"], width=opt["width"],
-                         side_x=opt["side_x"], side_y=opt["side_y"],
-                         path=opt.get("path", ""))
-    space = generate(spec)
-    out = _out_path(cfg, opt["out"])
+def _cmd_gen(args: argparse.Namespace):
+    space = generate(parse_space_spec(args.spec))
+    out = _out_path(args, args.out)
     save_space(space, out)
-    report = validate_metric(space)
-    doc = {"space": _space_summary(space), "metric_check": asdict(report),
-           "spec": spec.describe()}
-    return (0 if report.passed else 1), doc, [out]
+    return (0 if validate_metric(space).passed else 1), [out]
 
 
-def _cmd_semigroup(cfg: RunConfig):
-    opt = cfg.options
-    spec, space = _load_space(cfg.space)
-    f = resolve_field(space, opt["field"], cfg.seed)
-    times = _parse_times(cfg.times or "geo:0.01:1:8")
+def _cmd_semigroup(args: argparse.Namespace):
+    spec, space = _load_space(args.space)
+    f = resolve_field(space, args.field, args.seed)
+    times = _parse_times(args.times)
     trace = make_trace(space, f, times)
 
     failed = []
@@ -170,7 +147,7 @@ def _cmd_semigroup(cfg: RunConfig):
         if lip > bound / t + 1e-12 * (1.0 + bound / t):
             failed.append(f"Lip(Q_t f) = {lip} above diam/t = {bound / t} at t = {t}")
 
-    study = opt.get("residual_study")
+    study = args.residual_study
     if study:
         bad = ValueError(f"bad --residual-study {study!r}; use T:S_MAX:LEVELS")
         parts = study.split(":")
@@ -196,62 +173,60 @@ def _cmd_semigroup(cfg: RunConfig):
         rows.append((s, float(np.abs(r.values) @ space.measure)))
 
     defect_rows = None
-    if opt.get("refinements", 0) > 0:
+    if args.refinements > 0:
         if spec.kind == "custom_file":
             raise ValueError("defect study needs a generator space spec, not a file")
-        if opt["field"].endswith(".csv"):
+        if args.field.endswith(".csv"):
             raise ValueError("defect study needs a named field spec, not a CSV file")
-        dt, ds = opt["defect_t"], opt["defect_s"]
+        dt, ds = args.defect_t, args.defect_s
         defect_rows = []
         level_spec = spec
-        for _ in range(opt["refinements"] + 1):
+        for _ in range(args.refinements + 1):
             level_space = generate(level_spec)
-            level_field = resolve_field(level_space, opt["field"], cfg.seed)
+            level_field = resolve_field(level_space, args.field, args.seed)
             defect = semigroup_defect(level_space, level_field, dt, ds)
             defect_rows.append((level_space.mesh_h, defect))
             level_spec = refine(level_spec)
 
-    out = _out_path(cfg, opt["out"])
+    out = _out_path(args, args.out)
     field_csv = os.path.splitext(out)[0] + "_source.csv"
     save_field_csv(f, field_csv)
     doc = {
         "space": _space_summary(space),
-        "field": opt["field"],
+        "field": args.field,
         "trace": trace.to_json_dict(),
         "residual_vs_s": [list(r) for r in rows],
         "defect_vs_mesh": [list(r) for r in defect_rows] if defect_rows else None,
         "checks": {"lipschitz_bound_failures": failed},
     }
     _write_json(doc, out)
-    return (1 if failed else 0), doc, [out, field_csv]
+    return (1 if failed else 0), [out, field_csv]
 
 
 # relative tolerance when a witness's ratio is recomputed from the saved field
 _REPRODUCIBILITY = 1e-9
 
 
-def _cmd_constants(cfg: RunConfig):
-    opt = cfg.options
-    which = opt["which"]
-    names = ("lsi", "talagrand", "poincare") if which == "all" else \
-        tuple(_canon(w.strip()) for w in which.split(","))
-    K = None if cfg.k is None else _check_K(cfg.k)
-    _, space = _load_space(cfg.space)
-    family = default_witness_family(space, cfg.seed)
+def _cmd_constants(args: argparse.Namespace):
+    names = ("lsi", "talagrand", "poincare") if args.which == "all" else \
+        tuple(_canon(w.strip()) for w in args.which.split(","))
+    K = None if args.K is None else _check_K(args.K)
+    _, space = _load_space(args.space)
+    family = default_witness_family(space, args.seed)
     # without --K the chain runs at the estimated LSI constant
     estimated = set(names) | ({"lsi"} if K is None else set())
     estimates = {name: estimate_constant(space, name, family=family,
-                                         budget=opt["budget"], seed=cfg.seed)
+                                         budget=args.budget, seed=args.seed)
                  for name in sorted(estimated)}
     chain = verify_chain(space, estimates["lsi"].value if K is None else K,
-                         family, cfg.tau)
+                         family, args.tau)
 
     artifacts = []
     witnesses = []
     failures = []
     for name in names:
         est = estimates[name]
-        ref = _out_path(cfg, f"witness_{name}.csv")
+        ref = _out_path(args, f"witness_{name}.csv")
         save_field_csv(est.witness, ref)
         artifacts.append(ref)
         again = _RATIOS[name](space, est.witness)
@@ -266,66 +241,65 @@ def _cmd_constants(cfg: RunConfig):
         "witnesses": witnesses,
         "chain": [asdict(c) for c in chain.checks],
         "chain_verdict": chain.verdict,
-        "tolerances": {"tau": cfg.tau, "ratio_reproducibility": _REPRODUCIBILITY},
+        "tolerances": {"tau": args.tau, "ratio_reproducibility": _REPRODUCIBILITY},
         "checks": {"reproducibility_failures": failures},
     }
-    out = _out_path(cfg, opt["out"])
+    out = _out_path(args, args.out)
     _write_json(doc, out)
-    return (1 if failures else 0), doc, [out] + artifacts
+    return (1 if failures else 0), [out] + artifacts
 
 
-def _cmd_chain(cfg: RunConfig):
-    opt = cfg.options
-    if opt["trace_fields"] < 1:
-        raise ValueError(f"--trace-fields must be >= 1, got {opt['trace_fields']}")
-    _, space = _load_space(cfg.space)
-    if cfg.k is None:
-        raise ValueError("chain needs --K")
-    family = default_witness_family(space, cfg.seed, opt["n_random"])
-    report = verify_chain(space, cfg.k, family, cfg.tau)
+def _cmd_chain(args: argparse.Namespace):
+    if args.trace_fields < 1:
+        raise ValueError(f"--trace-fields must be >= 1, got {args.trace_fields}")
+    for flag, tol in (("--psi-tol", args.psi_tol), ("--phi-tol", args.phi_tol)):
+        if not 0 <= tol < math.inf:  # written so NaN fails
+            raise ValueError(f"{flag} must be finite and >= 0, got {tol}")
+    _, space = _load_space(args.space)
+    family = default_witness_family(space, args.seed, args.n_random)
+    report = verify_chain(space, args.K, family, args.tau)
 
-    psi_grid = _parse_times(opt["psi_times"])
-    phi_grid = _parse_times(opt["phi_times"])
+    psi_grid = _parse_times(args.psi_times)
+    phi_grid = _parse_times(args.phi_times)
     psi_rows, phi_rows = [], []
     psi_excess, phi_step, endpoint_gap = -np.inf, 0.0, 0.0
-    for i in range(opt["trace_fields"]):
-        h = random_smoothed_field(space, np.random.default_rng([cfg.seed, 2000 + i]))
-        ps = psi_trace(space, h, cfg.k, psi_grid)
-        ph = phi_trace(space, h, cfg.k, phi_grid)
+    for i in range(args.trace_fields):
+        h = random_smoothed_field(space, np.random.default_rng([args.seed, 2000 + i]))
+        ps = psi_trace(space, h, args.K, psi_grid)
+        ph = phi_trace(space, h, args.K, phi_grid)
         psi_excess = max(psi_excess, ps.max_excess)
         phi_step = max(phi_step, ph.max_upward_step)
         endpoint_gap = max(endpoint_gap, ph.endpoint_identity_gap)
         psi_rows.extend((float(t), float(v), i) for t, v in zip(ps.times, ps.values))
         phi_rows.extend((float(t), float(v), i) for t, v in zip(ph.times, ph.values))
 
-    dual_ok = psi_excess <= opt["psi_tol"] and phi_step <= opt["phi_tol"]
+    dual_ok = psi_excess <= args.psi_tol and phi_step <= args.phi_tol
     code = 0 if (report.consistent and not report.hypothesis_refuted and dual_ok) else 1
     doc = {
         "space": _space_summary(space),
-        "K": cfg.k,
-        "tau": cfg.tau,
+        "K": args.K,
+        "tau": args.tau,
         "chain": [asdict(c) for c in report.checks],
         "verdict": report.verdict,
         "hypothesis_refuted": report.hypothesis_refuted,
         "consistent": report.consistent,
         "traces": {
             "psi": {"rows": [list(r) for r in psi_rows], "max_excess": psi_excess,
-                    "tolerance": opt["psi_tol"]},
+                    "tolerance": args.psi_tol},
             "phi": {"rows": [list(r) for r in phi_rows], "max_upward_step": phi_step,
                     "endpoint_identity_gap": endpoint_gap,
-                    "tolerance": opt["phi_tol"]},
+                    "tolerance": args.phi_tol},
         },
     }
-    out = _out_path(cfg, opt["out"])
+    out = _out_path(args, args.out)
     _write_json(doc, out)
-    return code, doc, [out]
+    return code, [out]
 
 
-def _cmd_transport(cfg: RunConfig):
-    opt = cfg.options
-    _, space = _load_space(cfg.space)
-    mu0 = _resolve_marginal(space, opt["mu0"])
-    mu1 = _resolve_marginal(space, opt["mu1"])
+def _cmd_transport(args: argparse.Namespace):
+    _, space = _load_space(args.space)
+    mu0 = _resolve_marginal(space, args.mu0)
+    mu1 = _resolve_marginal(space, args.mu1)
     distance, plan = w2(space, mu0, mu1)
     plan.check(space)
     triplets = [[int(i), int(j), float(plan.coupling[i, j])]
@@ -336,43 +310,41 @@ def _cmd_transport(cfg: RunConfig):
         "cost": plan.cost,
         "duality_gap": plan.duality_gap,
         "coupling": triplets,
-        "mu0": opt["mu0"],
-        "mu1": opt["mu1"],
+        "mu0": args.mu0,
+        "mu1": args.mu1,
     }
-    out = _out_path(cfg, opt["out"])
+    out = _out_path(args, args.out)
     _write_json(doc, out)
-    return 0, doc, [out]
+    return 0, [out]
 
 
-def _cmd_doubling(cfg: RunConfig):
-    opt = cfg.options
-    _, space = _load_space(cfg.space)
-    value = doubling_constant(space, opt["r_min"], opt["r_max"], opt["r_steps"])
+def _cmd_doubling(args: argparse.Namespace):
+    _, space = _load_space(args.space)
+    value = doubling_constant(space, args.r_min, args.r_max, args.r_steps)
     metric = validate_metric(space)
     local = None
-    if opt.get("field"):
-        f = resolve_field(space, opt["field"], cfg.seed)
-        local = local_poincare_constant(space, f, opt["radius"], opt["dilation"])
+    if args.field:
+        f = resolve_field(space, args.field, args.seed)
+        local = local_poincare_constant(space, f, args.radius, args.dilation)
     doc = {
         "space": dict(_space_summary(space), midpoint_defect=space.midpoint_defect),
         "doubling_constant": value,
-        "r_min": opt["r_min"], "r_max": opt["r_max"], "r_steps": opt["r_steps"],
+        "r_min": args.r_min, "r_max": args.r_max, "r_steps": args.r_steps,
         "metric_check": asdict(metric),
         "local_poincare": local,
     }
-    out = _out_path(cfg, opt["out"])
+    out = _out_path(args, args.out)
     _write_json(doc, out)
-    return (0 if metric.passed else 1), doc, [out]
+    return (0 if metric.passed else 1), [out]
 
 
-def _cmd_plot_data(cfg: RunConfig):
-    opt = cfg.options
+def _cmd_plot_data(args: argparse.Namespace):
     try:
-        with open(opt["report"]) as fh:
+        with open(args.report) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read report {opt['report']}: {exc}") from None
-    kind = opt["kind"]
+        raise ValueError(f"cannot read report {args.report}: {exc}") from None
+    kind = args.kind
     if kind in ("psi", "phi"):
         trace = (doc.get("traces") or {}).get(kind)
         if not trace:
@@ -390,9 +362,9 @@ def _cmd_plot_data(cfg: RunConfig):
         header = "mesh_h,defect"
     else:
         raise ValueError(f"unknown plot kind {kind!r}")
-    out = _out_path(cfg, opt["out"])
+    out = _out_path(args, args.out)
     _write_csv(out, header, rows)
-    return 0, {"kind": kind, "rows": len(rows)}, [out]
+    return 0, [out]
 
 
 _COMMANDS = {
@@ -406,23 +378,23 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command and write its artifacts plus the run manifest."""
-    if config.command not in _COMMANDS:
-        raise ValueError(f"unknown command {config.command!r}")
-    os.makedirs(config.out_dir, exist_ok=True)
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command and write its artifacts plus the run manifest."""
+    if args.command not in _COMMANDS:
+        raise ValueError(f"unknown command {args.command!r}")
+    os.makedirs(args.out_dir, exist_ok=True)
     start = time.monotonic()
-    code, _, artifacts = _COMMANDS[config.command](config)
+    code, artifacts = _COMMANDS[args.command](args)
     manifest = {
-        "command": config.command,
-        "config": {k: v for k, v in asdict(config).items()},
+        "command": args.command,
+        "config": vars(args),
         "version": __version__,
-        "seed": config.seed,
+        "seed": getattr(args, "seed", 0),
         "exit_code": code,
         "wall_time_s": time.monotonic() - start,
         "artifacts": [os.path.basename(a) for a in artifacts],
     }
-    _write_json(manifest, os.path.join(config.out_dir, "run.json"))
+    _write_json(manifest, os.path.join(args.out_dir, "run.json"))
     return code
 
 
@@ -442,16 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", parents=[common],
                        help="generate a space and save it as JSON")
-    p.add_argument("--spec", help="compact space spec, e.g. circle:256:6.2832")
-    p.add_argument("--kind", choices=["circle", "gaussian_interval", "torus2d",
-                                      "path", "complete"])
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--length", type=float, default=2 * np.pi)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--width", type=float, default=3.0)
-    p.add_argument("--side-x", type=float, default=2 * np.pi)
-    p.add_argument("--side-y", type=float, default=2 * np.pi)
+    p.add_argument("--spec", required=True,
+                   help="compact space spec, e.g. circle:256:6.2832")
     p.add_argument("--out", default="space.json")
 
     p = sub.add_parser("semigroup", parents=[common], help="evolve a field and check the semigroup laws")
@@ -522,22 +486,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    opts = vars(args).copy()
-    command = opts.pop("command")
-    out_dir = opts.pop("out_dir")
-    space = opts.pop("space", None)
-    config = RunConfig(
-        command=command,
-        space=opts.get("spec") if space is None else space,
-        k=opts.pop("K", None),
-        times=opts.pop("times", None),
-        seed=opts.pop("seed", 0),
-        tau=opts.pop("tau", 0.05),
-        out_dir=out_dir,
-        options=opts,
-    )
     try:
-        return run(config)
+        return run(args)
     except AssertionError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 1

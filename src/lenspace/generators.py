@@ -11,13 +11,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .space import MeasuredSpace, build_from_graph
-
-KINDS = ("circle", "gaussian_interval", "torus2d", "path", "complete", "custom_file")
 
 
 @dataclass(frozen=True)
@@ -33,54 +31,6 @@ class SpaceSpec:
     side_x: float = 2 * math.pi
     side_y: float = 2 * math.pi
     path: str = ""
-
-    def describe(self) -> str:
-        # repr floats so parse_space_spec(describe()) reproduces the spec exactly
-        if self.kind == "circle":
-            return f"circle:{self.n}:{self.length!r}"
-        if self.kind == "gaussian_interval":
-            return f"gaussian_interval:{self.n}:{self.sigma!r}:{self.width!r}"
-        if self.kind == "torus2d":
-            return f"torus2d:{self.n}:{self.m}:{self.side_x!r}:{self.side_y!r}"
-        if self.kind == "custom_file":
-            return f"file:{self.path}"
-        return f"{self.kind}:{self.n}"
-
-
-def parse_space_spec(text: str) -> SpaceSpec:
-    """Parse a compact spec string, e.g. 'circle:256:6.2832' or a file path.
-
-    Forms: circle:N[:LENGTH], gaussian_interval:N[:SIGMA:WIDTH],
-    torus2d:N:M[:SIDE_X:SIDE_Y], path:N, complete:N, file:PATH.  'gauss' and
-    'torus' are accepted as shorthands.  A string naming an existing file is
-    taken as a saved space.
-    """
-    if text.startswith("file:"):
-        return SpaceSpec(kind="custom_file", path=text[5:])
-    head, _, rest = text.partition(":")
-    head = {"gauss": "gaussian_interval", "torus": "torus2d"}.get(head, head)
-    args = rest.split(":") if rest else []
-    try:
-        if head == "circle":
-            return SpaceSpec(kind="circle", n=int(args[0]),
-                             length=float(args[1]) if len(args) > 1 else 2 * math.pi)
-        if head == "gaussian_interval":
-            return SpaceSpec(kind="gaussian_interval", n=int(args[0]),
-                             sigma=float(args[1]) if len(args) > 1 else 1.0,
-                             width=float(args[2]) if len(args) > 2 else 3.0)
-        if head == "torus2d":
-            return SpaceSpec(kind="torus2d", n=int(args[0]), m=int(args[1]),
-                             side_x=float(args[2]) if len(args) > 2 else 2 * math.pi,
-                             side_y=float(args[3]) if len(args) > 3 else 2 * math.pi)
-        if head == "path":
-            return SpaceSpec(kind="path", n=int(args[0]))
-        if head == "complete":
-            return SpaceSpec(kind="complete", n=int(args[0]))
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"bad space spec {text!r}: {exc}") from None
-    if os.path.exists(text):
-        return SpaceSpec(kind="custom_file", path=text)
-    raise ValueError(f"unknown space spec {text!r}; kinds are {', '.join(KINDS)}")
 
 
 def _check_resolution(spec: SpaceSpec):
@@ -151,19 +101,61 @@ def _complete(spec: SpaceSpec) -> MeasuredSpace:
                             params={"n": spec.n})
 
 
+# kind -> (builder, positional spec fields in order); the integer fields are
+# required, a float field left out keeps its SpaceSpec default
+_KINDS = {
+    "circle": (_circle, ("n", "length")),
+    "gaussian_interval": (_gaussian_interval, ("n", "sigma", "width")),
+    "torus2d": (_torus2d, ("n", "m", "side_x", "side_y")),
+    "path": (_path, ("n",)),
+    "complete": (_complete, ("n",)),
+}
+_INT_FIELDS = ("n", "m")
+
+
+def parse_space_spec(text: str) -> SpaceSpec:
+    """Parse a compact spec string, e.g. 'circle:256:6.2832' or a file path.
+
+    Forms: circle:N[:LENGTH], gaussian_interval:N[:SIGMA[:WIDTH]],
+    torus2d:N:M[:SIDE_X[:SIDE_Y]], path:N, complete:N, file:PATH.  'gauss'
+    and 'torus' are accepted as shorthands.  Extra fields are an error and
+    every float field must be finite.  A string naming an existing file is
+    taken as a saved space.
+    """
+    if text.startswith("file:"):
+        return SpaceSpec(kind="custom_file", path=text[5:])
+    head, _, rest = text.partition(":")
+    kind = {"gauss": "gaussian_interval", "torus": "torus2d"}.get(head, head)
+    if kind in _KINDS:
+        names = _KINDS[kind][1]
+        args = rest.split(":") if rest else []
+        required = sum(name in _INT_FIELDS for name in names)
+        if not required <= len(args) <= len(names):
+            raise ValueError(f"bad space spec {text!r}: {kind} takes fields "
+                             f"{':'.join(names)} ({required} required), got {len(args)}")
+        values = {}
+        for name, arg in zip(names, args):
+            integer = name in _INT_FIELDS
+            try:
+                values[name] = int(arg) if integer else float(arg)
+            except ValueError:
+                raise ValueError(f"bad space spec {text!r}: {name} {arg!r} is not "
+                                 f"{'an integer' if integer else 'a number'}") from None
+            if not math.isfinite(values[name]):
+                raise ValueError(f"bad space spec {text!r}: {name} must be finite")
+        return SpaceSpec(kind=kind, **values)
+    if os.path.exists(text):
+        return SpaceSpec(kind="custom_file", path=text)
+    raise ValueError(f"unknown space spec {text!r}; kinds are {', '.join(_KINDS)} "
+                     "or file:PATH")
+
+
 def generate(spec: SpaceSpec) -> MeasuredSpace:
-    builders = {
-        "circle": _circle,
-        "gaussian_interval": _gaussian_interval,
-        "torus2d": _torus2d,
-        "path": _path,
-        "complete": _complete,
-    }
     if spec.kind == "custom_file":
         return load_space(spec.path)
-    if spec.kind not in builders:
-        raise ValueError(f"unknown space kind {spec.kind!r}; kinds are {', '.join(KINDS)}")
-    return builders[spec.kind](spec)
+    if spec.kind not in _KINDS:
+        raise ValueError(f"unknown space kind {spec.kind!r}; kinds are {', '.join(_KINDS)}")
+    return _KINDS[spec.kind][0](spec)
 
 
 def refine(spec: SpaceSpec) -> SpaceSpec:

@@ -169,7 +169,8 @@ def test_criterion_4_transport_cross_validation():
     for _ in range(50):
         n = int(rng.integers(2, 202))
         length = float(rng.uniform(0.5, 10.0))
-        space = _space(f"path:{n}:{length!r}")
+        space = build_from_graph([(i, i + 1, length / (n - 1)) for i in range(n - 1)],
+                                 np.ones(n), n)
         mu0 = _random_marginal(rng, n)
         mu1 = _random_marginal(rng, n)
         d_lp, plan_lp = _w2_lp(space, mu0, mu1)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from lenspace import load_space
-from lenspace.cli import main
+from lenspace import load_space, parse_space_spec
+from lenspace.cli import _build_parser, main
 
 
 def _read(path):
@@ -41,12 +42,26 @@ def test_gen_out_dir_after_subcommand(tmp_path):
     assert (tmp_path / "space.json").exists()
 
 
-def test_gen_flag_form_matches_spec_form(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["--out-dir", str(a), "gen", "--spec", "circle:32:6.2832"]) == 0
-    assert main(["--out-dir", str(b), "gen", "--kind", "circle", "--n", "32",
-                 "--length", "6.2832"]) == 0
-    assert (a / "space.json").read_bytes() == (b / "space.json").read_bytes()
+def test_manifest_config_lists_the_command_flags(tmp_path):
+    assert main(["--out-dir", str(tmp_path), "gen", "--spec", "circle:16"]) == 0
+    assert _read(tmp_path / "run.json")["config"] == {
+        "command": "gen", "out_dir": str(tmp_path), "spec": "circle:16",
+        "out": "space.json"}
+
+
+@pytest.mark.parametrize("spec, words", [
+    ("path:64:2.0", "path takes fields n (1 required), got 2"),
+    ("circle:16:6.28:junk", "circle takes fields n:length (1 required), got 3"),
+    ("torus2d:4", "torus2d takes fields n:m:side_x:side_y (2 required), got 1"),
+    ("circle:16:inf", "length must be finite"),
+    ("gauss:11:nan:4", "sigma must be finite"),
+], ids=["path-extra", "circle-extra", "torus-missing", "circle-inf", "gauss-nan"])
+def test_strict_space_spec_exit2(tmp_path, capsys, spec, words):
+    # each of these used to be accepted or to fail with a misleading message
+    for argv in (["gen", "--spec", spec], ["semigroup", "--space", spec]):
+        assert main(["--out-dir", str(tmp_path)] + argv) == 2
+        assert capsys.readouterr().err == f"error: bad space spec {spec!r}: {words}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_gen_byte_deterministic(tmp_path):
@@ -178,6 +193,16 @@ def test_constants_chain_runs_at_estimated_lsi(tmp_path, monkeypatch):
                for c in doc["chain"] if c["stage"] == "lsi")
 
 
+_CHAIN8 = ["chain", "--space", "path:8", "--K", "0.001", "--trace-fields", "1"]
+
+
+def _strict_json(path):
+    def refuse(token):
+        raise ValueError(f"{path} holds the non-JSON token {token}")
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
 @pytest.mark.parametrize("argv, words", [
     (["chain", "--space", "path:8", "--K", "nan"], "K must be positive"),
     (["chain", "--space", "path:8", "--K", "inf"], "K must be positive"),
@@ -191,8 +216,12 @@ def test_constants_chain_runs_at_estimated_lsi(tmp_path, monkeypatch):
       "--field", "cos", "--radius", "0.5", "--dilation", "nan"], "dilation must be >= 1"),
     (["doubling", "--space", "circle:16", "--r-min", "0.3", "--r-max", "inf"],
      "r_max < inf"),
+    (_CHAIN8 + ["--psi-tol", "nan"], "--psi-tol must be finite and >= 0"),
+    (_CHAIN8 + ["--phi-tol", "inf"], "--phi-tol must be finite and >= 0"),
+    (_CHAIN8 + ["--phi-tol", "-1"], "--phi-tol must be finite and >= 0"),
 ], ids=["chain-K-nan", "chain-K-inf", "constants-K-nan", "trace-fields-0",
-        "trace-fields-negative", "dilation-nan", "r-max-inf"])
+        "trace-fields-negative", "dilation-nan", "r-max-inf", "psi-tol-nan",
+        "phi-tol-inf", "phi-tol-negative"])
 def test_nonfinite_inputs_exit2(tmp_path, capsys, argv, words):
     # each of these used to exit 0 or 1, some writing NaN or Infinity tokens
     assert main(["--out-dir", str(tmp_path)] + argv) == 2
@@ -200,6 +229,42 @@ def test_nonfinite_inputs_exit2(tmp_path, capsys, argv, words):
     assert words in err
     assert len(err.strip().splitlines()) == 1
     assert not any(p.suffix == ".json" for p in tmp_path.iterdir())
+
+
+def test_huge_K_refutes_with_strict_json(tmp_path):
+    # psi overflows to inf; the artifact writes it as null, not Infinity
+    argv = ["--out-dir", str(tmp_path), "chain", "--space", "path:8", "--K", "1e308",
+            "--trace-fields", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(argv) == 1
+    doc = _strict_json(tmp_path / "chain.json")
+    assert doc["hypothesis_refuted"] is True
+    assert None in [row[1] for row in doc["traces"]["psi"]["rows"]]
+    assert main(["--out-dir", str(tmp_path), "plot-data", "--report",
+                 str(tmp_path / "chain.json"), "--kind", "psi"]) == 0
+    cells = [line.split(",")[1] for line in
+             (tmp_path / "plot.csv").read_text().splitlines()[1:]]
+    assert "nan" in cells and "None" not in cells
+
+
+def test_readme_cli_block_parses():
+    # every documented command line parses, and its space spec too
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read().replace("\\\n", " ")
+    lines = [shlex.split(line) for line in text.splitlines()
+             if line.startswith("lenspace ")]
+    assert len(lines) >= 10
+    parser = _build_parser()
+    for words in lines:
+        try:
+            args = parser.parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {shlex.join(words)}")
+        for flag in ("space", "spec"):
+            if hasattr(args, flag):
+                parse_space_spec(getattr(args, flag))
 
 
 def test_residual_study_computes_base_field_once(tmp_path, monkeypatch):
@@ -378,6 +443,8 @@ def test_doubling_with_local_poincare(tmp_path):
 def test_usage_error_exit2():
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
+    assert main(["gen"]) == 2  # gen takes only --spec, and needs it
+    assert main(["gen", "--kind", "circle", "--n", "8"]) == 2
 
 
 def test_help_exit0():
@@ -429,9 +496,9 @@ _KIND = st.sampled_from(["circle", "gaussian_interval", "gauss", "torus2d", "pat
 def _spec(draw):
     kind = draw(_KIND)
     if kind.startswith("torus"):
-        args = [draw(_SIDE), draw(_SIDE)] + draw(st.lists(_NUM, max_size=2))
+        args = [draw(_SIDE), draw(_SIDE)] + draw(st.lists(_NUM, max_size=3))
     else:
-        args = draw(st.lists(st.one_of(_N, _NUM), max_size=3))
+        args = draw(st.lists(st.one_of(_N, _NUM), max_size=4))
     return ":".join([kind] + args)
 
 
@@ -456,9 +523,7 @@ _MARGINAL = st.one_of(st.sampled_from(["nu", "uniform", "point:0", "point:15",
 _REPORT = st.sampled_from(["OUT/chain.json", "OUT/semigroup.json",
                            "OUT/constants.json", "OUT/nope.json", ""])
 _OPTIONS = {
-    "gen": {"--spec": _spec(), "--kind": _KIND, "--n": _N, "--m": _SIDE,
-            "--length": _NUM, "--sigma": _NUM, "--width": _NUM,
-            "--side-x": _NUM, "--side-y": _NUM},
+    "gen": {"--spec": _SPACE, "--out": st.sampled_from(["space.json", "gen.json"])},
     "semigroup": {"--space": _SPACE, "--field": _FIELD, "--times": _TIMES,
                   "--seed": _N, "--refinements": st.sampled_from(["-1", "0", "1", "x"]),
                   "--residual-study": st.builds("{}:{}:{}".format, _NUM, _NUM,
@@ -480,7 +545,7 @@ _OPTIONS = {
 }
 
 
-_REQUIRED = {"semigroup": ["--space"], "constants": ["--space"],
+_REQUIRED = {"gen": ["--spec"], "semigroup": ["--space"], "constants": ["--space"],
              "chain": ["--space", "--K"], "transport": ["--space", "--mu0", "--mu1"],
              "doubling": ["--space", "--r-min", "--r-max"],
              "plot-data": ["--report", "--kind"]}
@@ -520,6 +585,11 @@ def fuzz_out(tmp_path_factory):
 @example(argv=["doubling", "--space", "circle:16", "--r-min", "0.3", "--r-max", "1",
                "--field", "cos", "--radius", "0.5", "--dilation", "nan"])
 @example(argv=["doubling", "--space", "circle:16", "--r-min", "0.3", "--r-max", "inf"])
+@example(argv=_CHAIN8 + ["--psi-tol", "nan"])
+@example(argv=_CHAIN8 + ["--phi-tol", "inf"])
+@example(argv=_CHAIN8 + ["--phi-tol", "-1"])
+@example(argv=["chain", "--space", "path:8", "--K", "1e308", "--trace-fields", "1"])
+@example(argv=["gen", "--spec", "path:64:2.0"])
 @settings(max_examples=300, deadline=None)
 def test_cli_fuzz_exit_codes(fuzz_out, argv):
     err = io.StringIO()
@@ -529,3 +599,7 @@ def test_cli_fuzz_exit_codes(fuzz_out, argv):
                     + [a.replace("OUT/", fuzz_out + os.sep) for a in argv])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if code != 2:  # whatever the command wrote is strict JSON
+        for name in os.listdir(fuzz_out):
+            if name.endswith(".json"):
+                _strict_json(os.path.join(fuzz_out, name))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from lenspace import generate, load_space, parse_space_spec, refine, save_space
 from lenspace.generators import SpaceSpec
@@ -48,11 +50,44 @@ def test_parse_bad_arity_rejected():
         parse_space_spec("circle:notanumber")
 
 
-def test_describe_round_trips():
-    for text in ("circle:64", "circle:64:1", "gaussian_interval:11:1:4",
-                 "torus2d:4:6", "path:9", "complete:4"):
-        spec = parse_space_spec(text)
-        assert parse_space_spec(spec.describe()) == spec
+# the spec grammar, written out independently of the parser's table:
+# kind -> (required integer fields, optional float fields), in order
+_GRAMMAR = {
+    "circle": (("n",), ("length",)),
+    "gaussian_interval": (("n",), ("sigma", "width")),
+    "torus2d": (("n", "m"), ("side_x", "side_y")),
+    "path": (("n",), ()),
+    "complete": (("n",), ()),
+}
+_ALIASES = {"gauss": "gaussian_interval", "torus": "torus2d"}
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(data=st.data(), head=st.sampled_from(sorted(_GRAMMAR) + sorted(_ALIASES)))
+@settings(max_examples=200, deadline=None)
+def test_spec_grammar_is_strict(data, head):
+    kind = _ALIASES.get(head, head)
+    required, optional = _GRAMMAR[kind]
+    ints = [data.draw(st.integers(-10 ** 6, 10 ** 6)) for _ in required]
+    floats = data.draw(st.lists(_FINITE, max_size=len(optional)))
+    fields = [str(v) for v in ints] + [repr(v) for v in floats]
+    spec = parse_space_spec(":".join([head] + fields))
+    assert spec.kind == kind
+    for name, value in zip(required + optional, ints + floats):
+        assert getattr(spec, name) == value
+    for name in optional[len(floats):]:
+        assert getattr(spec, name) == getattr(SpaceSpec(kind=kind), name)
+
+    full = fields + ["1.0"] * (len(optional) - len(floats))
+    extra = data.draw(st.one_of(st.sampled_from(["", "junk", "2.0"]), _FINITE.map(repr)))
+    bad = [full + [extra], fields[:len(required) - 1]]
+    if optional:
+        at = len(required) + data.draw(st.integers(0, len(optional) - 1))
+        nonfinite = data.draw(st.sampled_from(["nan", "inf", "-inf", "Infinity", "1e400"]))
+        bad.append(full[:at] + [nonfinite] + full[at + 1:])
+    for args in bad:
+        with pytest.raises(ValueError, match="^bad space spec "):
+            parse_space_spec(":".join([head] + args))
 
 
 def test_circle_geometry(circle64):
