@@ -218,6 +218,14 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
     # the edges too: gradients and slopes read the graph, not just the metric
     for arr in (rows, cols, vals):
         digest.update(arr.tobytes())
+    # and kind and coords: witness families and the cos, coordinate and tilt
+    # fields read them
+    digest.update(kind.encode() + b"\0")
+    if coords is None:
+        digest.update(b"no coords")
+    else:
+        digest.update(np.array(coords.shape, dtype=np.int64).tobytes())
+        digest.update(coords.tobytes())
 
     return MeasuredSpace(
         n=n,

@@ -1,12 +1,21 @@
 """Exact order-2 Wasserstein distance between measures on a finite space.
 
 W2(mu0, mu1)^2 is the optimal value of the transportation linear program
-with cost d(x, y)^2 over couplings of mu0 and mu1.  On a path graph w2
-takes the monotone (quantile) coupling and certifies it with dual
-potentials; elsewhere it solves the dense LP.  The dense LP is
-cross-checked by two independent oracles: the monotone-rearrangement cost
-on path graphs, and exhaustive vertex enumeration of the coupling
-polytope for n <= 4.
+with cost d(x, y)^2 over couplings of mu0 and mu1.  w2 tries three routes
+in turn:
+
+1. on a path graph, the monotone (quantile) coupling;
+2. on any graph, the shortlist method (Gottschlich & Schuhmacher 2014):
+   the LP restricted to a small support of cells, grown by the cells that
+   violate dual feasibility until none does;
+3. the dense LP over all n^2 cells, only when both others fail.
+
+Routes 1 and 2 return a plan only with one certificate: dual potentials
+u, v whose reduced costs d(x, y)^2 - u(x) - v(y) are nonnegative on every
+one of the n^2 cells, so the plan is optimal for the full LP.  The dense
+LP is the reference and is cross-checked by two independent oracles: the
+monotone-rearrangement cost on path graphs, and exhaustive vertex
+enumeration of the coupling polytope for n <= 4.
 """
 
 from __future__ import annotations
@@ -63,55 +72,70 @@ class TransportPlan:
         )
 
 
-@lru_cache(maxsize=8)
-def _coupling_constraints(n: int) -> csr_matrix:
-    # row i of the coupling sums to mu0[i], column j to mu1[j]
-    k = np.arange(n * n)
-    rows = np.concatenate([k // n, n + (k % n)])
-    cols = np.concatenate([k, k])
-    return csr_matrix((np.ones(2 * n * n), (rows, cols)), shape=(2 * n, n * n))
+# cells per row in the first shortlist support, nearest first
+_NEAREST = 8
 
 
 def w2(space: MeasuredSpace, mu0, mu1):
     """Wasserstein distance and optimal plan.
 
-    Returns (distance, TransportPlan).  On a path graph the plan is the
-    monotone (quantile) coupling, certified by dual potentials that pass
-    a reduced-cost check over every cell; any other space, or a path plan
-    whose check fails, goes to the dense LP.  Either way the plan carries
-    its duality gap.
+    Returns (distance, TransportPlan).  Identical marginals give the
+    identity plan.  Otherwise a path graph takes the monotone (quantile)
+    coupling, and any other graph, or a path whose monotone plan fails its
+    check, takes the shortlist solve.  Both return a plan only when dual
+    potentials pass a reduced-cost check over all n^2 cells; if neither
+    does, the dense LP answers.  Every plan carries its duality gap.
     """
-    try:
-        order = _path_order(space)
-    except ValueError:
-        order = None
-    if order is not None:
-        a = _check_marginal(space, mu0, "mu0")
-        b = _check_marginal(space, mu1, "mu1")
-        plan = _monotone_plan(space, a, b, order)
-        if plan is not None:
-            return float(np.sqrt(plan.cost)), plan
-    return _w2_lp(space, mu0, mu1)
-
-
-def _w2_lp(space: MeasuredSpace, mu0, mu1):
-    """w2 by an exact dense LP solve over all n^2 cells, on any space."""
-    # imported here: scipy.optimize is a large share of the package import time
-    from scipy.optimize import linprog
-
     a = _check_marginal(space, mu0, "mu0")
     b = _check_marginal(space, mu1, "mu1")
     if np.array_equal(a, b):
         plan = TransportPlan(coupling=np.diag(a), source_marginal=a,
                              target_marginal=b, cost=0.0, duality_gap=0.0)
         return 0.0, plan
+    try:
+        order = _path_order(space)
+    except ValueError:
+        order = None
+    plan = None if order is None else _monotone_plan(space, a, b, order)
+    if plan is None:
+        plan = _shortlist_plan(space, a, b)
+    if plan is None:
+        return _w2_lp(space, mu0, mu1)
+    return float(np.sqrt(plan.cost)), plan
+
+
+def _transport_lp(space: MeasuredSpace, a, b, src, dst):
+    """The transportation LP restricted to the cells (src[k], dst[k]).
+
+    Returns scipy's result; on success res.x is the mass per cell and
+    res.eqlin.marginals the row potentials u followed by the column
+    potentials v.
+    """
+    # imported here: scipy.optimize is a large share of the package import time
+    from scipy.optimize import linprog
+
+    n, k = space.n, len(src)
+    # row i of the coupling sums to a[i], column j to b[j]
+    cells = np.arange(k)
+    a_eq = csr_matrix((np.ones(2 * k), (np.concatenate([src, n + dst]),
+                                        np.concatenate([cells, cells]))),
+                      shape=(2 * n, k))
+    # tight feasibility tolerances keep clamped marginal defects below 1e-9;
+    # skipping presolve took about 40% off each solve on torus2d:20:20,
+    # restricted or dense (2-vCPU VM)
+    return linprog(space.dist_sq[src, dst], A_eq=a_eq, b_eq=np.concatenate([a, b]),
+                   bounds=(0, None), method="highs",
+                   options={"primal_feasibility_tolerance": 1e-10,
+                            "dual_feasibility_tolerance": 1e-10, "presolve": False})
+
+
+def _w2_lp(space: MeasuredSpace, mu0, mu1):
+    """w2 by an exact dense LP solve over all n^2 cells, on any space."""
+    a = _check_marginal(space, mu0, "mu0")
+    b = _check_marginal(space, mu1, "mu1")
     n = space.n
-    rhs = np.concatenate([a, b])
-    # tight feasibility tolerances keep clamped marginal defects below 1e-9
-    res = linprog(space.dist_sq.ravel(), A_eq=_coupling_constraints(n),
-                  b_eq=rhs, bounds=(0, None), method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
+    src, dst = np.divmod(np.arange(n * n), n)
+    res = _transport_lp(space, a, b, src, dst)
     if res.status != 0:
         raise RuntimeError(f"transport LP failed: {res.message}")
     pi = res.x.reshape(n, n)
@@ -119,10 +143,71 @@ def _w2_lp(space: MeasuredSpace, mu0, mu1):
         raise RuntimeError(f"LP returned mass {pi.min()} below zero")
     pi = np.maximum(pi, 0.0)
     cost = float((pi * space.dist_sq).sum())
-    dual = float(res.eqlin.marginals @ rhs)
+    dual = float(res.eqlin.marginals @ np.concatenate([a, b]))
     plan = TransportPlan(coupling=pi, source_marginal=a, target_marginal=b,
                          cost=cost, duality_gap=abs(cost - dual))
     return float(np.sqrt(cost)), plan
+
+
+def _certified_plan(space: MeasuredSpace, a, b, src, dst, mass, u, v):
+    """The plan with mass on cells (src, dst), if potentials u, v prove it optimal.
+
+    The proof is dual feasibility on the full LP: every reduced cost
+    d(i, j)^2 - u_i - v_j is at least -1e-10 (1 + max d^2), checked over all
+    n^2 cells.  Returns (plan, violation).  When the check fails, plan is
+    None and violation holds the reduced cost of each failing cell and 0
+    elsewhere.
+    """
+    d2 = space.dist_sq
+    reduced = d2 - u[:, None] - v[None, :]
+    failing = reduced < -1e-10 * (1.0 + d2.max())
+    if failing.any():
+        return None, np.where(failing, reduced, 0.0)
+    coupling = np.zeros((space.n, space.n))
+    coupling[src, dst] = mass
+    cost = float(mass @ d2[src, dst])
+    gap = abs(cost - (float(u @ a) + float(v @ b)))
+    plan = TransportPlan(coupling=coupling, source_marginal=a,
+                         target_marginal=b, cost=cost, duality_gap=gap)
+    return plan, None
+
+
+def _shortlist_plan(space: MeasuredSpace, a, b):
+    """The optimal plan by LP solves on a growing support, certified.
+
+    The first support is the staircase of the two measures in index order,
+    a feasible spanning tree, so the first solve has a solution, plus each
+    row's nearest cells, made symmetric.  While the certificate fails, the
+    most violated cell of each row and of each column joins the support.
+    Adding every violated cell instead grows the support toward all n^2
+    cells.  Returns None when a solve fails or a failed check adds no new
+    cell.
+    """
+    n = space.n
+    idx = np.arange(n)
+    k = min(_NEAREST, n)
+    support = np.zeros((n, n), dtype=bool)
+    rows, cols, _ = _staircase(a, b)
+    support[rows, cols] = True
+    support[idx.repeat(k), np.argpartition(space.dist_sq, k - 1, axis=1)[:, :k].ravel()] = True
+    support |= support.T
+    while True:
+        src, dst = np.nonzero(support)
+        res = _transport_lp(space, a, b, src, dst)
+        if res.status != 0 or res.x.min() < -1e-9:
+            return None
+        u, v = res.eqlin.marginals[:n], res.eqlin.marginals[n:]
+        plan, violation = _certified_plan(space, a, b, src, dst,
+                                          np.maximum(res.x, 0.0), u, v)
+        if plan is not None:
+            return plan
+        grow = np.zeros_like(support)
+        grow[idx, violation.argmin(axis=1)] = True
+        grow[violation.argmin(axis=0), idx] = True
+        grow &= (violation < 0) & ~support
+        if not grow.any():
+            return None
+        support |= grow
 
 
 def _path_order(space: MeasuredSpace) -> list:
@@ -181,10 +266,9 @@ def _staircase(a: np.ndarray, b: np.ndarray):
 def _monotone_plan(space: MeasuredSpace, a, b, order):
     """The quantile coupling on a path graph with its dual certificate.
 
-    Potentials u, v solve u_i + v_j = d(i, j)^2 on the staircase cells;
-    the plan is optimal when every reduced cost d^2 - u - v is
-    nonnegative, checked over all n^2 cells.  Returns None when that
-    check fails.
+    Potentials u, v solve u_i + v_j = d(i, j)^2 on the staircase cells.
+    Returns None when they fail the reduced-cost check of
+    _certified_plan.
     """
     order = np.asarray(order)
     rows, cols, mass = _staircase(a[order], b[order])
@@ -201,16 +285,7 @@ def _monotone_plan(space: MeasuredSpace, a, b, order):
             u[i] = c - v[j]
         else:
             v[j] = c - u[i]
-    d2 = space.dist_sq
-    reduced = d2 - u[:, None] - v[None, :]
-    if reduced.min() < -1e-10 * (1.0 + d2.max()):
-        return None
-    coupling = np.zeros((space.n, space.n))
-    coupling[src, dst] = mass
-    cost = float(mass @ cell_cost)
-    gap = abs(cost - (float(u @ a) + float(v @ b)))
-    return TransportPlan(coupling=coupling, source_marginal=a,
-                         target_marginal=b, cost=cost, duality_gap=gap)
+    return _certified_plan(space, a, b, src, dst, mass, u, v)[0]
 
 
 def w2_oracle_1d(space: MeasuredSpace, mu0, mu1) -> float:

@@ -154,8 +154,9 @@ def _random_marginal(rng, n):
 def test_criterion_4_transport_cross_validation():
     start = time.monotonic()
     rng = np.random.default_rng(4)
-    # the oracles check the dense LP; w2, which takes a fast path on path
-    # graphs, is checked against the dense LP in cost
+    # the oracles check the dense LP; w2, which takes the monotone route on
+    # path graphs and the shortlist route elsewhere, is checked against the
+    # dense LP in cost
     worst_brute = worst_path = worst_w2 = 0.0
     for _ in range(200):
         space = _random_small_space(rng)
@@ -178,13 +179,25 @@ def test_criterion_4_transport_cross_validation():
         worst_path = max(worst_path, abs(d_lp - d_or))
         _, plan = w2(space, mu0, mu1)
         worst_w2 = max(worst_w2, abs(plan.cost - plan_lp.cost) / (1.0 + plan_lp.cost))
+    for k in range(20):
+        # circles and tori take the shortlist route
+        if k % 2:
+            space = _space(f"circle:{int(rng.integers(3, 65))}")
+        else:
+            space = _space(f"torus2d:{int(rng.integers(3, 8))}:{int(rng.integers(3, 8))}")
+        mu0 = _random_marginal(rng, space.n)
+        mu1 = _random_marginal(rng, space.n)
+        _, plan_lp = _w2_lp(space, mu0, mu1)
+        _, plan = w2(space, mu0, mu1)
+        worst_w2 = max(worst_w2, abs(plan.cost - plan_lp.cost) / (1.0 + plan_lp.cost))
     elapsed = time.monotonic() - start
     ok = (worst_brute <= 1e-9 and worst_path <= 1e-8 and worst_w2 <= 1e-10
           and elapsed <= 30)
     _verdict(4, ok,
              f"200 brute instances, LP worst gap {worst_brute:.2e} <= 1e-9; "
              f"50 path instances, LP vs oracle worst gap {worst_path:.2e} <= 1e-8; "
-             f"w2 vs LP worst relative cost gap {worst_w2:.2e} <= 1e-10; "
+             f"w2 vs LP on these and 20 circles/tori, worst relative cost gap "
+             f"{worst_w2:.2e} <= 1e-10; "
              f"{elapsed:.1f}s <= 30s")
 
 

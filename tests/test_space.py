@@ -96,6 +96,32 @@ def test_space_id_covers_edges():
     assert again.space_id == path.space_id
 
 
+def test_space_id_covers_kind_and_coords(tmp_path):
+    # coords and kind feed the witness family and the cos, coordinate and
+    # tilt fields, so two spaces that differ only there must not share an id
+    from lenspace.fields import load_field_csv, save_field_csv
+    from lenspace.generators import load_space, save_space
+    edges = [(0, 1, 1.0), (1, 2, 1.0)]
+    base = build_from_graph(edges, np.ones(3), 3, kind="path", coords=[0.0, 1.0, 2.0])
+    variants = [
+        build_from_graph(edges, np.ones(3), 3, kind="path", coords=[0.0, 2.0, 4.0]),
+        build_from_graph(edges, np.ones(3), 3, kind="circle", coords=[0.0, 1.0, 2.0]),
+        build_from_graph(edges, np.ones(3), 3, kind="path"),
+        build_from_graph(edges, np.ones(3), 3, kind="path", coords=[[0.0, 1.0, 2.0]] * 2),
+    ]
+    ids = {base.space_id} | {v.space_id for v in variants}
+    assert len(ids) == 1 + len(variants)
+    csv = tmp_path / "f.csv"
+    save_field_csv(make_field(base, [0.0, 1.0, 4.0]), str(csv))
+    f = load_field_csv(base, str(csv))
+    for other in variants:
+        with pytest.raises(ValueError, match="bound to space"):
+            local_poincare_constant(other, f, 1.0)
+    for space in [base] + variants:
+        save_space(space, str(tmp_path / "s.json"))
+        assert load_space(str(tmp_path / "s.json")).space_id == space.space_id
+
+
 def test_mesh_h_circle(circle64):
     assert circle64.mesh_h == pytest.approx(2 * math.pi / 64, rel=1e-12)
 

@@ -153,7 +153,8 @@ def test_path_fast_path_solves_no_lp(gauss101, monkeypatch):
 
 def test_failed_certificate_falls_back_to_lp(gauss101, monkeypatch):
     # an anti-monotone staircase is a feasible tree plan but not an optimal
-    # one; the reduced-cost check must reject it and the LP must answer
+    # one; the reduced-cost check must reject it and the certified shortlist
+    # LP must answer without the dense LP
     real = transport._staircase
 
     def anti_monotone(a, b):
@@ -172,10 +173,104 @@ def test_failed_certificate_falls_back_to_lp(gauss101, monkeypatch):
     target /= target.sum()
     d, plan = w2(gauss101, target, gauss101.measure)
     d_lp, plan_lp = _w2_lp(gauss101, target, gauss101.measure)
-    assert len(lp_calls) == 1
-    assert d == d_lp
-    assert np.array_equal(plan.coupling, plan_lp.coupling)
+    assert lp_calls == []
+    assert abs(plan.cost - plan_lp.cost) <= 1e-10 * (1.0 + plan_lp.cost)
+    assert d == math.sqrt(plan.cost)
     plan.check(gauss101)
+
+
+def test_failed_shortlist_falls_back_to_dense_lp(torus8, monkeypatch):
+    # a certificate that only ever rejects cells already in the support
+    # (the diagonal is in every first support) adds no cell: the shortlist
+    # must stop and the dense LP must answer
+    lp_calls = []
+
+    def counted_lp(*args):
+        lp_calls.append(args)
+        return _w2_lp(*args)
+
+    def diagonal_violation(space, *args):
+        return None, -np.eye(space.n)
+
+    monkeypatch.setattr(transport, "_certified_plan", diagonal_violation)
+    monkeypatch.setattr(transport, "_w2_lp", counted_lp)
+    a = np.zeros(torus8.n); a[0] = 1.0
+    d, plan = w2(torus8, a, torus8.measure)
+    assert len(lp_calls) == 1
+    assert d == _w2_lp(torus8, a, torus8.measure)[0]
+    plan.check(torus8)
+
+
+@st.composite
+def _graph_instance(draw):
+    # a connected graph that is not a path: a random tree, extra edges, and a
+    # closing edge when the tree happens to be a path; marginals may vanish
+    # at some points or live on disjoint supports
+    n = draw(st.integers(3, 12))
+    length = st.floats(1e-3, 50.0)
+    edges = [(k, draw(st.integers(0, k - 1)), draw(length)) for k in range(1, n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    edges += [(i, j, draw(length)) for i, j in draw(st.lists(pairs, max_size=n))]
+    g = build_from_graph(edges, np.ones(n), n)
+    try:
+        order = transport._path_order(g)
+        g = build_from_graph(edges + [(order[0], order[-1], draw(length))], np.ones(n), n)
+    except ValueError:
+        pass
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    a, b = (np.array(draw(st.lists(weight, min_size=n, max_size=n))) for _ in range(2))
+    if draw(st.booleans()):
+        b[a > 0] = 0.0
+    for m in (a, b):
+        if m.sum() == 0:
+            m[draw(st.integers(0, n - 1))] = 1.0
+    return g, a / a.sum(), b / b.sum()
+
+
+@given(_graph_instance())
+@settings(max_examples=150, deadline=None)
+def test_general_route_matches_dense_lp(instance):
+    g, a, b = instance
+    d, plan = w2(g, a, b)
+    _, plan_lp = _w2_lp(g, a, b)
+    assert abs(plan.cost - plan_lp.cost) <= 1e-10 * (1.0 + plan_lp.cost)
+    assert d == math.sqrt(plan.cost)
+    plan.check(g)  # includes duality gap <= 1e-9 (1 + cost)
+    # the route under test answered, not the dense fallback
+    assert np.array_equal(a, b) or transport._shortlist_plan(g, a, b) is not None
+
+
+def _no_dense_lp(*args):
+    raise AssertionError("dense LP called")
+
+
+@pytest.mark.parametrize("spec", ["torus2d:6:6", "circle:32"])
+def test_general_route_solves_no_dense_lp(spec, monkeypatch):
+    g = _generate(_parse(spec))
+    monkeypatch.setattr(transport, "_w2_lp", _no_dense_lp)
+    rng = np.random.default_rng(14)
+    a = rng.gamma(1.0, size=g.n); a /= a.sum()
+    d, plan = w2(g, a, g.measure)
+    assert d > 0
+    plan.check(g)
+    monkeypatch.undo()
+    _, plan_lp = _w2_lp(g, a, g.measure)
+    assert abs(plan.cost - plan_lp.cost) <= 1e-10 * (1.0 + plan_lp.cost)
+
+
+def test_antipodal_point_masses_on_circle(circle64, monkeypatch):
+    # the nearest cells of the two mass-carrying rows cannot reach each
+    # other, so only the staircase seed makes the first restricted LP feasible
+    a = np.zeros(64); a[0] = 1.0
+    b = np.zeros(64); b[32] = 1.0
+    monkeypatch.setattr(transport, "_w2_lp", _no_dense_lp)
+    d, plan = w2(circle64, a, b)
+    assert d == pytest.approx(circle64.dist[0, 32], rel=1e-12)
+    assert plan.coupling[0, 32] == 1.0
+    plan.check(circle64)
+    no_cells = np.array([], dtype=int)
+    monkeypatch.setattr(transport, "_staircase", lambda a, b: (no_cells, no_cells, None))
+    assert transport._shortlist_plan(circle64, a, b) is None
 
 
 def test_brute_force_matches_lp_small():

@@ -1,0 +1,137 @@
+"""Record parent-vs-change benchmark pairs and write a BENCH_*.json entry.
+
+    python3 tools/bench_entry.py record --parent DIR --change DIR \\
+        --workload transport-torus --seeds 11-20 --runs runs.jsonl [--trace 0|1]
+    python3 tools/bench_entry.py summarize --runs runs.jsonl --out BENCH_N.json \\
+        [--extra extra.json]
+
+``record`` runs ``perfbench/run.py`` once per seed in each of two
+checkouts (DIR is a repository root holding ``src/`` and ``perfbench/``),
+one run at a time, alternating which side runs first, and appends one
+JSON line per run to the runs file: side, workload, seed, pair, position
+in the pair, and run.py's result line.  The run length is BENCHMARK.json's
+``run_seconds`` for ``--trace 0`` and 1 second for ``--trace 1``.
+
+``summarize`` turns a runs file into one entry: for each workload and
+each end-to-end metric, both sides' median, quartiles (as
+``statistics.quantiles(values, n=4)`` gives them) and values, the seeds,
+the pair count and the pairs the change won; for traced runs, each
+side's per-layer values.  ``--extra`` merges a JSON object of
+hand-measured figures under ``"extra"``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("parent", "change")
+
+
+def _seeds(text: str) -> list:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi) + 1)) if hi else [int(s) for s in text.split(",")]
+
+
+def _bench() -> dict:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        return json.load(fh)
+
+
+def record(args) -> int:
+    seconds = _bench()["run_seconds"] if args.trace == 0 else 1
+    roots = {"parent": args.parent, "change": args.change}
+    for pair, seed in enumerate(_seeds(args.seeds)):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for position, side in enumerate(order):
+            proc = subprocess.run(
+                [sys.executable, "perfbench/run.py", "--workload", args.workload,
+                 "--seed", str(seed), "--seconds", str(seconds),
+                 "--trace", str(args.trace)],
+                cwd=roots[side], capture_output=True, text=True, timeout=300)
+            lines = proc.stdout.strip().splitlines()
+            result = json.loads(lines[-1]) if lines else None
+            if proc.returncode != 0 or not result or not result["correct"]:
+                print(f"{side} {args.workload} seed {seed}: failed\n{proc.stderr}",
+                      file=sys.stderr)
+            line = {"side": side, "workload": args.workload, "seed": seed,
+                    "trace": args.trace, "pair": pair, "position": position,
+                    "result": result}
+            with open(args.runs, "a") as fh:
+                fh.write(json.dumps(line) + "\n")
+            shown = result["metrics"] if result and args.trace == 0 else {}
+            print(f"{args.workload} seed {seed} {side}: " + " ".join(
+                f"{k}={v['value']:.4g}" for k, v in shown.items()), file=sys.stderr, flush=True)
+    return 0
+
+
+def _spread(values: list) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
+
+
+def summarize(args) -> int:
+    with open(args.runs) as fh:
+        runs = [json.loads(line) for line in fh if line.strip()]
+    better = {m["name"]: m["better"] for m in _bench()["end_to_end"]}
+    entry = {"workloads": {}}
+    for workload in sorted({r["workload"] for r in runs}):
+        mine = [r for r in runs if r["workload"] == workload]
+        out = {}
+        plain = [r for r in mine if r["trace"] == 0]
+        if plain:
+            pairs = sorted({r["pair"] for r in plain})
+            by = {(r["side"], r["pair"]): r["result"] for r in plain}
+            out["seeds"] = sorted({r["seed"] for r in plain})
+            out["pairs"] = len(pairs)
+            out["all_correct"] = all(r["result"] and r["result"]["correct"] for r in plain)
+            out["metrics"] = {}
+            for name, direction in better.items():
+                vals = {s: [by[(s, p)]["metrics"][name]["value"] for p in pairs] for s in SIDES}
+                sign = 1 if direction == "lower" else -1
+                wins = sum(1 for x, y in zip(vals["parent"], vals["change"])
+                           if sign * (y - x) < 0)
+                out["metrics"][name] = {"parent": _spread(vals["parent"]),
+                                        "change": _spread(vals["change"]),
+                                        "change_wins": wins}
+        traced = [r for r in mine if r["trace"] == 1]
+        if traced:
+            out["traced"] = {s: [{"seed": r["seed"], "correct": r["result"]["correct"],
+                                  "metrics": {k: v["value"] for k, v in
+                                              r["result"]["metrics"].items()}}
+                                 for r in traced if r["side"] == s] for s in SIDES}
+        entry["workloads"][workload] = out
+    if args.extra:
+        with open(args.extra) as fh:
+            entry["extra"] = json.load(fh)
+    with open(args.out, "w") as fh:
+        json.dump(entry, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    rec = sub.add_parser("record")
+    rec.add_argument("--parent", required=True)
+    rec.add_argument("--change", required=True)
+    rec.add_argument("--workload", required=True)
+    rec.add_argument("--seeds", required=True, help="A-B or a comma list")
+    rec.add_argument("--runs", required=True)
+    rec.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    summ = sub.add_parser("summarize")
+    summ.add_argument("--runs", required=True)
+    summ.add_argument("--out", required=True)
+    summ.add_argument("--extra")
+    args = parser.parse_args(argv)
+    return record(args) if args.command == "record" else summarize(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
