@@ -5,13 +5,13 @@ __version__ = "0.1.0"
 from .generators import SpaceSpec, generate, load_space, parse_space_spec, \
     refine, save_space
 from .hopflax import SemigroupTrace, apply, hj_forward_residual, \
-    lipschitz_constant, make_trace, midpoint_identity_defect, semigroup_defect
+    lipschitz_constant, make_trace, semigroup_defect
 from .inequalities import ChainReport, ConstantEstimate, dual_talagrand_defect, \
     entropy_functional, estimate_constant, lsi_ratio, phi_trace, poincare_ratio, \
     psi_trace, talagrand_ratio, verify_chain
 from .space import MeasuredSpace, ScalarField, ball, build_from_graph, \
     doubling_constant, local_poincare_constant, make_field, validate_metric
-from .transport import TransportPlan, brute_force_w2, w2, w2_oracle_1d
+from .transport import TransportPlan, w2
 
 __all__ = [
     "MeasuredSpace", "ScalarField", "SemigroupTrace", "SpaceSpec",
@@ -20,8 +20,8 @@ __all__ = [
     "doubling_constant", "dual_talagrand_defect", "entropy_functional",
     "estimate_constant", "generate", "hj_forward_residual",
     "lipschitz_constant", "load_space", "local_poincare_constant",
-    "lsi_ratio", "make_field", "make_trace", "midpoint_identity_defect",
+    "lsi_ratio", "make_field", "make_trace",
     "parse_space_spec", "phi_trace", "poincare_ratio", "psi_trace", "refine",
     "save_space", "semigroup_defect", "talagrand_ratio",
-    "brute_force_w2", "validate_metric", "verify_chain", "w2", "w2_oracle_1d",
+    "validate_metric", "verify_chain", "w2",
 ]

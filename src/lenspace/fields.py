@@ -1,10 +1,10 @@
 """Field constructors: analytic seeds on generator spaces and random fields.
 
-Random fields are white noise smoothed by the evolution operator for a
-short time t0 (default 10 * mesh_h^2), which caps their Lipschitz
-constant at roughly diam/t0 while keeping them generic.  Analytic seeds
-(cosine, coordinate, exponential tilts) are resolved against the
-generator metadata carried by the space.
+Random fields are white noise smoothed by the evolution operator for the
+short time t0 = 10 * mesh_h^2 and scaled to sup norm 1; the smoothing
+caps their Lipschitz constant at roughly diam/t0 while keeping them
+generic.  Analytic seeds (cosine, coordinate, exponential tilts) are
+resolved against the generator metadata carried by the space.
 """
 
 from __future__ import annotations
@@ -42,21 +42,14 @@ def tilt_field(space: MeasuredSpace, alpha: float) -> ScalarField:
     return make_field(space, np.exp(0.5 * float(alpha) * _axis(space)))
 
 
-def random_smoothed_field(space: MeasuredSpace, rng, t0: float | None = None,
-                          normalize: bool = True) -> ScalarField:
-    """Gaussian noise pushed through the evolution for time t0."""
+def random_smoothed_field(space: MeasuredSpace, rng) -> ScalarField:
+    """Gaussian noise evolved for time 10 * mesh_h^2, scaled to sup norm 1."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    f = make_field(space, rng.standard_normal(space.n))
-    if t0 is None:
-        t0 = 10.0 * space.mesh_h ** 2
-    if t0 > 0:
-        f = apply(space, f, t0)
-    if normalize:
-        peak = float(np.abs(f.values).max())
-        if peak > 0:
-            f = make_field(space, f.values / peak)
-    return f
+    f = apply(space, make_field(space, rng.standard_normal(space.n)),
+              10.0 * space.mesh_h ** 2)
+    peak = float(np.abs(f.values).max())
+    return make_field(space, f.values / peak) if peak > 0 else f
 
 
 def resolve_field(space: MeasuredSpace, text: str, seed: int = 0) -> ScalarField:

@@ -221,18 +221,46 @@ def load_space(path: str) -> MeasuredSpace:
         if key not in doc:
             raise ValueError(f"space file {path} is missing key {key!r}")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"space file {path} has bad n={n!r}")
-    edges = doc["edges"]
-    for e in edges:
-        if not isinstance(e, list) or len(e) != 3:
-            raise ValueError(f"space file {path}: each edge must be [i, j, length], got {e!r}")
+    for key, kind in _FILE_TYPES.items():
+        value = doc.get(key)
+        # an optional key set to null counts as left out
+        if (value is not None or key in ("edges", "measure")) and not isinstance(value, kind):
+            raise ValueError(f"space file {path}: {key} must be a {kind.__name__}, "
+                             f"got {value!r}")
+    for e in doc["edges"]:
+        if not (isinstance(e, list) and len(e) == 3 and _is_int(e[0])
+                and _is_int(e[1]) and _is_number(e[2])):
+            raise ValueError(f"space file {path}: each edge must be [i, j, length] "
+                             f"with integer i, j and a numeric length, got {e!r}")
+    if not all(map(_is_number, doc["measure"])):
+        raise ValueError(f"space file {path}: measure must hold numbers only")
+    coords = doc.get("coords") or []
+    if not all(_is_number(c) or isinstance(c, list) and all(map(_is_number, c))
+               for c in coords):
+        raise ValueError(f"space file {path}: coords must hold numbers or lists of numbers")
     return build_from_graph(
-        [(e[0], e[1], e[2]) for e in edges],
+        [(e[0], e[1], e[2]) for e in doc["edges"]],
         doc["measure"],
         n,
-        kind=doc.get("kind", "custom"),
+        kind="custom" if doc.get("kind") is None else doc["kind"],
         params=doc.get("params"),
         coords=doc.get("coords"),
         labels=doc.get("labels"),
     )
+
+
+# the type of each key of a space file but n; load_space checks the
+# entries of edges, measure and coords
+_FILE_TYPES = {"edges": list, "measure": list, "labels": list, "coords": list,
+               "kind": str, "params": dict}
+
+
+def _is_int(x) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)

@@ -13,16 +13,12 @@ in turn:
 Routes 1 and 2 return a plan only with one certificate: dual potentials
 u, v whose reduced costs d(x, y)^2 - u(x) - v(y) are nonnegative on every
 one of the n^2 cells, so the plan is optimal for the full LP.  The dense
-LP is the reference and is cross-checked by two independent oracles: the
-monotone-rearrangement cost on path graphs, and exhaustive vertex
-enumeration of the coupling polytope for n <= 4.
+LP is the reference that the tests check both other routes against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -286,91 +282,3 @@ def _monotone_plan(space: MeasuredSpace, a, b, order):
         else:
             v[j] = c - u[i]
     return _certified_plan(space, a, b, src, dst, mass, u, v)[0]
-
-
-def w2_oracle_1d(space: MeasuredSpace, mu0, mu1) -> float:
-    """Monotone-coupling W2 on a path graph, by merging the two CDFs.
-
-    On a path the quadratic cost is minimized by the quantile coupling,
-    so the optimal cost is computed directly without an LP, from point
-    positions along the path rather than from the stored metric.
-    """
-    a = _check_marginal(space, mu0, "mu0")
-    b = _check_marginal(space, mu1, "mu1")
-    order = _path_order(space)
-    pos = np.zeros(space.n)
-    for k in range(1, space.n):
-        pos[k] = pos[k - 1] + space.dist[order[k - 1], order[k]]
-    rows, cols, mass = _staircase(a[order], b[order])
-    return float(np.sqrt(mass @ (pos[rows] - pos[cols]) ** 2))
-
-
-@lru_cache(maxsize=4)
-def _coupling_vertices(n: int):
-    """Spanning trees of the bipartite source/sink graph with flow solvers.
-
-    Every vertex of the coupling polytope is the flow of some spanning
-    tree of K_{n,n} (basic feasible solutions of the transportation LP),
-    and tree flows are linear in the marginals.  Returns (cells, solve):
-    cells[t] lists the 2n-1 coupling entries used by tree t, and
-    solve[t] maps concat(mu0, mu1) to the flows on those entries.
-    """
-    nodes = 2 * n
-    all_cells, all_solve = [], []
-    for cells in combinations(range(n * n), nodes - 1):
-        parent = list(range(nodes))
-
-        def find(u):
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            return u
-
-        merges = 0
-        for cell in cells:
-            ru, rv = find(cell // n), find(n + cell % n)
-            if ru != rv:
-                parent[ru] = rv
-                merges += 1
-        if merges != nodes - 1:
-            continue
-        incident = [[] for _ in range(nodes)]
-        for pos, cell in enumerate(cells):
-            incident[cell // n].append((pos, n + cell % n))
-            incident[n + cell % n].append((pos, cell // n))
-        remaining = np.eye(nodes)
-        degree = [len(lst) for lst in incident]
-        used = [False] * (nodes - 1)
-        solve = np.zeros((nodes - 1, nodes))
-        leaves = [u for u in range(nodes) if degree[u] == 1]
-        while leaves:
-            u = leaves.pop()
-            if degree[u] != 1:
-                continue
-            pos, v = next(e for e in incident[u] if not used[e[0]])
-            used[pos] = True
-            solve[pos] = remaining[u]
-            remaining[v] -= remaining[u]
-            degree[u] = 0
-            degree[v] -= 1
-            if degree[v] == 1:
-                leaves.append(v)
-        all_cells.append(cells)
-        all_solve.append(solve)
-    return np.array(all_cells), np.stack(all_solve)
-
-
-def brute_force_w2(space: MeasuredSpace, mu0, mu1) -> float:
-    """W2 by exhaustive search over coupling-polytope vertices; n <= 4 only."""
-    if space.n > 4:
-        raise ValueError(f"exhaustive vertex search supports n <= 4, got n={space.n}")
-    a = _check_marginal(space, mu0, "mu0")
-    b = _check_marginal(space, mu1, "mu1")
-    if space.n == 1:
-        return 0.0
-    cells, solve = _coupling_vertices(space.n)
-    flows = solve @ np.concatenate([a, b])
-    feasible = flows.min(axis=1) >= -1e-12
-    costs = (flows * space.dist_sq.ravel()[cells]).sum(axis=1)
-    best = float(costs[feasible].min())
-    return float(np.sqrt(max(best, 0.0)))

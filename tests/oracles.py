@@ -1,0 +1,114 @@
+"""Slow independent references that the tests check the package against.
+
+None of these shares code with the routes it checks: the dense Lipschitz
+quotient runs over all pairs, the 1-d oracle merges two CDFs on point
+positions given by the test's own construction of a path, and the brute
+force enumerates every vertex of the coupling polytope.
+"""
+
+from functools import lru_cache
+from itertools import combinations
+
+import numpy as np
+
+
+def dense_lipschitz(space, f) -> float:
+    """max |f(x) - f(y)| / d(x, y) over all distinct pairs."""
+    if space.n < 2:
+        return 0.0
+    diff = np.abs(f.values[:, None] - f.values[None, :])
+    off = ~np.eye(space.n, dtype=bool)
+    return float((diff[off] / space.dist[off]).max())
+
+
+def w2_oracle_1d(pos, mu0, mu1) -> float:
+    """W2 between two measures on points of a line at increasing positions.
+
+    On a line the quadratic cost is minimized by the quantile coupling, so
+    W2^2 is the integral over u in (0, 1) of |F^-1(u) - G^-1(u)|^2, and
+    the two quantile functions are constant between the merged CDF steps.
+    """
+    pos = np.asarray(pos, dtype=float)
+    ca = np.cumsum(np.asarray(mu0, dtype=float))
+    cb = np.cumsum(np.asarray(mu1, dtype=float))
+    ca /= ca[-1]
+    cb /= cb[-1]
+    ca[-1] = cb[-1] = 1.0
+    hi = np.union1d(ca, cb)
+    lo = np.concatenate([[0.0], hi[:-1]])
+    mid = 0.5 * (lo + hi)
+    last = len(pos) - 1
+    ia = np.minimum(np.searchsorted(ca, mid), last)
+    ib = np.minimum(np.searchsorted(cb, mid), last)
+    return float(np.sqrt(((pos[ia] - pos[ib]) ** 2 * (hi - lo)).sum()))
+
+
+@lru_cache(maxsize=4)
+def coupling_vertices(n: int):
+    """Spanning trees of the bipartite source/sink graph with flow solvers.
+
+    Every vertex of the coupling polytope is the flow of some spanning
+    tree of K_{n,n} (basic feasible solutions of the transportation LP),
+    and tree flows are linear in the marginals.  Returns (cells, solve):
+    cells[t] lists the 2n-1 coupling entries used by tree t, and
+    solve[t] maps concat(mu0, mu1) to the flows on those entries.
+    """
+    nodes = 2 * n
+    all_cells, all_solve = [], []
+    for cells in combinations(range(n * n), nodes - 1):
+        parent = list(range(nodes))
+
+        def find(u):
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            return u
+
+        merges = 0
+        for cell in cells:
+            ru, rv = find(cell // n), find(n + cell % n)
+            if ru != rv:
+                parent[ru] = rv
+                merges += 1
+        if merges != nodes - 1:
+            continue
+        incident = [[] for _ in range(nodes)]
+        for pos, cell in enumerate(cells):
+            incident[cell // n].append((pos, n + cell % n))
+            incident[n + cell % n].append((pos, cell // n))
+        remaining = np.eye(nodes)
+        degree = [len(lst) for lst in incident]
+        used = [False] * (nodes - 1)
+        solve = np.zeros((nodes - 1, nodes))
+        leaves = [u for u in range(nodes) if degree[u] == 1]
+        while leaves:
+            u = leaves.pop()
+            if degree[u] != 1:
+                continue
+            pos, v = next(e for e in incident[u] if not used[e[0]])
+            used[pos] = True
+            solve[pos] = remaining[u]
+            remaining[v] -= remaining[u]
+            degree[u] = 0
+            degree[v] -= 1
+            if degree[v] == 1:
+                leaves.append(v)
+        all_cells.append(cells)
+        all_solve.append(solve)
+    return np.array(all_cells), np.stack(all_solve)
+
+
+def brute_force_w2(space, mu0, mu1) -> float:
+    """W2 by exhaustive search over coupling-polytope vertices; n <= 4 only."""
+    if space.n > 4:
+        raise ValueError(f"exhaustive vertex search supports n <= 4, got n={space.n}")
+    if space.n == 1:
+        return 0.0
+    a = np.asarray(mu0, dtype=float)
+    b = np.asarray(mu1, dtype=float)
+    cells, solve = coupling_vertices(space.n)
+    flows = solve @ np.concatenate([a / a.sum(), b / b.sum()])
+    feasible = flows.min(axis=1) >= -1e-12
+    costs = (flows * space.dist_sq.ravel()[cells]).sum(axis=1)
+    best = float(costs[feasible].min())
+    return float(np.sqrt(max(best, 0.0)))

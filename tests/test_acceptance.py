@@ -12,14 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from lenspace import (apply, brute_force_w2, build_from_graph,
-                      dual_talagrand_defect, estimate_constant, generate,
-                      hj_forward_residual, lipschitz_constant,
-                      parse_space_spec, phi_trace, psi_trace, semigroup_defect,
-                      verify_chain, w2, w2_oracle_1d)
+from lenspace import (apply, build_from_graph, dual_talagrand_defect,
+                      estimate_constant, generate, hj_forward_residual,
+                      lipschitz_constant, parse_space_spec, phi_trace,
+                      psi_trace, semigroup_defect, verify_chain, w2)
 from lenspace.fields import cosine_field, random_smoothed_field
 from lenspace.inequalities import default_witness_family
 from lenspace.transport import _w2_lp
+from oracles import brute_force_w2, dense_lipschitz, w2_oracle_1d
 
 
 def _space(text):
@@ -63,6 +63,9 @@ def test_criterion_1_exact_invariants():
                 lip = lipschitz_constant(space, qf)
                 if lip > diam / t * (1 + 1e-12) + 1e-12:
                     violations.append((text, fi, t, "lipschitz bound"))
+                # the edge-slope constant is the all-pairs one
+                if not lip <= dense_lipschitz(space, qf) <= lip * (1 + 1e-12):
+                    violations.append((text, fi, t, "edge vs dense lipschitz"))
             # monotone in t
             for t1, t2 in zip(_TIMES, _TIMES[1:]):
                 if float((qs[t2].values - qs[t1].values).max()) > tol:
@@ -170,12 +173,13 @@ def test_criterion_4_transport_cross_validation():
     for _ in range(50):
         n = int(rng.integers(2, 202))
         length = float(rng.uniform(0.5, 10.0))
-        space = build_from_graph([(i, i + 1, length / (n - 1)) for i in range(n - 1)],
+        step = length / (n - 1)
+        space = build_from_graph([(i, i + 1, step) for i in range(n - 1)],
                                  np.ones(n), n)
         mu0 = _random_marginal(rng, n)
         mu1 = _random_marginal(rng, n)
         d_lp, plan_lp = _w2_lp(space, mu0, mu1)
-        d_or = w2_oracle_1d(space, mu0, mu1)
+        d_or = w2_oracle_1d(step * np.arange(n), mu0, mu1)
         worst_path = max(worst_path, abs(d_lp - d_or))
         _, plan = w2(space, mu0, mu1)
         worst_w2 = max(worst_w2, abs(plan.cost - plan_lp.cost) / (1.0 + plan_lp.cost))

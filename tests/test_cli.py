@@ -84,6 +84,38 @@ def test_saved_space_usable_as_space_argument(tmp_path):
     assert code == 0
 
 
+_GOOD_FILE = {"n": 2, "edges": [[0, 1, 1.0]], "measure": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize("change, words", [
+    ({"n": True}, "bad n=True"),
+    ({"measure": {"a": 1}}, "measure must be a list"),
+    ({"edges": 5}, "edges must be a list"),
+    ({"labels": 7}, "labels must be a list"),
+    ({"params": [1]}, "params must be a dict"),
+    ({"kind": 5}, "kind must be a str"),
+    ({"edges": [[0, 1, None]]}, "each edge must be [i, j, length]"),
+    ({"edges": [[0.7, 1, 1.0]]}, "each edge must be [i, j, length]"),
+    ({"edges": [[0, 1, True]]}, "each edge must be [i, j, length]"),
+    ({"measure": [{}, 1]}, "measure must hold numbers only"),
+    ({"coords": [{}, {}]}, "coords must hold numbers or lists of numbers"),
+], ids=["n-bool", "measure-object", "edges-int", "labels-int", "params-list",
+        "kind-int", "length-null", "index-float", "length-bool", "measure-entry",
+        "coords-entry"])
+def test_malformed_space_file_exit2(tmp_path, capsys, change, words):
+    # each of these used to crash with a traceback and exit 1, or to load
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(dict(_GOOD_FILE, **change)))
+    out = tmp_path / "out"
+    for argv in (["gen", "--spec", str(path)], ["semigroup", "--space", str(path)]):
+        assert main(["--out-dir", str(out)] + argv) == 2
+        err = capsys.readouterr().err
+        assert words in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_semigroup_report_and_residual_rows(tmp_path):
     code = main(["--out-dir", str(tmp_path), "semigroup", "--space", "circle:64",
                  "--field", "cos", "--times", "geo:0.1:1:4"])

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from lenspace import (apply, hj_forward_residual, lipschitz_constant,
-                      make_field, make_trace, midpoint_identity_defect,
+from lenspace import (apply, build_from_graph, hj_forward_residual,
+                      lipschitz_constant, make_field, make_trace,
                       semigroup_defect)
 from lenspace import generate as _generate, parse_space_spec as _parse
 from lenspace.fields import random_smoothed_field
 from lenspace.hopflax import grad_norm_field, subgrad_norm_field
+from oracles import dense_lipschitz
 
 _PATH8 = _generate(_parse("path:8"))
 
@@ -72,16 +73,6 @@ def test_semigroup_inequality_direction(two_point):
     assert np.all(two.values >= one.values - 1e-12)
 
 
-def test_midpoint_identity_defect_two_point(two_point):
-    # min_z [d(A,z)^2 + d(z,B)^2] = 1 versus d(A,B)^2/2 = 1/2
-    assert midpoint_identity_defect(two_point, 0, 1, 1.0, 1.0) == pytest.approx(0.5, rel=1e-15)
-
-
-def test_midpoint_identity_near_zero_on_circle(circle256):
-    d = midpoint_identity_defect(circle256, 0, 128, 1.0, 1.0)
-    assert 0.0 <= d <= 4 * circle256.mesh_h
-
-
 def test_hj_residual_two_point_frozen(two_point):
     f = _f01(two_point)
     r = hj_forward_residual(two_point, f, 1.0, 0.1)
@@ -130,6 +121,33 @@ def test_lipschitz_regularization(circle64):
     for t in (0.05, 0.3, 1.0):
         q = apply(circle64, f, t)
         assert lipschitz_constant(circle64, q) <= circle64.diameter / t + 1e-12
+
+
+@st.composite
+def _graph_with_chords(draw):
+    # a random tree, random extra edges, and chords longer than the whole
+    # tree, so no chord is a geodesic; then a field on it
+    n = draw(st.integers(2, 20))
+    length = st.floats(1e-3, 50.0)
+    edges = [(k, draw(st.integers(0, k - 1)), draw(length)) for k in range(1, n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    edges += [(i, j, draw(length)) for i, j in draw(st.lists(pairs, max_size=n))]
+    total = sum(e[2] for e in edges)
+    edges += [(i, j, total * draw(st.floats(1.01, 3.0)))
+              for i, j in draw(st.lists(pairs, max_size=n))]
+    g = build_from_graph(edges, np.ones(n), n)
+    vals = draw(st.lists(st.floats(-5, 5), min_size=n, max_size=n))
+    return g, make_field(g, np.array(vals))
+
+
+@given(_graph_with_chords())
+@settings(max_examples=150, deadline=None)
+def test_lipschitz_from_edges_is_all_pairs(instance):
+    g, f = instance
+    for t in (0.0, 0.01, 0.3):
+        q = apply(g, f, t)
+        edge = lipschitz_constant(g, q)
+        assert edge <= dense_lipschitz(g, q) <= edge * (1 + 1e-12)
 
 
 # properties the operator satisfies exactly, fuzzed on a small fixed space

@@ -9,15 +9,17 @@
 checkouts (DIR is a repository root holding ``src/`` and ``perfbench/``),
 one run at a time, alternating which side runs first, and appends one
 JSON line per run to the runs file: side, workload, seed, pair, position
-in the pair, and run.py's result line.  The run length is BENCHMARK.json's
+in the pair, the line count of that checkout's ``src/lenspace/*.py``, and
+run.py's result line.  The run length is BENCHMARK.json's
 ``run_seconds`` for ``--trace 0`` and 1 second for ``--trace 1``.
 
 ``summarize`` turns a runs file into one entry: for each workload and
 each end-to-end metric, both sides' median, quartiles (as
 ``statistics.quantiles(values, n=4)`` gives them) and values, the seeds,
 the pair count and the pairs the change won; for traced runs, each
-side's per-layer values.  ``--extra`` merges a JSON object of
-hand-measured figures under ``"extra"``.
+side's per-layer values; and each side's ``src/lenspace/`` line count
+under ``"src_lines"``.  ``--extra`` merges a JSON object of hand-measured
+figures under ``"extra"``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,16 @@ def _seeds(text: str) -> list:
     return list(range(int(lo), int(hi) + 1)) if hi else [int(s) for s in text.split(",")]
 
 
+def _src_lines(root: str) -> int:
+    pkg = os.path.join(root, "src", "lenspace")
+    total = 0
+    for name in os.listdir(pkg):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                total += sum(1 for _ in fh)
+    return total
+
+
 def _bench() -> dict:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         return json.load(fh)
@@ -46,6 +58,7 @@ def _bench() -> dict:
 def record(args) -> int:
     seconds = _bench()["run_seconds"] if args.trace == 0 else 1
     roots = {"parent": args.parent, "change": args.change}
+    src_lines = {side: _src_lines(root) for side, root in roots.items()}
     for pair, seed in enumerate(_seeds(args.seeds)):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for position, side in enumerate(order):
@@ -61,7 +74,7 @@ def record(args) -> int:
                       file=sys.stderr)
             line = {"side": side, "workload": args.workload, "seed": seed,
                     "trace": args.trace, "pair": pair, "position": position,
-                    "result": result}
+                    "src_lines": src_lines[side], "result": result}
             with open(args.runs, "a") as fh:
                 fh.write(json.dumps(line) + "\n")
             shown = result["metrics"] if result and args.trace == 0 else {}
@@ -79,7 +92,10 @@ def summarize(args) -> int:
     with open(args.runs) as fh:
         runs = [json.loads(line) for line in fh if line.strip()]
     better = {m["name"]: m["better"] for m in _bench()["end_to_end"]}
-    entry = {"workloads": {}}
+    lines = {s: {r["src_lines"] for r in runs if r["side"] == s} for s in SIDES}
+    if any(len(v) != 1 for v in lines.values()):
+        raise ValueError(f"the runs disagree on the src/lenspace line counts: {lines}")
+    entry = {"src_lines": {s: v.pop() for s, v in lines.items()}, "workloads": {}}
     for workload in sorted({r["workload"] for r in runs}):
         mine = [r for r in runs if r["workload"] == workload]
         out = {}
