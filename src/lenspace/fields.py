@@ -28,13 +28,18 @@ def coordinate_field(space: MeasuredSpace) -> ScalarField:
 
 def cosine_field(space: MeasuredSpace) -> ScalarField:
     """cos of the angle coordinate on a circle (or first torus axis)."""
-    if space.kind == "circle":
-        length = space.params["length"]
-        return make_field(space, np.cos(2 * np.pi * _axis(space) / length))
-    if space.kind == "torus2d":
-        side = space.params["side_x"]
-        return make_field(space, np.cos(2 * np.pi * space.coords[:, 0] / side))
-    raise ValueError(f"cosine field needs a circle or torus2d space, not {space.kind!r}")
+    key = {"circle": "length", "torus2d": "side_x"}.get(space.kind)
+    if key is None:
+        raise ValueError(f"cosine field needs a circle or torus2d space, not {space.kind!r}")
+    period = space.params.get(key)
+    # JSON true and false load as bool, a subclass of int
+    if isinstance(period, bool) or not isinstance(period, (int, float)) or not 0 < period < np.inf:
+        raise ValueError(f"cosine field on a {space.kind} space needs a positive finite "
+                         f"params.{key}, got {period!r}")
+    if space.coords is None:
+        raise ValueError(f"cosine field on a {space.kind} space needs coords")
+    x = _axis(space) if space.kind == "circle" else space.coords[:, 0]
+    return make_field(space, np.cos(2 * np.pi * x / period))
 
 
 def tilt_field(space: MeasuredSpace, alpha: float) -> ScalarField:

@@ -176,18 +176,10 @@ def refine(spec: SpaceSpec) -> SpaceSpec:
 
 def save_space(space: MeasuredSpace, path: str):
     """Write a space to JSON; loading the file reproduces it bit for bit."""
-    seen = set()
-    edges = []
-    for i, nbrs in enumerate(space.adjacency):
-        for j, length in nbrs:
-            key = (min(i, j), max(i, j))
-            if key not in seen:
-                seen.add(key)
-                edges.append([key[0], key[1], length])
-    edges.sort(key=lambda e: (e[0], e[1]))
+    rows, cols, lengths = space.edges
     doc = {
         "n": space.n,
-        "edges": edges,
+        "edges": [list(e) for e in zip(rows.tolist(), cols.tolist(), lengths.tolist())],
         "measure": space.measure.tolist(),
     }
     if space.labels is not None:
@@ -196,6 +188,7 @@ def save_space(space: MeasuredSpace, path: str):
         doc["coords"] = space.coords.tolist()
     if space.kind != "custom":
         doc["kind"] = space.kind
+    if space.kind != "custom" or space.params:
         doc["params"] = space.params
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

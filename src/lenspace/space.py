@@ -10,6 +10,7 @@ quality is measured by ``midpoint_defect``.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -23,9 +24,10 @@ class MeasuredSpace:
     """Immutable bundle of points, metric, and measure.
 
     dist[i, j] is the graph shortest-path distance, measure a probability
-    vector, adjacency the generating graph as per-point sorted lists of
-    (neighbor, edge length).  mesh_h is the largest distance from a point
-    to its nearest distinct point.  midpoint_defect is
+    vector, edges the generating graph as read-only arrays (rows, cols,
+    lengths), one entry per undirected edge with row < col, sorted by
+    (row, col).  mesh_h is the largest distance from a point to its
+    nearest distinct point.  midpoint_defect is
 
         max_{x,y} min_z | max(d(x,z), d(z,y)) - d(x,y)/2 |
 
@@ -36,7 +38,7 @@ class MeasuredSpace:
     n: int
     dist: np.ndarray
     measure: np.ndarray
-    adjacency: list
+    edges: tuple
     mesh_h: float
     space_id: str
     kind: str = "custom"
@@ -56,15 +58,12 @@ class MeasuredSpace:
 
         Lengths are metric distances between the endpoints, not raw edge
         weights; the two differ when an edge is longer than the shortest
-        path between its endpoints.
+        path between its endpoints.  Sorted by (src, dst).
         """
-        src, dst = [], []
-        for i, nbrs in enumerate(self.adjacency):
-            for j, _ in nbrs:
-                src.append(i)
-                dst.append(j)
-        src = np.asarray(src, dtype=np.intp)
-        dst = np.asarray(dst, dtype=np.intp)
+        rows, cols, _ = self.edges
+        src, dst = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
         return src, dst, self.dist[src, dst]
 
     @cached_property
@@ -173,26 +172,14 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
     rows = np.array([k[0] for k in keys], dtype=np.int64)
     cols = np.array([k[1] for k in keys], dtype=np.int64)
     vals = np.array([shortest_edge[k] for k in keys], dtype=float)
-    if n == 1:
-        dist = np.zeros((1, 1))
-        adjacency = [[]]
-    else:
-        if not shortest_edge:
-            raise ValueError("graph has no edges; points 0 and 1 are not connected")
-        graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
-        dist = shortest_path(graph, method="D", directed=False)
-        if np.isinf(dist).any():
-            i, j = np.argwhere(np.isinf(dist))[0]
-            raise ValueError(f"graph is disconnected: points {i} and {j} are not connected")
-        # Dijkstra per source can round the two directions differently
-        dist = np.minimum(dist, dist.T)
-        np.fill_diagonal(dist, 0.0)
-        adjacency = [[] for _ in range(n)]
-        for (i, j), length in shortest_edge.items():
-            adjacency[i].append((j, length))
-            adjacency[j].append((i, length))
-        for nbrs in adjacency:
-            nbrs.sort()
+    graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
+    dist = shortest_path(graph, method="D", directed=False)
+    if np.isinf(dist).any():
+        i, j = np.argwhere(np.isinf(dist))[0]
+        raise ValueError(f"graph is disconnected: points {i} and {j} are not connected")
+    # Dijkstra per source can round the two directions differently
+    dist = np.minimum(dist, dist.T)
+    np.fill_diagonal(dist, 0.0)
 
     off = dist + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
     mesh_h = float(off.min(axis=1).max()) if n > 1 else 0.0
@@ -210,6 +197,7 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
         labels = [str(s) for s in labels]
         if len(labels) != n:
             raise ValueError(f"{len(labels)} labels for {n} points")
+    params = dict(params or {})
 
     digest = hashlib.sha256()
     digest.update(np.int64(n).tobytes())
@@ -217,10 +205,12 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
     digest.update(np.ascontiguousarray(w).tobytes())
     # the edges too: gradients and slopes read the graph, not just the metric
     for arr in (rows, cols, vals):
+        arr.flags.writeable = False
         digest.update(arr.tobytes())
-    # and kind and coords: witness families and the cos, coordinate and tilt
-    # fields read them
+    # and kind, params and coords: witness families and the cos, coordinate
+    # and tilt fields read them
     digest.update(kind.encode() + b"\0")
+    digest.update(json.dumps(params, sort_keys=True).encode() + b"\0")
     if coords is None:
         digest.update(b"no coords")
     else:
@@ -231,11 +221,11 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
         n=n,
         dist=dist,
         measure=w,
-        adjacency=adjacency,
+        edges=(rows, cols, vals),
         mesh_h=mesh_h,
         space_id=digest.hexdigest()[:16],
         kind=kind,
-        params=dict(params or {}),
+        params=params,
         coords=coords,
         labels=labels,
     )
@@ -261,9 +251,10 @@ def validate_metric(space: MeasuredSpace, tol: float = 1e-9) -> MetricReport:
     d = space.dist
     viol = -np.inf
     for x in range(space.n):
-        # min over z of d(x,z) + d(z,y), all y at once
-        through = (d[x][:, None] + d).min(axis=0)
-        viol = max(viol, float((d[x] - through).max()))
+        # min over z of d(x,z) + d(z,y), all y >= x at once; dist is exactly
+        # symmetric and + commutes, so the pairs y < x repeat earlier ones
+        through = (d[x][:, None] + d[:, x:]).min(axis=0)
+        viol = max(viol, float((d[x, x:] - through).max()))
     sym = float(np.abs(d - d.T).max())
     msum = float(abs(space.measure.sum() - 1.0))
     passed = viol <= tol and sym <= tol and msum <= tol

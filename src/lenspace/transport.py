@@ -1,19 +1,19 @@
 """Exact order-2 Wasserstein distance between measures on a finite space.
 
 W2(mu0, mu1)^2 is the optimal value of the transportation linear program
-with cost d(x, y)^2 over couplings of mu0 and mu1.  w2 tries three routes
-in turn:
+with cost d(x, y)^2 over couplings of mu0 and mu1.  w2 has two routes:
 
-1. on a path graph, the monotone (quantile) coupling;
-2. on any graph, the shortlist method (Gottschlich & Schuhmacher 2014):
-   the LP restricted to a small support of cells, grown by the cells that
-   violate dual feasibility until none does;
-3. the dense LP over all n^2 cells, only when both others fail.
+1. the shortlist method (Gottschlich & Schuhmacher 2014): the LP
+   restricted to a small support of cells, grown by the cells that
+   violate dual feasibility until none does.  The support starts from
+   the staircase of the two measures in index order, which is checked
+   first: on a path numbered along itself it is the monotone (quantile)
+   coupling, so that coupling comes free, with no LP solved;
+2. the dense LP over all n^2 cells, only when the first route fails.
 
-Routes 1 and 2 return a plan only with one certificate: dual potentials
-u, v whose reduced costs d(x, y)^2 - u(x) - v(y) are nonnegative on every
-one of the n^2 cells, so the plan is optimal for the full LP.  The dense
-LP is the reference that the tests check both other routes against.
+The first route returns a plan only when dual potentials u, v pass a
+reduced-cost check, d(x, y)^2 - u(x) - v(y) >= 0 on all n^2 cells, so
+the plan is optimal for the full LP.  The dense LP is the test reference.
 """
 
 from __future__ import annotations
@@ -76,11 +76,9 @@ def w2(space: MeasuredSpace, mu0, mu1):
     """Wasserstein distance and optimal plan.
 
     Returns (distance, TransportPlan).  Identical marginals give the
-    identity plan.  Otherwise a path graph takes the monotone (quantile)
-    coupling, and any other graph, or a path whose monotone plan fails its
-    check, takes the shortlist solve.  Both return a plan only when dual
-    potentials pass a reduced-cost check over all n^2 cells; if neither
-    does, the dense LP answers.  Every plan carries its duality gap.
+    identity plan; otherwise the certified shortlist solve answers (with
+    no LP on a path numbered along itself), or the dense LP when it
+    certifies no plan.  Every plan carries its duality gap.
     """
     a = _check_marginal(space, mu0, "mu0")
     b = _check_marginal(space, mu1, "mu1")
@@ -88,13 +86,7 @@ def w2(space: MeasuredSpace, mu0, mu1):
         plan = TransportPlan(coupling=np.diag(a), source_marginal=a,
                              target_marginal=b, cost=0.0, duality_gap=0.0)
         return 0.0, plan
-    try:
-        order = _path_order(space)
-    except ValueError:
-        order = None
-    plan = None if order is None else _monotone_plan(space, a, b, order)
-    if plan is None:
-        plan = _shortlist_plan(space, a, b)
+    plan = _shortlist_plan(space, a, b)
     if plan is None:
         return _w2_lp(space, mu0, mu1)
     return float(np.sqrt(plan.cost)), plan
@@ -171,19 +163,24 @@ def _certified_plan(space: MeasuredSpace, a, b, src, dst, mass, u, v):
 def _shortlist_plan(space: MeasuredSpace, a, b):
     """The optimal plan by LP solves on a growing support, certified.
 
-    The first support is the staircase of the two measures in index order,
-    a feasible spanning tree, so the first solve has a solution, plus each
-    row's nearest cells, made symmetric.  While the certificate fails, the
-    most violated cell of each row and of each column joins the support.
-    Adding every violated cell instead grows the support toward all n^2
-    cells.  Returns None when a solve fails or a failed check adds no new
-    cell.
+    The staircase of the two measures in index order, a feasible spanning
+    tree, is the plan when its tree potentials pass the check.  Otherwise
+    it seeds the first support, so the first solve has a solution, with
+    each row's nearest cells, made symmetric.  While the certificate
+    fails, the most violated cell of each row and of each column joins
+    the support (adding every violated cell grows it toward all n^2
+    cells).  Returns None when a solve fails or a failed check adds no
+    new cell.
     """
     n = space.n
+    rows, cols, mass = _staircase(a, b)
+    plan, _ = _certified_plan(space, a, b, rows, cols, mass,
+                              *_tree_potentials(space, rows, cols))
+    if plan is not None:
+        return plan
     idx = np.arange(n)
     k = min(_NEAREST, n)
     support = np.zeros((n, n), dtype=bool)
-    rows, cols, _ = _staircase(a, b)
     support[rows, cols] = True
     support[idx.repeat(k), np.argpartition(space.dist_sq, k - 1, axis=1)[:, :k].ravel()] = True
     support |= support.T
@@ -206,28 +203,8 @@ def _shortlist_plan(space: MeasuredSpace, a, b):
         support |= grow
 
 
-def _path_order(space: MeasuredSpace) -> list:
-    """Vertex order along a path graph, or raise if the graph is not a path."""
-    if space.n == 1:
-        return [0]
-    deg = [len(nbrs) for nbrs in space.adjacency]
-    ends = [i for i, d in enumerate(deg) if d == 1]
-    if len(ends) != 2 or any(d > 2 for d in deg):
-        raise ValueError("space is not a path graph")
-    order = [min(ends)]
-    prev = -1
-    while len(order) < space.n:
-        cur = order[-1]
-        nxt = [j for j, _ in space.adjacency[cur] if j != prev]
-        if len(nxt) != 1:
-            raise ValueError("space is not a path graph")
-        prev = cur
-        order.append(nxt[0])
-    return order
-
-
 def _staircase(a: np.ndarray, b: np.ndarray):
-    """Cells of the monotone coupling of two measures listed in path order.
+    """Cells of the monotone coupling of two measures taken in index order.
 
     Merges the two CDFs one row or column step at a time from cell (0, 0)
     to cell (n-1, n-1), so the 2n-1 cells always form a spanning tree of
@@ -259,26 +236,17 @@ def _staircase(a: np.ndarray, b: np.ndarray):
     return np.array(rows), np.array(cols), np.array(mass)
 
 
-def _monotone_plan(space: MeasuredSpace, a, b, order):
-    """The quantile coupling on a path graph with its dual certificate.
-
-    Potentials u, v solve u_i + v_j = d(i, j)^2 on the staircase cells.
-    Returns None when they fail the reduced-cost check of
-    _certified_plan.
-    """
-    order = np.asarray(order)
-    rows, cols, mass = _staircase(a[order], b[order])
-    src, dst = order[rows], order[cols]
-    cell_cost = space.dist_sq[src, dst]
+def _tree_potentials(space: MeasuredSpace, rows, cols):
+    """Potentials u, v with u_i + v_j = d(i, j)^2 on the staircase cells."""
+    cell_cost = space.dist_sq[rows, cols]
     u = np.zeros(space.n)
     v = np.zeros(space.n)
-    v[dst[0]] = cell_cost[0]
+    v[cols[0]] = cell_cost[0]
     # each cell after the first adds one new row or column to the tree
-    row_steps = np.diff(rows).tolist()
-    for i, j, c, row_step in zip(src[1:].tolist(), dst[1:].tolist(),
-                                 cell_cost[1:].tolist(), row_steps):
+    for i, j, c, row_step in zip(rows[1:].tolist(), cols[1:].tolist(),
+                                 cell_cost[1:].tolist(), np.diff(rows).tolist()):
         if row_step:
             u[i] = c - v[j]
         else:
             v[j] = c - u[i]
-    return _certified_plan(space, a, b, src, dst, mass, u, v)[0]
+    return u, v

@@ -1,9 +1,10 @@
 """Slow independent references that the tests check the package against.
 
 None of these shares code with the routes it checks: the dense Lipschitz
-quotient runs over all pairs, the 1-d oracle merges two CDFs on point
-positions given by the test's own construction of a path, and the brute
-force enumerates every vertex of the coupling polytope.
+quotient and the full triangle check run over all pairs, the 1-d oracle
+merges two CDFs on point positions given by the test's own construction
+of a path, and the brute force enumerates every vertex of the coupling
+polytope.
 """
 
 from functools import lru_cache
@@ -19,6 +20,15 @@ def dense_lipschitz(space, f) -> float:
     diff = np.abs(f.values[:, None] - f.values[None, :])
     off = ~np.eye(space.n, dtype=bool)
     return float((diff[off] / space.dist[off]).max())
+
+
+def full_triangle_violation(dist) -> float:
+    """max over all (x, y, z) of d(x,y) - d(x,z) - d(z,y), no symmetry assumed."""
+    viol = -np.inf
+    for x in range(dist.shape[0]):
+        through = (dist[x][:, None] + dist).min(axis=0)
+        viol = max(viol, float((dist[x] - through).max()))
+    return viol
 
 
 def w2_oracle_1d(pos, mu0, mu1) -> float:

@@ -157,9 +157,9 @@ def _random_marginal(rng, n):
 def test_criterion_4_transport_cross_validation():
     start = time.monotonic()
     rng = np.random.default_rng(4)
-    # the oracles check the dense LP; w2, which takes the monotone route on
-    # path graphs and the shortlist route elsewhere, is checked against the
-    # dense LP in cost
+    # the oracles check the dense LP; w2, whose shortlist route certifies the
+    # monotone coupling without an LP on paths numbered along themselves, is
+    # checked against the dense LP in cost
     worst_brute = worst_path = worst_w2 = 0.0
     for _ in range(200):
         space = _random_small_space(rng)

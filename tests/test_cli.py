@@ -116,6 +116,28 @@ def test_malformed_space_file_exit2(tmp_path, capsys, change, words):
     assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.parametrize("doc, words", [
+    (dict(_GOOD_FILE, kind="circle", coords=[0.0, 1.0]), "params.length, got None"),
+    (dict(_GOOD_FILE, kind="circle", coords=[0.0, 1.0], params={"length": -2.0}),
+     "params.length, got -2.0"),
+    (dict(_GOOD_FILE, kind="torus2d", coords=[[0.0, 0.0], [1.0, 0.0]],
+          params={"side_x": "a"}), "params.side_x, got 'a'"),
+    (dict(_GOOD_FILE, kind="torus2d", params={"side_x": 2.0}), "needs coords"),
+], ids=["circle-no-params", "circle-negative", "torus-string", "torus-no-coords"])
+def test_cos_field_without_usable_params_exit2(tmp_path, capsys, doc, words):
+    # each of these used to crash in the cos field with a traceback and exit 1
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "semigroup", "--space", str(path),
+                 "--field", "cos"]) == 2
+    err = capsys.readouterr().err
+    assert words in err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_semigroup_report_and_residual_rows(tmp_path):
     code = main(["--out-dir", str(tmp_path), "semigroup", "--space", "circle:64",
                  "--field", "cos", "--times", "geo:0.1:1:4"])

@@ -97,8 +97,8 @@ def test_space_id_covers_edges():
 
 
 def test_space_id_covers_kind_and_coords(tmp_path):
-    # coords and kind feed the witness family and the cos, coordinate and
-    # tilt fields, so two spaces that differ only there must not share an id
+    # coords, kind and params feed the witness family and the cos, coordinate
+    # and tilt fields, so two spaces that differ only there must not share an id
     from lenspace.fields import load_field_csv, save_field_csv
     from lenspace.generators import load_space, save_space
     edges = [(0, 1, 1.0), (1, 2, 1.0)]
@@ -108,6 +108,10 @@ def test_space_id_covers_kind_and_coords(tmp_path):
         build_from_graph(edges, np.ones(3), 3, kind="circle", coords=[0.0, 1.0, 2.0]),
         build_from_graph(edges, np.ones(3), 3, kind="path"),
         build_from_graph(edges, np.ones(3), 3, kind="path", coords=[[0.0, 1.0, 2.0]] * 2),
+        build_from_graph(edges, np.ones(3), 3, kind="path", coords=[0.0, 1.0, 2.0],
+                         params={"n": 3}),
+        # a custom space keeps its params on disk too
+        build_from_graph(edges, np.ones(3), 3, params={"b": 1, "a": [2]}),
     ]
     ids = {base.space_id} | {v.space_id for v in variants}
     assert len(ids) == 1 + len(variants)
@@ -120,6 +124,55 @@ def test_space_id_covers_kind_and_coords(tmp_path):
     for space in [base] + variants:
         save_space(space, str(tmp_path / "s.json"))
         assert load_space(str(tmp_path / "s.json")).space_id == space.space_id
+
+
+def test_space_id_covers_params():
+    # a circle whose length differs only in params gets another cos field,
+    # so it must get another id; the order of the keys does not matter
+    from lenspace.fields import cosine_field
+    edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]
+
+    def circle(params):
+        return build_from_graph(edges, np.ones(3), 3, kind="circle", params=params,
+                                coords=[0.0, 1.0, 2.0])
+
+    base, other = circle({"length": 3.0}), circle({"length": 6.0})
+    assert base.space_id != other.space_id
+    assert not np.array_equal(cosine_field(base).values, cosine_field(other).values)
+    assert circle({"length": 3.0, "x": 1}).space_id == circle({"x": 1, "length": 3.0}).space_id
+
+
+@pytest.mark.parametrize("spec", ["circle:16", "gauss:9", "torus2d:3:4", "path:5",
+                                  "complete:5"])
+def test_save_load_reproduces_edges(spec, tmp_path):
+    from lenspace.generators import generate, load_space, parse_space_spec, save_space
+    g = generate(parse_space_spec(spec))
+    # a chord longer than the path it skips stays in the graph as given
+    chorded = build_from_graph([(2, 0, 7.5), (0, 1, 1.0), (1, 2, 0.5), (1, 2, 2.0)],
+                               np.ones(3), 3)
+    for space in (g, chorded):
+        save_space(space, str(tmp_path / "s.json"))
+        back = load_space(str(tmp_path / "s.json"))
+        for mine, theirs in zip(space.edges, back.edges):
+            assert mine.dtype == theirs.dtype
+            assert mine.tobytes() == theirs.tobytes()
+            assert not theirs.flags.writeable
+        rows, cols, _ = back.edges
+        assert np.all(rows < cols)
+        assert np.all(np.diff(rows * back.n + cols) > 0)
+    assert chorded.edges[2].tolist() == [1.0, 7.5, 0.5]
+
+
+def test_edge_arrays_hold_both_orientations_sorted(torus8):
+    # gradients sum over edge_arrays with np.add.at, so their order is fixed:
+    # every undirected edge both ways, sorted by (src, dst)
+    src, dst, length = torus8.edge_arrays
+    rows, cols, _ = torus8.edges
+    assert len(src) == 2 * len(rows)
+    assert np.all(np.diff(src * torus8.n + dst) > 0)
+    assert set(zip(src.tolist(), dst.tolist())) == (
+        set(zip(rows.tolist(), cols.tolist())) | set(zip(cols.tolist(), rows.tolist())))
+    assert np.array_equal(length, torus8.dist[src, dst])
 
 
 def test_mesh_h_circle(circle64):
@@ -145,6 +198,14 @@ def test_validate_metric_passes_on_generators(circle64, gauss101, torus8):
         assert rep.symmetry_defect == 0.0
         assert rep.triangle_violation <= 1e-12
         assert rep.measure_sum_defect <= 1e-12
+
+
+def test_half_loop_triangle_check_matches_full_loop(circle64, gauss101, torus8):
+    from oracles import full_triangle_violation
+    spaces = [circle64, gauss101, torus8] + [
+        _generate(_parse(spec)) for spec in ("path:7", "complete:6", "torus2d:3:5")]
+    for g in spaces:
+        assert validate_metric(g).triangle_violation == full_triangle_violation(g.dist)
 
 
 def test_ball_is_closed_and_contains_center(circle64):
@@ -265,3 +326,10 @@ def _connected_graphs(draw):
 def test_half_loop_midpoint_defect_matches_full_matrix(g):
     from lenspace.space import _max_midpoint_defect
     assert _max_midpoint_defect(g.dist) == _full_midpoint_defect(g.dist)
+
+
+@given(_connected_graphs())
+@settings(max_examples=150, deadline=None)
+def test_half_loop_triangle_check_matches_full_loop_on_random_graphs(g):
+    from oracles import full_triangle_violation
+    assert validate_metric(g).triangle_violation == full_triangle_violation(g.dist)

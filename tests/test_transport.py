@@ -139,15 +139,19 @@ def test_path_fast_path_matches_dense_lp(instance):
 
 
 def test_path_fast_path_solves_no_lp(gauss101, monkeypatch):
+    # on a path numbered along itself the index-order staircase is the
+    # monotone coupling: it is certified before any LP, restricted or dense
     def no_lp(*args):
-        raise AssertionError("dense LP called on a path graph")
+        raise AssertionError("LP solved on a path graph")
 
     monkeypatch.setattr(transport, "_w2_lp", no_lp)
-    target = np.exp(gauss101.coords[:, 0]) * gauss101.measure
-    d, plan = w2(gauss101, target / target.sum(), gauss101.measure)
-    assert d > 0
-    plan.check(gauss101)
-    assert np.count_nonzero(plan.coupling) <= 2 * gauss101.n - 1
+    monkeypatch.setattr(transport, "_transport_lp", no_lp)
+    for g, alpha in ((gauss101, 1.0), (_generate(_parse("path:64")), 0.1)):
+        target = np.exp(alpha * g.coords[:, 0]) * g.measure
+        d, plan = w2(g, target / target.sum(), g.measure)
+        assert d > 0
+        plan.check(g)
+        assert np.count_nonzero(plan.coupling) <= 2 * g.n - 1
 
 
 def test_failed_certificate_falls_back_to_lp(gauss101, monkeypatch):
@@ -211,11 +215,12 @@ def _graph_instance(draw):
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
     edges += [(i, j, draw(length)) for i, j in draw(st.lists(pairs, max_size=n))]
     g = build_from_graph(edges, np.ones(n), n)
-    try:
-        order = transport._path_order(g)
-        g = build_from_graph(edges + [(order[0], order[-1], draw(length))], np.ones(n), n)
-    except ValueError:
-        pass
+    rows, cols, _ = g.edges
+    degree = np.bincount(np.concatenate([rows, cols]), minlength=n)
+    if len(rows) == n - 1 and degree.max() <= 2:
+        # a connected tree with no vertex of degree 3 is a path: close it
+        ends = np.flatnonzero(degree == 1)
+        g = build_from_graph(edges + [(ends[0], ends[1], draw(length))], np.ones(n), n)
     weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
     a, b = (np.array(draw(st.lists(weight, min_size=n, max_size=n))) for _ in range(2))
     if draw(st.booleans()):
@@ -267,9 +272,14 @@ def test_antipodal_point_masses_on_circle(circle64, monkeypatch):
     assert d == pytest.approx(circle64.dist[0, 32], rel=1e-12)
     assert plan.coupling[0, 32] == 1.0
     plan.check(circle64)
-    no_cells = np.array([], dtype=int)
-    monkeypatch.setattr(transport, "_staircase", lambda a, b: (no_cells, no_cells, None))
-    assert transport._shortlist_plan(circle64, a, b) is None
+    nearest = np.zeros((64, 64), dtype=bool)
+    k = transport._NEAREST
+    nearest[np.arange(64).repeat(k),
+            np.argpartition(circle64.dist_sq, k - 1, axis=1)[:, :k].ravel()] = True
+    nearest |= nearest.T
+    assert not nearest[0, 32]
+    res = transport._transport_lp(circle64, a, b, *np.nonzero(nearest))
+    assert res.status == 2  # infeasible
 
 
 def test_brute_force_matches_lp_small():

@@ -1,0 +1,172 @@
+"""Run a fixed list of CLI commands in two checkouts and compare the artifacts.
+
+    python3 tools/artifact_diff.py PARENT_ROOT CHANGE_ROOT [--work DIR]
+
+Each ROOT is a repository root holding ``src/lenspace``.  Every command of
+``CASES`` runs in a fresh interpreter with ``PYTHONPATH=<ROOT>/src``, from
+the side's own work directory, so that relative paths (and the saved space
+and marginal files the later commands read) are the same on both sides.
+Each command writes into its own output directory, named after the case.
+
+Every artifact is compared byte for byte.  ``run.json`` is compared as
+JSON without ``wall_time_s`` and the ``out_dir`` echo.  A JSON file that
+differs only in its ``space.id`` value is marked as such.  One line is
+printed per file that is not identical, then a summary.  The exit code is
+0 when every file is identical (and every command exits with the same
+code on both sides), else 1.  The work directory is a temporary one that
+is removed at the end, unless ``--work`` names one to keep.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+SIDES = ("parent", "change")
+# a Gamma(1) marginal on torus2d:8:8 (64 points), written by prepare() on
+# both sides with the same bytes
+TORUS_MARGINAL = "mu_torus8.csv"
+
+# (name, argv); a name is also the case's output directory
+CASES = [
+    ("gen-circle", ["gen", "--spec", "circle:256:6.2832"]),
+    ("gen-gauss", ["gen", "--spec", "gauss:81:1:4"]),
+    ("gen-torus", ["gen", "--spec", "torus2d:24:24"]),
+    ("gen-path", ["gen", "--spec", "path:64"]),
+    ("gen-complete", ["gen", "--spec", "complete:9"]),
+    ("gen-torus-file", ["gen", "--spec", "gen-torus/space.json"]),
+    ("semigroup-circle1024", ["semigroup", "--space", "circle:1024", "--field", "cos"]),
+    ("semigroup-refine", ["semigroup", "--space", "circle:128", "--refinements", "3"]),
+    ("semigroup-residual", ["semigroup", "--space", "circle:64", "--field", "random",
+                            "--residual-study", "0.3:0.1:4", "--refinements", "1"]),
+    ("semigroup-gauss", ["semigroup", "--space", "gauss:41:1:4", "--field", "coordinate",
+                         "--refinements", "2", "--seed", "3"]),
+    ("constants", ["constants", "--space", "gauss:81:1:4"]),
+    ("constants-which", ["constants", "--space", "gauss:81:1:4", "--which", "lsi,poincare"]),
+    ("chain", ["chain", "--space", "gauss:81:1:4", "--K", "0.9"]),
+    ("transport-gauss", ["transport", "--space", "gauss:81:1:4", "--mu0", "tilt:1",
+                         "--mu1", "nu"]),
+    ("transport-path", ["transport", "--space", "path:64", "--mu0", "point:0", "--mu1", "nu"]),
+    ("transport-circle", ["transport", "--space", "circle:64", "--mu0", "point:0",
+                          "--mu1", "nu"]),
+    ("transport-complete", ["transport", "--space", "complete:9", "--mu0", "point:0",
+                            "--mu1", "nu"]),
+    ("transport-torus", ["transport", "--space", "torus2d:8:8", "--mu0", TORUS_MARGINAL,
+                         "--mu1", "nu"]),
+    ("transport-torus-file", ["transport", "--space", "gen-torus/space.json",
+                              "--mu0", "point:0", "--mu1", "nu"]),
+    ("doubling", ["doubling", "--space", "torus2d:12:12", "--r-min", "0.4", "--r-max", "1.0",
+                  "--field", "cos", "--radius", "0.6"]),
+    ("plot-psi", ["plot-data", "--report", "chain/chain.json", "--kind", "psi"]),
+    ("plot-defect", ["plot-data", "--report", "semigroup-refine/semigroup.json",
+                     "--kind", "defect_vs_mesh"]),
+]
+
+
+def prepare(work: str):
+    weights = np.random.default_rng(8).gamma(1.0, size=64)
+    with open(os.path.join(work, TORUS_MARGINAL), "w") as fh:
+        fh.write("index,value\n")
+        for i, w in enumerate(weights):
+            fh.write(f"{i},{w:.17g}\n")
+
+
+def run_cases(root: str, work: str) -> dict:
+    """Run every case from work with root's package; returns name -> exit code."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(root), "src"))
+    codes = {}
+    for name, argv in CASES:
+        proc = subprocess.run([sys.executable, "-m", "lenspace.cli", "--out-dir", name, *argv],
+                              cwd=work, env=env, capture_output=True, text=True, timeout=600)
+        codes[name] = proc.returncode
+        if proc.returncode not in (0, 1):
+            print(f"{root}: {name} exited {proc.returncode}: {proc.stderr.strip()}",
+                  file=sys.stderr)
+    return codes
+
+
+def _load(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def compare_file(a: str, b: str) -> str:
+    """'identical', 'space.id' (a JSON file that differs only there) or 'differs'."""
+    with open(a, "rb") as fa, open(b, "rb") as fb:
+        if fa.read() == fb.read():
+            return "identical"
+    if not a.endswith(".json"):
+        return "differs"
+    da, db = _load(a), _load(b)
+    if os.path.basename(a) == "run.json":
+        for doc in (da, db):
+            doc.pop("wall_time_s", None)
+            doc.get("config", {}).pop("out_dir", None)
+        if da == db:
+            return "identical"
+    for doc in (da, db):
+        if isinstance(doc.get("space"), dict):
+            doc["space"].pop("id", None)
+    return "space.id" if da == db else "differs"
+
+
+def compare(parent_work: str, change_work: str) -> dict:
+    """Relative path -> verdict, for every artifact on either side."""
+    verdicts = {}
+    for name, _ in CASES:
+        found = set()
+        for work in (parent_work, change_work):
+            out = os.path.join(work, name)
+            if os.path.isdir(out):
+                found |= {os.path.join(name, f) for f in os.listdir(out)}
+        for rel in sorted(found):
+            a, b = os.path.join(parent_work, rel), os.path.join(change_work, rel)
+            if not (os.path.exists(a) and os.path.exists(b)):
+                verdicts[rel] = "only in " + ("parent" if os.path.exists(a) else "change")
+            else:
+                verdicts[rel] = compare_file(a, b)
+    return verdicts
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent_root")
+    parser.add_argument("change_root")
+    parser.add_argument("--work", help="keep the outputs here (default: a temporary directory)")
+    args = parser.parse_args(argv)
+    work = args.work or tempfile.mkdtemp(prefix="artifact_diff_")
+    try:
+        codes = {}
+        for side, root in zip(SIDES, (args.parent_root, args.change_root)):
+            os.makedirs(os.path.join(work, side), exist_ok=True)
+            prepare(os.path.join(work, side))
+            codes[side] = run_cases(root, os.path.join(work, side))
+        verdicts = compare(os.path.join(work, "parent"), os.path.join(work, "change"))
+    finally:
+        if not args.work:
+            shutil.rmtree(work, ignore_errors=True)
+    bad = 0
+    for name, _ in CASES:
+        if codes["parent"][name] != codes["change"][name]:
+            bad += 1
+            print(f"{name}: exit code {codes['parent'][name]} -> {codes['change'][name]}")
+    for rel, verdict in verdicts.items():
+        if verdict != "identical":
+            bad += 1
+            print(f"{rel}: {'differs only in space.id' if verdict == 'space.id' else verdict}")
+    same = sum(v == "identical" for v in verdicts.values())
+    only_id = sum(v == "space.id" for v in verdicts.values())
+    print(f"{len(CASES)} commands, {len(verdicts)} files: {same} identical, "
+          f"{only_id} differ only in space.id, {len(verdicts) - same - only_id} differ otherwise")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
