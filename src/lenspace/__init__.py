@@ -9,14 +9,14 @@ from .hopflax import SemigroupTrace, apply, hj_forward_residual, \
 from .inequalities import ChainReport, ConstantEstimate, dual_talagrand_defect, \
     entropy_functional, estimate_constant, lsi_ratio, phi_trace, poincare_ratio, \
     psi_trace, talagrand_ratio, verify_chain
-from .space import MeasuredSpace, ScalarField, ball, build_from_graph, \
+from .space import MeasuredSpace, ScalarField, build_from_graph, \
     doubling_constant, local_poincare_constant, make_field, validate_metric
 from .transport import TransportPlan, w2
 
 __all__ = [
     "MeasuredSpace", "ScalarField", "SemigroupTrace", "SpaceSpec",
     "TransportPlan", "ChainReport", "ConstantEstimate",
-    "apply", "ball", "build_from_graph",
+    "apply", "build_from_graph",
     "doubling_constant", "dual_talagrand_defect", "entropy_functional",
     "estimate_constant", "generate", "hj_forward_residual",
     "lipschitz_constant", "load_space", "local_poincare_constant",

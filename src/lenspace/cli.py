@@ -136,6 +136,11 @@ def _cmd_gen(args: argparse.Namespace):
 
 
 def _cmd_semigroup(args: argparse.Namespace):
+    if args.refinements < 0:
+        raise ValueError(f"--refinements must be >= 0, got {args.refinements}")
+    for flag, t in (("--defect-t", args.defect_t), ("--defect-s", args.defect_s)):
+        if not 0 < t < math.inf:  # written so NaN fails
+            raise ValueError(f"{flag} must be positive and finite, got {t}")
     spec, space = _load_space(args.space)
     f = resolve_field(space, args.field, args.seed)
     times = _parse_times(args.times)
@@ -209,7 +214,7 @@ _REPRODUCIBILITY = 1e-9
 
 def _cmd_constants(args: argparse.Namespace):
     names = ("lsi", "talagrand", "poincare") if args.which == "all" else \
-        tuple(_canon(w.strip()) for w in args.which.split(","))
+        tuple(dict.fromkeys(_canon(w.strip()) for w in args.which.split(",")))
     K = None if args.K is None else _check_K(args.K)
     _, space = _load_space(args.space)
     family = default_witness_family(space, args.seed)
@@ -458,7 +463,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--mu0", required=True)
     p.add_argument("--mu1", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="transport.json")
 
     p = sub.add_parser("doubling", parents=[common], help="doubling constant and regularity report")

@@ -182,8 +182,6 @@ def save_space(space: MeasuredSpace, path: str):
         "edges": [list(e) for e in zip(rows.tolist(), cols.tolist(), lengths.tolist())],
         "measure": space.measure.tolist(),
     }
-    if space.labels is not None:
-        doc["labels"] = list(space.labels)
     if space.coords is not None:
         doc["coords"] = space.coords.tolist()
     if space.kind != "custom":
@@ -199,7 +197,8 @@ def load_space(path: str) -> MeasuredSpace:
     """Load a space saved by save_space or written by hand.
 
     Required keys: n, edges (triples [i, j, length]), measure.  Optional:
-    labels, coords, kind, params.
+    coords, kind, params; null counts as left out.  Any other key (such
+    as the labels older files carry) is ignored.
     """
     try:
         with open(path) as fh:
@@ -240,14 +239,13 @@ def load_space(path: str) -> MeasuredSpace:
         kind="custom" if doc.get("kind") is None else doc["kind"],
         params=doc.get("params"),
         coords=doc.get("coords"),
-        labels=doc.get("labels"),
     )
 
 
 # the type of each key of a space file but n; load_space checks the
 # entries of edges, measure and coords
-_FILE_TYPES = {"edges": list, "measure": list, "labels": list, "coords": list,
-               "kind": str, "params": dict}
+_FILE_TYPES = {"edges": list, "measure": list, "coords": list, "kind": str,
+               "params": dict}
 
 
 def _is_int(x) -> bool:

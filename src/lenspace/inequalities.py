@@ -67,15 +67,18 @@ def entropy_functional(space: MeasuredSpace, F: ScalarField) -> float:
     return float((p[pos] * np.log(p[pos])) @ space.measure[pos])
 
 
+def _entropy_and_mass(space: MeasuredSpace, F: ScalarField) -> tuple:
+    # |F| constant up to rounding is refused: exact transport then returns a
+    # rounding-level distance (~1e-8), no more informative than the entropy
+    ent = entropy_functional(space, F)
+    if ent <= 1e-12:
+        raise DegenerateWitnessError("witness carries no information: entropy of F^2 vanishes")
+    return ent, float(F.values ** 2 @ space.measure)
+
+
 def lsi_ratio(space: MeasuredSpace, f: ScalarField) -> float:
     """Largest K for which f satisfies the log-Sobolev inequality."""
-    vals = check_binding(space, f)
-    ent = entropy_functional(space, f)
-    if ent <= 1e-12:
-        raise DegenerateWitnessError(
-            "witness carries no information: entropy of f^2 vanishes"
-        )
-    mass = float(vals ** 2 @ space.measure)
+    ent, mass = _entropy_and_mass(space, f)
     slope = subgrad_norm_field(space, f)
     dirichlet = float(slope ** 2 @ space.measure) / mass
     return 2.0 * dirichlet / ent
@@ -83,18 +86,8 @@ def lsi_ratio(space: MeasuredSpace, f: ScalarField) -> float:
 
 def talagrand_ratio(space: MeasuredSpace, F: ScalarField) -> float:
     """Largest K for which F satisfies the Talagrand inequality."""
-    vals = check_binding(space, F)
-    mass = float(vals ** 2 @ space.measure)
-    if mass <= 0:
-        raise DegenerateWitnessError("witness carries no information: F vanishes nu-a.e.")
-    ent = entropy_functional(space, F)
-    if ent <= 1e-12:
-        # |F| constant up to rounding: exact transport then returns a
-        # rounding-level distance (~1e-8), no more informative than ent
-        raise DegenerateWitnessError(
-            "witness carries no information: entropy of F^2 vanishes"
-        )
-    target = vals ** 2 * space.measure / mass
+    ent, mass = _entropy_and_mass(space, F)
+    target = F.values ** 2 * space.measure / mass
     distance, _ = w2(space, target, space.measure)
     if distance <= 1e-12:
         raise DegenerateWitnessError(
@@ -149,6 +142,8 @@ def default_witness_family(space: MeasuredSpace, seed: int = 0,
     (they realize the Gaussian extremals); eigenfields and random fields
     work everywhere.
     """
+    if n_random < 0:
+        raise ValueError(f"n_random must be >= 0, got {n_random}")
     family = []
     if (space.coords is not None and space.coords.shape[1] == 1
             and space.kind not in ("circle", "torus2d")):
@@ -162,11 +157,18 @@ def default_witness_family(space: MeasuredSpace, seed: int = 0,
     return family
 
 
-def _members(family) -> list:
-    members = [(str(label), f) for label, f in family]
-    if not members:
+def _ratios(space: MeasuredSpace, ratio_fn, family) -> list:
+    """(label, field, ratio) per family member; ratio None when degenerate."""
+    out = []
+    for label, f in family:
+        try:
+            r = float(ratio_fn(space, f))
+        except DegenerateWitnessError:
+            r = None
+        out.append((str(label), f, r))
+    if not out:
         raise ValueError("witness family is empty")
-    return members
+    return out
 
 
 def _check_K(K: float) -> float:
@@ -226,13 +228,11 @@ def estimate_constant(space: MeasuredSpace, which: str, family=None,
         budget = DEFAULT_BUDGETS[which]
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    members = _members(default_witness_family(space, seed) if family is None else family)
+    family = default_witness_family(space, seed) if family is None else family
     best = None
     evaluations = []
-    for idx, (label, f) in enumerate(members):
-        try:
-            r0 = ratio_fn(space, f)
-        except DegenerateWitnessError:
+    for idx, (label, f, r0) in enumerate(_ratios(space, ratio_fn, family)):
+        if r0 is None:
             evaluations.append((label, None))
             continue
         f1, r1 = _refine_witness(space, ratio_fn, f, r0, budget,
@@ -349,38 +349,26 @@ class ChainReport:
 def verify_chain(space: MeasuredSpace, K: float, family, tau: float) -> ChainReport:
     """Check LSI => T => P witness-wise with (1 - tau) slack per stage.
 
-    family is a list of (label, field) pairs; every stage tests all of them.
+    family is an iterable of (label, field) pairs.  Stage k of lsi,
+    talagrand, poincare tests every member against K (1 - tau)^k (a
+    degenerate member passes); the walk stops at the first failing stage.
     """
     K = _check_K(K)
     tau = float(tau)
     if not (0 < tau < 1):
         raise ValueError(f"tau must be in (0, 1), got {tau}")
-    members = _members(family)
+    family = list(family)  # every stage reads it
 
     checks = []
-
-    def run_stage(stage: str, threshold: float) -> bool:
-        ratio_fn = _RATIOS[stage]
-        clean = True
-        for label, f in members:
-            try:
-                r = ratio_fn(space, f)
-            except DegenerateWitnessError:
-                checks.append(ChainCheck(stage, label, None, threshold, True))
-                continue
-            ok = r >= threshold
-            checks.append(ChainCheck(stage, label, float(r), threshold, ok))
-            clean = clean and ok
-        return clean
-
-    hypothesis_ok = run_stage("lsi", K * (1 - tau))
-    counterexample = None
-    if hypothesis_ok:
-        if run_stage("talagrand", K * (1 - tau) ** 2):
-            run_stage("poincare", K * (1 - tau) ** 3)
-    failures = [c for c in checks if not c.passed and c.stage != "lsi"]
-    if failures:
-        counterexample = failures[0]
+    for k, stage in enumerate(_RATIOS, start=1):
+        threshold = K * (1 - tau) ** k
+        for label, _, r in _ratios(space, _RATIOS[stage], family):
+            checks.append(ChainCheck(stage, label, r, threshold, r is None or r >= threshold))
+        failed = next((c for c in checks if not c.passed), None)
+        if failed is not None:
+            break
+    hypothesis_ok = failed is None or failed.stage != "lsi"
+    counterexample = failed if hypothesis_ok else None
     consistent = counterexample is None
     if not hypothesis_ok:
         verdict = f"hypothesis LSI({K:g}) fails on this space; implications untested"

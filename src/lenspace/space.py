@@ -27,7 +27,10 @@ class MeasuredSpace:
     vector, edges the generating graph as read-only arrays (rows, cols,
     lengths), one entry per undirected edge with row < col, sorted by
     (row, col).  mesh_h is the largest distance from a point to its
-    nearest distinct point.  midpoint_defect is
+    nearest distinct point.  kind, params and coords describe the
+    generator geometry that fields and witness families read.  space_id
+    hashes n, dist, measure, edges, kind, params and coords, so equal
+    ids mean equal inputs to every computation.  midpoint_defect is
 
         max_{x,y} min_z | max(d(x,z), d(z,y)) - d(x,y)/2 |
 
@@ -44,7 +47,6 @@ class MeasuredSpace:
     kind: str = "custom"
     params: dict = field(default_factory=dict)
     coords: np.ndarray | None = None
-    labels: list | None = None
 
     @cached_property
     def dist_sq(self) -> np.ndarray:
@@ -127,8 +129,7 @@ def _max_midpoint_defect(dist: np.ndarray) -> float:
 
 
 def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
-                     params: dict | None = None, coords=None,
-                     labels=None) -> MeasuredSpace:
+                     params: dict | None = None, coords=None) -> MeasuredSpace:
     """Construct a space from an undirected weighted graph.
 
     edges is an iterable of (i, j, length) with 0 <= i, j < n, i != j and
@@ -193,10 +194,6 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
         if coords.shape[0] != n:
             raise ValueError(f"coords have {coords.shape} entries, expected n={n}")
         coords.flags.writeable = False
-    if labels is not None:
-        labels = [str(s) for s in labels]
-        if len(labels) != n:
-            raise ValueError(f"{len(labels)} labels for {n} points")
     params = dict(params or {})
 
     digest = hashlib.sha256()
@@ -227,7 +224,6 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
         kind=kind,
         params=params,
         coords=coords,
-        labels=labels,
     )
 
 
@@ -265,15 +261,6 @@ def validate_metric(space: MeasuredSpace, tol: float = 1e-9) -> MetricReport:
         tol=tol,
         passed=passed,
     )
-
-
-def ball(space: MeasuredSpace, center: int, radius: float) -> np.ndarray:
-    """Indices of the closed ball around a point."""
-    if not (0 <= center < space.n):
-        raise ValueError(f"center {center} outside 0..{space.n - 1}")
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
-    return np.flatnonzero(space.dist[center] <= radius)
 
 
 def doubling_constant(space: MeasuredSpace, r_min: float, r_max: float,

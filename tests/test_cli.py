@@ -91,7 +91,6 @@ _GOOD_FILE = {"n": 2, "edges": [[0, 1, 1.0]], "measure": [0.5, 0.5]}
     ({"n": True}, "bad n=True"),
     ({"measure": {"a": 1}}, "measure must be a list"),
     ({"edges": 5}, "edges must be a list"),
-    ({"labels": 7}, "labels must be a list"),
     ({"params": [1]}, "params must be a dict"),
     ({"kind": 5}, "kind must be a str"),
     ({"edges": [[0, 1, None]]}, "each edge must be [i, j, length]"),
@@ -99,7 +98,7 @@ _GOOD_FILE = {"n": 2, "edges": [[0, 1, 1.0]], "measure": [0.5, 0.5]}
     ({"edges": [[0, 1, True]]}, "each edge must be [i, j, length]"),
     ({"measure": [{}, 1]}, "measure must hold numbers only"),
     ({"coords": [{}, {}]}, "coords must hold numbers or lists of numbers"),
-], ids=["n-bool", "measure-object", "edges-int", "labels-int", "params-list",
+], ids=["n-bool", "measure-object", "edges-int", "params-list",
         "kind-int", "length-null", "index-float", "length-bool", "measure-entry",
         "coords-entry"])
 def test_malformed_space_file_exit2(tmp_path, capsys, change, words):
@@ -206,6 +205,19 @@ def test_constants_which_alias(tmp_path):
     assert (tmp_path / "witness_talagrand.csv").exists()
 
 
+@pytest.mark.parametrize("which, names", [
+    ("lsi,lsi", ["lsi"]), ("t,talagrand", ["talagrand"]),
+    ("poincare,lsi,p", ["poincare", "lsi"])])
+def test_constants_which_repeats_listed_once(tmp_path, which, names):
+    # a repeated name used to be estimated, listed and written once per mention
+    code = main(["--out-dir", str(tmp_path), "constants", "--space", "path:8",
+                 "--which", which, "--budget", "1"])
+    assert code == 0
+    assert [w["which"] for w in _read(tmp_path / "constants.json")["witnesses"]] == names
+    assert _read(tmp_path / "run.json")["artifacts"] == ["constants.json"] + [
+        f"witness_{name}.csv" for name in names]
+
+
 def test_constants_unknown_which_exit2(tmp_path, capsys):
     code = main(["--out-dir", str(tmp_path), "constants", "--space", "path:16",
                  "--which", "lsi,foo"])
@@ -283,6 +295,37 @@ def test_nonfinite_inputs_exit2(tmp_path, capsys, argv, words):
     assert words in err
     assert len(err.strip().splitlines()) == 1
     assert not any(p.suffix == ".json" for p in tmp_path.iterdir())
+
+
+_SEMI8 = ["semigroup", "--space", "circle:8", "--times", "0.5"]
+
+
+@pytest.mark.parametrize("argv, words", [
+    (_SEMI8 + ["--refinements", "-3"], "--refinements must be >= 0, got -3"),
+    (_CHAIN8 + ["--n-random", "-5"], "n_random must be >= 0, got -5"),
+    (_SEMI8 + ["--defect-t", "-1"], "--defect-t must be positive and finite"),
+    (_SEMI8 + ["--defect-s", "nan"], "--defect-s must be positive and finite"),
+    (_SEMI8 + ["--defect-t", "inf", "--refinements", "1"],
+     "--defect-t must be positive and finite"),
+], ids=["refinements-negative", "n-random-negative", "defect-t-negative",
+        "defect-s-nan", "defect-t-inf"])
+def test_bad_counts_and_defect_times_exit2(tmp_path, capsys, argv, words):
+    # each of these used to exit 0: a negative count ran as zero, and the
+    # defect times went unread without refinements
+    assert main(["--out-dir", str(tmp_path)] + argv) == 2
+    err = capsys.readouterr().err
+    assert words in err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_transport_has_no_seed_flag(tmp_path, capsys):
+    # transport reads no randomness, so it takes no --seed
+    assert main(["--out-dir", str(tmp_path), "transport", "--space", "path:8",
+                 "--mu0", "nu", "--mu1", "nu", "--seed", "1"]) == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_huge_K_refutes_with_strict_json(tmp_path):
@@ -592,8 +635,7 @@ _OPTIONS = {
               "--n-random": _SMALL, "--trace-fields": _SMALL,
               "--psi-times": _TIMES, "--phi-times": _TIMES,
               "--psi-tol": _NUM, "--phi-tol": _NUM},
-    "transport": {"--space": _SPACE, "--mu0": _MARGINAL, "--mu1": _MARGINAL,
-                  "--seed": _N},
+    "transport": {"--space": _SPACE, "--mu0": _MARGINAL, "--mu1": _MARGINAL},
     "plot-data": {"--report": _REPORT, "--kind": st.sampled_from(
         ["psi", "phi", "residual_vs_s", "defect_vs_mesh", "x"])},
 }
@@ -644,6 +686,8 @@ def fuzz_out(tmp_path_factory):
 @example(argv=_CHAIN8 + ["--phi-tol", "-1"])
 @example(argv=["chain", "--space", "path:8", "--K", "1e308", "--trace-fields", "1"])
 @example(argv=["gen", "--spec", "path:64:2.0"])
+@example(argv=["transport", "--space", "path:8", "--mu0", "nu", "--mu1", "nu",
+               "--seed", "1"])
 @settings(max_examples=300, deadline=None)
 def test_cli_fuzz_exit_codes(fuzz_out, argv):
     err = io.StringIO()

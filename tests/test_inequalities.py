@@ -10,6 +10,7 @@ from lenspace import (dual_talagrand_defect, entropy_functional,
                       poincare_ratio, psi_trace, talagrand_ratio, verify_chain)
 from lenspace import generate as _generate, parse_space_spec as _parse
 from lenspace.fields import random_smoothed_field, tilt_field
+from lenspace import inequalities
 from lenspace.inequalities import (DegenerateWitnessError,
                                    default_witness_family,
                                    laplacian_eigenfields)
@@ -285,6 +286,28 @@ def test_verify_chain_degenerate_witness_passes_as_no_information(two_point):
     assert all(c.ratio is None for c in rep.checks if c.witness_label == "c")
     assert all(c.passed for c in rep.checks)
     assert rep.consistent
+
+
+@pytest.mark.parametrize("stage", ["talagrand", "poincare"])
+def test_verify_chain_counterexample_at_later_stage(two_point, monkeypatch, stage):
+    # an implication stage whose ratio falls below its threshold is a
+    # counterexample; the walk stops there and the hypothesis stands
+    monkeypatch.setitem(inequalities._RATIOS, stage, lambda space, f: 1e-12)
+    F = _sqrt2_bump(two_point)
+    rep = verify_chain(two_point, 1e-6, [("F", F)], 0.05)
+    stages = list(inequalities._RATIOS)
+    assert [c.stage for c in rep.checks] == stages[:stages.index(stage) + 1]
+    assert [c.threshold for c in rep.checks] == [
+        1e-6 * (1 - 0.05) ** k for k in range(1, len(rep.checks) + 1)]
+    assert rep.counterexample == rep.checks[-1]
+    assert rep.counterexample.stage == stage and rep.counterexample.ratio == 1e-12
+    assert not rep.hypothesis_refuted and not rep.consistent
+    assert f"counterexample at stage {stage}" in rep.verdict
+
+
+def test_default_witness_family_rejects_negative_n_random(circle64):
+    with pytest.raises(ValueError, match="n_random must be >= 0, got -1"):
+        default_witness_family(circle64, n_random=-1)
 
 
 def test_default_witness_family_label_kinds(gauss101, circle64):

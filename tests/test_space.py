@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from lenspace import (ball, build_from_graph, doubling_constant,
+from lenspace import (build_from_graph, doubling_constant,
                       local_poincare_constant, make_field, validate_metric)
+from lenspace import generate as _generate, parse_space_spec as _parse
 
 
 def test_two_point_distances(two_point):
@@ -126,6 +127,21 @@ def test_space_id_covers_kind_and_coords(tmp_path):
         assert load_space(str(tmp_path / "s.json")).space_id == space.space_id
 
 
+def test_space_file_labels_key_is_ignored(tmp_path):
+    # files may carry per-point labels; nothing reads them, so neither the
+    # space nor its id depends on them
+    import json
+    from lenspace.generators import load_space
+    doc = {"n": 3, "edges": [[0, 1, 1.0], [1, 2, 2.0]], "measure": [1.0, 2.0, 1.0],
+           "coords": [0.0, 1.0, 3.0], "kind": "path", "params": {"n": 3}}
+    ids = []
+    for extra in ({}, {"labels": ["a", "b", "c"]}, {"labels": 7}):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(dict(doc, **extra)))
+        ids.append(load_space(str(path)).space_id)
+    assert ids[0] == ids[1] == ids[2]
+
+
 def test_space_id_covers_params():
     # a circle whose length differs only in params gets another cos field,
     # so it must get another id; the order of the keys does not matter
@@ -206,35 +222,6 @@ def test_half_loop_triangle_check_matches_full_loop(circle64, gauss101, torus8):
         _generate(_parse(spec)) for spec in ("path:7", "complete:6", "torus2d:3:5")]
     for g in spaces:
         assert validate_metric(g).triangle_violation == full_triangle_violation(g.dist)
-
-
-def test_ball_is_closed_and_contains_center(circle64):
-    assert list(ball(circle64, 3, 0.0)) == [3]
-    step = 2 * math.pi / 64
-    # radius exactly one step picks up both neighbours (closed ball)
-    assert sorted(ball(circle64, 3, step)) == [2, 3, 4]
-
-
-def test_ball_four_cycle_radius_one():
-    g = build_from_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)],
-                         np.ones(4), 4)
-    assert sorted(ball(g, 0, 1.0)) == [0, 1, 3]
-
-
-def test_ball_full_space_at_diameter(circle64):
-    assert len(ball(circle64, 0, circle64.diameter)) == circle64.n
-
-
-# hypothesis cannot see session fixtures; build one small space at module scope
-from lenspace import generate as _generate, parse_space_spec as _parse
-_CIRCLE64 = _generate(_parse("circle:64"))
-
-
-@given(st.integers(0, 63), st.floats(0.0, 7.0), st.floats(0.0, 7.0))
-@settings(max_examples=60, deadline=None)
-def test_ball_monotone_in_radius(x, r1, r2):
-    lo, hi = sorted((r1, r2))
-    assert np.isin(ball(_CIRCLE64, x, lo), ball(_CIRCLE64, x, hi)).all()
 
 
 def test_doubling_constant_unit_circle_frozen():

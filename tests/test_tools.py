@@ -1,0 +1,64 @@
+import argparse
+import importlib.util
+import json
+import os
+
+import pytest
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "bench_entry", os.path.join(_ROOT, "tools", "bench_entry.py"))
+bench_entry = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_entry)
+
+_METRICS = ("job_s", "main_s", "setup_s", "peak_rss_mb")
+
+
+def _line(side, seed, value, workload="ineq-gauss"):
+    # one runs-file line as record writes it
+    return {"side": side, "workload": workload, "seed": seed, "trace": 0,
+            "position": 0 if side == "parent" else 1,
+            "src_lines": 2094 if side == "parent" else 2065,
+            "result": {"correct": True,
+                       "metrics": {m: {"value": value} for m in _METRICS}}}
+
+
+def _summarize(tmp_path, lines):
+    runs = tmp_path / "runs.jsonl"
+    runs.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    out = tmp_path / "bench.json"
+    bench_entry.summarize(argparse.Namespace(runs=str(runs), out=str(out), extra=None))
+    return json.loads(out.read_text())
+
+
+def _batch(seeds):
+    return [_line(side, seed, float(seed) + (0.5 if side == "parent" else 0.0))
+            for seed in seeds for side in ("parent", "change")]
+
+
+def test_two_record_batches_give_every_pair(tmp_path):
+    # a second record call into the same runs file used to overwrite the
+    # first call's pairs, because both numbered their pairs from 0
+    entry = _summarize(tmp_path, _batch(range(41, 47)) + _batch(range(47, 51)))
+    out = entry["workloads"]["ineq-gauss"]
+    assert out["pairs"] == 10
+    assert out["seeds"] == list(range(41, 51))
+    job = out["metrics"]["job_s"]
+    assert job["parent"]["values"] == [s + 0.5 for s in range(41, 51)]
+    assert job["change"]["values"] == [float(s) for s in range(41, 51)]
+    assert job["change_wins"] == 10
+    assert entry["src_lines"] == {"parent": 2094, "change": 2065}
+
+
+def test_duplicated_run_line_is_an_error(tmp_path):
+    lines = _batch(range(41, 47)) + _batch(range(45, 47))
+    with pytest.raises(SystemExit, match="parent ineq-gauss seed 45 trace 0 occurs twice"):
+        _summarize(tmp_path, lines)
+
+
+def test_same_seed_in_another_workload_is_its_own_pair(tmp_path):
+    lines = _batch([41]) + [_line(side, 41, 1.0, "semigroup-circle")
+                            for side in ("parent", "change")]
+    entry = _summarize(tmp_path, lines)
+    assert {w: v["pairs"] for w, v in entry["workloads"].items()} == {
+        "ineq-gauss": 1, "semigroup-circle": 1}

@@ -8,18 +8,21 @@
 ``record`` runs ``perfbench/run.py`` once per seed in each of two
 checkouts (DIR is a repository root holding ``src/`` and ``perfbench/``),
 one run at a time, alternating which side runs first, and appends one
-JSON line per run to the runs file: side, workload, seed, pair, position
+JSON line per run to the runs file: side, workload, seed, trace, position
 in the pair, the line count of that checkout's ``src/lenspace/*.py``, and
-run.py's result line.  The run length is BENCHMARK.json's
-``run_seconds`` for ``--trace 0`` and 1 second for ``--trace 1``.
+run.py's result line.  Several calls may append to one runs file.  The
+run length is BENCHMARK.json's ``run_seconds`` for ``--trace 0`` and 1
+second for ``--trace 1``.
 
-``summarize`` turns a runs file into one entry: for each workload and
-each end-to-end metric, both sides' median, quartiles (as
-``statistics.quantiles(values, n=4)`` gives them) and values, the seeds,
-the pair count and the pairs the change won; for traced runs, each
-side's per-layer values; and each side's ``src/lenspace/`` line count
-under ``"src_lines"``.  ``--extra`` merges a JSON object of hand-measured
-figures under ``"extra"``.
+``summarize`` turns a runs file into one entry.  A pair is the two
+sides' runs of one seed of one workload at one trace setting; a
+(side, workload, seed, trace) that occurs twice is an error.  For each
+workload and each end-to-end metric it gives both sides' median,
+quartiles (as ``statistics.quantiles(values, n=4)`` gives them) and
+values, the seeds, the pair count and the pairs the change won; for
+traced runs, each side's per-layer values; and each side's
+``src/lenspace/`` line count under ``"src_lines"``.  ``--extra`` merges
+a JSON object of hand-measured figures under ``"extra"``.
 """
 
 from __future__ import annotations
@@ -59,8 +62,8 @@ def record(args) -> int:
     seconds = _bench()["run_seconds"] if args.trace == 0 else 1
     roots = {"parent": args.parent, "change": args.change}
     src_lines = {side: _src_lines(root) for side, root in roots.items()}
-    for pair, seed in enumerate(_seeds(args.seeds)):
-        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+    for index, seed in enumerate(_seeds(args.seeds)):
+        order = SIDES if index % 2 == 0 else SIDES[::-1]
         for position, side in enumerate(order):
             proc = subprocess.run(
                 [sys.executable, "perfbench/run.py", "--workload", args.workload,
@@ -73,7 +76,7 @@ def record(args) -> int:
                 print(f"{side} {args.workload} seed {seed}: failed\n{proc.stderr}",
                       file=sys.stderr)
             line = {"side": side, "workload": args.workload, "seed": seed,
-                    "trace": args.trace, "pair": pair, "position": position,
+                    "trace": args.trace, "position": position,
                     "src_lines": src_lines[side], "result": result}
             with open(args.runs, "a") as fh:
                 fh.write(json.dumps(line) + "\n")
@@ -91,6 +94,13 @@ def _spread(values: list) -> dict:
 def summarize(args) -> int:
     with open(args.runs) as fh:
         runs = [json.loads(line) for line in fh if line.strip()]
+    seen = set()
+    for r in runs:
+        key = (r["side"], r["workload"], r["seed"], r["trace"])
+        if key in seen:
+            raise SystemExit(f"{args.runs}: {r['side']} {r['workload']} seed {r['seed']} "
+                             f"trace {r['trace']} occurs twice")
+        seen.add(key)
     better = {m["name"]: m["better"] for m in _bench()["end_to_end"]}
     lines = {s: {r["src_lines"] for r in runs if r["side"] == s} for s in SIDES}
     if any(len(v) != 1 for v in lines.values()):
@@ -101,9 +111,9 @@ def summarize(args) -> int:
         out = {}
         plain = [r for r in mine if r["trace"] == 0]
         if plain:
-            pairs = sorted({r["pair"] for r in plain})
-            by = {(r["side"], r["pair"]): r["result"] for r in plain}
-            out["seeds"] = sorted({r["seed"] for r in plain})
+            by = {(r["side"], r["seed"]): r["result"] for r in plain}
+            pairs = sorted({r["seed"] for r in plain})
+            out["seeds"] = pairs
             out["pairs"] = len(pairs)
             out["all_correct"] = all(r["result"] and r["result"]["correct"] for r in plain)
             out["metrics"] = {}
