@@ -2,9 +2,9 @@
 constant estimation, chain verification, transport, and plot-data export.
 
 Every run writes its artifacts plus a run.json manifest (config echo,
-version, seed, wall time) into the output directory.  Artifacts are
-byte-deterministic given the same config and seed; the manifest is not
-(it records wall time).  Exit codes: 0 all checks pass, 1 a mathematical
+version, exit code, wall time) into the output directory.  Artifacts are
+byte-deterministic given the same config, seed included; the manifest is
+not (it records wall time).  Exit codes: 0 all checks pass, 1 a mathematical
 check failed (invariant violation, chain counterexample, refuted
 hypothesis, trace above tolerance), 2 usage or input error.
 """
@@ -185,13 +185,14 @@ def _cmd_semigroup(args: argparse.Namespace):
             raise ValueError("defect study needs a named field spec, not a CSV file")
         dt, ds = args.defect_t, args.defect_s
         defect_rows = []
-        level_spec = spec
-        for _ in range(args.refinements + 1):
-            level_space = generate(level_spec)
-            level_field = resolve_field(level_space, args.field, args.seed)
-            defect = semigroup_defect(level_space, level_field, dt, ds)
-            defect_rows.append((level_space.mesh_h, defect))
-            level_spec = refine(level_spec)
+        level_spec, level_space, level_field = spec, space, f  # level 0: built above
+        for level in range(args.refinements + 1):
+            if level:
+                level_spec = refine(level_spec)
+                level_space = generate(level_spec)
+                level_field = resolve_field(level_space, args.field, args.seed)
+            defect_rows.append((level_space.mesh_h,
+                                semigroup_defect(level_space, level_field, dt, ds)))
 
     out = _out_path(args, args.out)
     field_csv = os.path.splitext(out)[0] + "_source.csv"
@@ -394,7 +395,6 @@ def run(args: argparse.Namespace) -> int:
         "command": args.command,
         "config": vars(args),
         "version": __version__,
-        "seed": getattr(args, "seed", 0),
         "exit_code": code,
         "wall_time_s": time.monotonic() - start,
         "artifacts": [os.path.basename(a) for a in artifacts],

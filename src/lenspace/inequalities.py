@@ -76,8 +76,18 @@ def _entropy_and_mass(space: MeasuredSpace, F: ScalarField) -> tuple:
     return ent, float(F.values ** 2 @ space.measure)
 
 
+def _unit_scale(space: MeasuredSpace, f: ScalarField) -> ScalarField:
+    # times the power of two that puts max |f| in [0.5, 1): exact, so no ratio
+    # of an ordinary field changes, while tiny fields' squares stop
+    # underflowing and the degeneracy floors become relative to |f|
+    vals = check_binding(space, f)
+    _, exp = np.frexp(np.abs(vals).max())
+    return ScalarField(values=np.ldexp(vals, -exp), space_id=f.space_id)
+
+
 def lsi_ratio(space: MeasuredSpace, f: ScalarField) -> float:
     """Largest K for which f satisfies the log-Sobolev inequality."""
+    f = _unit_scale(space, f)
     ent, mass = _entropy_and_mass(space, f)
     slope = subgrad_norm_field(space, f)
     dirichlet = float(slope ** 2 @ space.measure) / mass
@@ -86,6 +96,7 @@ def lsi_ratio(space: MeasuredSpace, f: ScalarField) -> float:
 
 def talagrand_ratio(space: MeasuredSpace, F: ScalarField) -> float:
     """Largest K for which F satisfies the Talagrand inequality."""
+    F = _unit_scale(space, F)
     ent, mass = _entropy_and_mass(space, F)
     target = F.values ** 2 * space.measure / mass
     distance, _ = w2(space, target, space.measure)
@@ -98,7 +109,8 @@ def talagrand_ratio(space: MeasuredSpace, F: ScalarField) -> float:
 
 def poincare_ratio(space: MeasuredSpace, h: ScalarField) -> float:
     """Largest K for which h satisfies the Poincare inequality."""
-    vals = check_binding(space, h)
+    h = _unit_scale(space, h)
+    vals = h.values
     centered = vals - float(vals @ space.measure)
     var = float(centered ** 2 @ space.measure)
     if var <= 1e-12:

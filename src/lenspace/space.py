@@ -238,7 +238,11 @@ class MetricReport:
     passed: bool
 
 
-def validate_metric(space: MeasuredSpace, tol: float = 1e-9) -> MetricReport:
+# validate_metric's slack on each defect
+_METRIC_TOL = 1e-9
+
+
+def validate_metric(space: MeasuredSpace) -> MetricReport:
     """Measure how far dist and measure are from a metric and a probability.
 
     triangle_violation is max over (x, y, z) of d(x,y) - d(x,z) - d(z,y);
@@ -253,12 +257,12 @@ def validate_metric(space: MeasuredSpace, tol: float = 1e-9) -> MetricReport:
         viol = max(viol, float((d[x, x:] - through).max()))
     sym = float(np.abs(d - d.T).max())
     msum = float(abs(space.measure.sum() - 1.0))
-    passed = viol <= tol and sym <= tol and msum <= tol
+    passed = viol <= _METRIC_TOL and sym <= _METRIC_TOL and msum <= _METRIC_TOL
     return MetricReport(
         triangle_violation=viol,
         symmetry_defect=sym,
         measure_sum_defect=msum,
-        tol=tol,
+        tol=_METRIC_TOL,
         passed=passed,
     )
 

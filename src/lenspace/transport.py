@@ -1,19 +1,16 @@
 """Exact order-2 Wasserstein distance between measures on a finite space.
 
 W2(mu0, mu1)^2 is the optimal value of the transportation linear program
-with cost d(x, y)^2 over couplings of mu0 and mu1.  w2 has two routes:
-
-1. the shortlist method (Gottschlich & Schuhmacher 2014): the LP
-   restricted to a small support of cells, grown by the cells that
-   violate dual feasibility until none does.  The support starts from
-   the staircase of the two measures in index order, which is checked
-   first: on a path numbered along itself it is the monotone (quantile)
-   coupling, so that coupling comes free, with no LP solved;
-2. the dense LP over all n^2 cells, only when the first route fails.
-
-The first route returns a plan only when dual potentials u, v pass a
-reduced-cost check, d(x, y)^2 - u(x) - v(y) >= 0 on all n^2 cells, so
-the plan is optimal for the full LP.  The dense LP is the test reference.
+with cost d(x, y)^2 over couplings of mu0 and mu1.  w2 solves it by the
+shortlist method (Gottschlich & Schuhmacher 2014): the LP restricted to
+a small support of cells, grown by the cells that violate dual
+feasibility until none does.  The support starts from the staircase of
+the two measures in index order, checked first: on a path numbered along
+itself it is the monotone (quantile) coupling, found with no LP.  When a
+restricted solve fails, or a failed check adds no cell, the next support
+is all n^2 cells: the dense LP.  Every plan, the identity plan of equal
+marginals too, passes a reduced-cost check by dual potentials u, v,
+d(x, y)^2 - u(x) - v(y) >= 0 on all n^2 cells, so it is optimal.
 """
 
 from __future__ import annotations
@@ -52,22 +49,25 @@ class TransportPlan:
     cost: float
     duality_gap: float
 
-    def check(self, space: MeasuredSpace, tol: float = 1e-9):
-        """Assert the plan invariants; raises AssertionError on violation."""
-        assert self.coupling.min() >= 0.0, "coupling has negative mass"
+    def check(self, space: MeasuredSpace):
+        """Raise AssertionError when a plan invariant fails, also under python -O."""
         row = np.abs(self.coupling.sum(axis=1) - self.source_marginal).max()
         col = np.abs(self.coupling.sum(axis=0) - self.target_marginal).max()
-        assert row <= tol, f"row sums off by {row}"
-        assert col <= tol, f"column sums off by {col}"
         recomputed = float((self.coupling * space.dist_sq).sum())
-        assert abs(recomputed - self.cost) <= tol * (1.0 + abs(self.cost)), (
-            f"stored cost {self.cost} vs recomputed {recomputed}"
-        )
-        assert self.duality_gap <= tol * (1.0 + self.cost), (
-            f"duality gap {self.duality_gap} too large"
-        )
+        for ok, message in (
+                (self.coupling.min() >= 0.0, "coupling has negative mass"),
+                (row <= _PLAN_TOL, f"row sums off by {row}"),
+                (col <= _PLAN_TOL, f"column sums off by {col}"),
+                (abs(recomputed - self.cost) <= _PLAN_TOL * (1.0 + abs(self.cost)),
+                 f"stored cost {self.cost} vs recomputed {recomputed}"),
+                (self.duality_gap <= _PLAN_TOL * (1.0 + self.cost),
+                 f"duality gap {self.duality_gap} too large")):
+            if not ok:
+                raise AssertionError(message)
 
 
+# TransportPlan.check's slack on marginals, and on cost and gap relative to 1 + cost
+_PLAN_TOL = 1e-9
 # cells per row in the first shortlist support, nearest first
 _NEAREST = 8
 
@@ -76,19 +76,19 @@ def w2(space: MeasuredSpace, mu0, mu1):
     """Wasserstein distance and optimal plan.
 
     Returns (distance, TransportPlan).  Identical marginals give the
-    identity plan; otherwise the certified shortlist solve answers (with
-    no LP on a path numbered along itself), or the dense LP when it
-    certifies no plan.  Every plan carries its duality gap.
+    identity plan, with zero potentials; otherwise the shortlist solve
+    answers, with no LP on a path numbered along itself and the dense LP
+    as its last support.  Every plan passes the reduced-cost check on all
+    n^2 cells and carries its duality gap.  Raises RuntimeError when even
+    the dense LP gives no certified plan.
     """
     a = _check_marginal(space, mu0, "mu0")
     b = _check_marginal(space, mu1, "mu1")
     if np.array_equal(a, b):
-        plan = TransportPlan(coupling=np.diag(a), source_marginal=a,
-                             target_marginal=b, cost=0.0, duality_gap=0.0)
-        return 0.0, plan
-    plan = _shortlist_plan(space, a, b)
-    if plan is None:
-        return _w2_lp(space, mu0, mu1)
+        idx, zero = np.arange(space.n), np.zeros(space.n)
+        plan, _ = _certified_plan(space, a, b, idx, idx, a, zero, zero)
+    else:
+        plan = _shortlist_plan(space, a, b)
     return float(np.sqrt(plan.cost)), plan
 
 
@@ -115,26 +115,6 @@ def _transport_lp(space: MeasuredSpace, a, b, src, dst):
                    bounds=(0, None), method="highs",
                    options={"primal_feasibility_tolerance": 1e-10,
                             "dual_feasibility_tolerance": 1e-10, "presolve": False})
-
-
-def _w2_lp(space: MeasuredSpace, mu0, mu1):
-    """w2 by an exact dense LP solve over all n^2 cells, on any space."""
-    a = _check_marginal(space, mu0, "mu0")
-    b = _check_marginal(space, mu1, "mu1")
-    n = space.n
-    src, dst = np.divmod(np.arange(n * n), n)
-    res = _transport_lp(space, a, b, src, dst)
-    if res.status != 0:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    pi = res.x.reshape(n, n)
-    if pi.min() < -1e-9:
-        raise RuntimeError(f"LP returned mass {pi.min()} below zero")
-    pi = np.maximum(pi, 0.0)
-    cost = float((pi * space.dist_sq).sum())
-    dual = float(res.eqlin.marginals @ np.concatenate([a, b]))
-    plan = TransportPlan(coupling=pi, source_marginal=a, target_marginal=b,
-                         cost=cost, duality_gap=abs(cost - dual))
-    return float(np.sqrt(cost)), plan
 
 
 def _certified_plan(space: MeasuredSpace, a, b, src, dst, mass, u, v):
@@ -168,9 +148,9 @@ def _shortlist_plan(space: MeasuredSpace, a, b):
     it seeds the first support, so the first solve has a solution, with
     each row's nearest cells, made symmetric.  While the certificate
     fails, the most violated cell of each row and of each column joins
-    the support (adding every violated cell grows it toward all n^2
-    cells).  Returns None when a solve fails or a failed check adds no
-    new cell.
+    the support.  When a solve fails, or a failed check adds no new cell,
+    the next support is all n^2 cells: the dense LP.  Raises RuntimeError
+    when the solve on all n^2 cells fails or is not certified.
     """
     n = space.n
     rows, cols, mass = _staircase(a, b)
@@ -187,20 +167,22 @@ def _shortlist_plan(space: MeasuredSpace, a, b):
     while True:
         src, dst = np.nonzero(support)
         res = _transport_lp(space, a, b, src, dst)
-        if res.status != 0 or res.x.min() < -1e-9:
-            return None
-        u, v = res.eqlin.marginals[:n], res.eqlin.marginals[n:]
-        plan, violation = _certified_plan(space, a, b, src, dst,
-                                          np.maximum(res.x, 0.0), u, v)
-        if plan is not None:
-            return plan
+        solved = res.status == 0 and res.x.min() >= -1e-9
         grow = np.zeros_like(support)
-        grow[idx, violation.argmin(axis=1)] = True
-        grow[violation.argmin(axis=0), idx] = True
-        grow &= (violation < 0) & ~support
-        if not grow.any():
-            return None
-        support |= grow
+        if solved:
+            u, v = res.eqlin.marginals[:n], res.eqlin.marginals[n:]
+            plan, violation = _certified_plan(space, a, b, src, dst,
+                                              np.maximum(res.x, 0.0), u, v)
+            if plan is not None:
+                return plan
+            grow[idx, violation.argmin(axis=1)] = True
+            grow[violation.argmin(axis=0), idx] = True
+            grow &= (violation < 0) & ~support
+        if support.all():
+            raise RuntimeError("transport LP on all n^2 cells " + (
+                "gave no certified plan" if solved else f"failed: {res.message}"))
+        # no new cell to add: every cell joins
+        support |= grow if grow.any() else True
 
 
 def _staircase(a: np.ndarray, b: np.ndarray):

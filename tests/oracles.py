@@ -3,14 +3,16 @@
 None of these shares code with the routes it checks: the dense Lipschitz
 quotient and the full triangle check run over all pairs, the 1-d oracle
 merges two CDFs on point positions given by the test's own construction
-of a path, and the brute force enumerates every vertex of the coupling
-polytope.
+of a path, the dense W2 builds its own LP over all n^2 cells, and the
+brute force enumerates every vertex of the coupling polytope.
 """
 
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
 
 
 def dense_lipschitz(space, f) -> float:
@@ -51,6 +53,32 @@ def w2_oracle_1d(pos, mu0, mu1) -> float:
     ia = np.minimum(np.searchsorted(ca, mid), last)
     ib = np.minimum(np.searchsorted(cb, mid), last)
     return float(np.sqrt(((pos[ia] - pos[ib]) ** 2 * (hi - lo)).sum()))
+
+
+def dense_w2(space, mu0, mu1):
+    """(W2, W2^2) by one LP over all n^2 cells, built here from scratch.
+
+    Its constraint matrix and costs come from space.dist, it runs with
+    HiGHS' default presolve and it reads no potential, so it shares no
+    code with the package's transport; only the LP solver is common.
+    """
+    n = space.n
+    a = np.asarray(mu0, dtype=float)
+    b = np.asarray(mu1, dtype=float)
+    k = np.arange(n * n)
+    # cell k = (k // n, k % n); its row sums to a, its column to b
+    A = csr_matrix((np.ones(2 * n * n), (np.concatenate([k // n, n + k % n]),
+                                         np.concatenate([k, k]))),
+                   shape=(2 * n, n * n))
+    res = linprog((space.dist ** 2).ravel(), A_eq=A,
+                  b_eq=np.concatenate([a / a.sum(), b / b.sum()]),
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise RuntimeError(f"reference LP failed: {res.message}")
+    cost = max(float(res.fun), 0.0)
+    return float(np.sqrt(cost)), cost
 
 
 @lru_cache(maxsize=4)

@@ -18,8 +18,7 @@ from lenspace import (apply, build_from_graph, dual_talagrand_defect,
                       psi_trace, semigroup_defect, verify_chain, w2)
 from lenspace.fields import cosine_field, random_smoothed_field
 from lenspace.inequalities import default_witness_family
-from lenspace.transport import _w2_lp
-from oracles import brute_force_w2, dense_lipschitz, w2_oracle_1d
+from oracles import brute_force_w2, dense_lipschitz, dense_w2, w2_oracle_1d
 
 
 def _space(text):
@@ -157,19 +156,19 @@ def _random_marginal(rng, n):
 def test_criterion_4_transport_cross_validation():
     start = time.monotonic()
     rng = np.random.default_rng(4)
-    # the oracles check the dense LP; w2, whose shortlist route certifies the
-    # monotone coupling without an LP on paths numbered along themselves, is
-    # checked against the dense LP in cost
+    # the oracles check the dense reference LP of tests/oracles.py; w2, which
+    # certifies the monotone coupling without an LP on paths numbered along
+    # themselves, is checked against that LP in cost
     worst_brute = worst_path = worst_w2 = 0.0
     for _ in range(200):
         space = _random_small_space(rng)
         mu0 = _random_marginal(rng, space.n)
         mu1 = _random_marginal(rng, space.n)
-        d_lp, plan_lp = _w2_lp(space, mu0, mu1)
+        d_lp, cost_lp = dense_w2(space, mu0, mu1)
         d_bf = brute_force_w2(space, mu0, mu1)
         worst_brute = max(worst_brute, abs(d_lp - d_bf))
         _, plan = w2(space, mu0, mu1)
-        worst_w2 = max(worst_w2, abs(plan.cost - plan_lp.cost) / (1.0 + plan_lp.cost))
+        worst_w2 = max(worst_w2, abs(plan.cost - cost_lp) / (1.0 + cost_lp))
     for _ in range(50):
         n = int(rng.integers(2, 202))
         length = float(rng.uniform(0.5, 10.0))
@@ -178,11 +177,11 @@ def test_criterion_4_transport_cross_validation():
                                  np.ones(n), n)
         mu0 = _random_marginal(rng, n)
         mu1 = _random_marginal(rng, n)
-        d_lp, plan_lp = _w2_lp(space, mu0, mu1)
+        d_lp, cost_lp = dense_w2(space, mu0, mu1)
         d_or = w2_oracle_1d(step * np.arange(n), mu0, mu1)
         worst_path = max(worst_path, abs(d_lp - d_or))
         _, plan = w2(space, mu0, mu1)
-        worst_w2 = max(worst_w2, abs(plan.cost - plan_lp.cost) / (1.0 + plan_lp.cost))
+        worst_w2 = max(worst_w2, abs(plan.cost - cost_lp) / (1.0 + cost_lp))
     for k in range(20):
         # circles and tori take the shortlist route
         if k % 2:
@@ -191,9 +190,9 @@ def test_criterion_4_transport_cross_validation():
             space = _space(f"torus2d:{int(rng.integers(3, 8))}:{int(rng.integers(3, 8))}")
         mu0 = _random_marginal(rng, space.n)
         mu1 = _random_marginal(rng, space.n)
-        _, plan_lp = _w2_lp(space, mu0, mu1)
+        _, cost_lp = dense_w2(space, mu0, mu1)
         _, plan = w2(space, mu0, mu1)
-        worst_w2 = max(worst_w2, abs(plan.cost - plan_lp.cost) / (1.0 + plan_lp.cost))
+        worst_w2 = max(worst_w2, abs(plan.cost - cost_lp) / (1.0 + cost_lp))
     elapsed = time.monotonic() - start
     ok = (worst_brute <= 1e-9 and worst_path <= 1e-8 and worst_w2 <= 1e-10
           and elapsed <= 30)

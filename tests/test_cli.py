@@ -37,6 +37,17 @@ def test_gen_spec_form(tmp_path):
     assert space.n == 32
 
 
+def test_manifest_seed_only_in_config_of_seeded_commands(tmp_path):
+    # gen takes no seed, so its manifest names none; semigroup's config does
+    assert main(["--out-dir", str(tmp_path / "gen"), "gen", "--spec", "circle:16"]) == 0
+    manifest = _read(tmp_path / "gen" / "run.json")
+    assert "seed" not in manifest and "seed" not in manifest["config"]
+    assert main(["--out-dir", str(tmp_path / "sg"), "semigroup", "--space", "circle:16",
+                 "--times", "0.5", "--seed", "4"]) == 0
+    manifest = _read(tmp_path / "sg" / "run.json")
+    assert "seed" not in manifest and manifest["config"]["seed"] == 4
+
+
 def test_gen_out_dir_after_subcommand(tmp_path):
     assert main(["gen", "--spec", "circle:16", "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "space.json").exists()
@@ -364,6 +375,21 @@ def test_readme_cli_block_parses():
                 parse_space_spec(getattr(args, flag))
 
 
+def test_defect_ladder_starts_from_the_built_space(tmp_path, monkeypatch):
+    # level 0 of the defect study is the space the command already built
+    import lenspace.cli
+    built = []
+    real = lenspace.cli.generate
+    monkeypatch.setattr(lenspace.cli, "generate",
+                        lambda spec: built.append(spec.n) or real(spec))
+    code = main(["--out-dir", str(tmp_path), "semigroup", "--space", "circle:32",
+                 "--times", "0.5", "--refinements", "2"])
+    assert code == 0
+    assert built == [32, 64, 128]
+    rows = _read(tmp_path / "semigroup.json")["defect_vs_mesh"]
+    assert [h for h, _ in rows] == pytest.approx([2 * math.pi / n for n in built])
+
+
 def test_residual_study_computes_base_field_once(tmp_path, monkeypatch):
     import lenspace.cli
     from lenspace import generate, hj_forward_residual, parse_space_spec
@@ -463,6 +489,22 @@ def test_transport_identical_marginals_zero(tmp_path):
     assert _read(tmp_path / "transport.json")["distance"] == 0.0
 
 
+def test_transport_lp_failure_exit2(tmp_path, capsys, monkeypatch):
+    # an LP that always fails, even over all n^2 cells, is an error: exit 2,
+    # one stderr line, no report
+    from types import SimpleNamespace
+    from lenspace import transport
+    monkeypatch.setattr(transport, "_transport_lp", lambda *args: SimpleNamespace(
+        status=4, message="Numerical difficulties encountered."))
+    code = main(["--out-dir", str(tmp_path), "transport", "--space", "circle:16",
+                 "--mu0", "point:0", "--mu1", "nu"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == ("error: transport LP on all n^2 cells failed: "
+                   "Numerical difficulties encountered.\n")
+    assert not (tmp_path / "transport.json").exists()
+
+
 def test_transport_bad_point_exit2(tmp_path):
     assert main(["--out-dir", str(tmp_path), "transport", "--space", "path:8",
                  "--mu0", "point:99", "--mu1", "nu"]) == 2
@@ -519,7 +561,7 @@ def test_commands_never_compute_midpoint_defect(tmp_path, monkeypatch, argv):
 
 
 def test_cli_import_skips_scipy_optimize():
-    # only the dense transport LP needs scipy.optimize; it imports it itself
+    # only the transport LPs need scipy.optimize; _transport_lp imports it itself
     import lenspace
     src = os.path.dirname(os.path.dirname(lenspace.__file__))
     env = dict(os.environ, PYTHONPATH=src)

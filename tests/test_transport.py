@@ -1,5 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +14,20 @@ import hypothesis.strategies as st
 from lenspace import build_from_graph, w2
 from lenspace import generate as _generate, parse_space_spec as _parse
 from lenspace import transport
-from lenspace.transport import _w2_lp
-from oracles import brute_force_w2, coupling_vertices, w2_oracle_1d
+from oracles import brute_force_w2, coupling_vertices, dense_w2, w2_oracle_1d
+
+
+def _lp_cells(monkeypatch) -> list:
+    """Record the cell count of every transport LP that w2 solves."""
+    sizes = []
+    real = transport._transport_lp
+
+    def counted(space, a, b, src, dst):
+        sizes.append(len(src))
+        return real(space, a, b, src, dst)
+
+    monkeypatch.setattr(transport, "_transport_lp", counted)
+    return sizes
 
 
 def test_identical_marginals_give_zero(circle64):
@@ -19,6 +36,21 @@ def test_identical_marginals_give_zero(circle64):
     assert plan.cost == 0.0
     assert plan.duality_gap == 0.0
     assert np.array_equal(plan.coupling, np.diag(circle64.measure))
+
+
+def test_identity_plan_is_certified(circle64, monkeypatch):
+    # the identity plan passes the same n^2 reduced-cost check as every other
+    # plan, with zero potentials on the diagonal cells
+    made = []
+    real = transport._certified_plan
+
+    def recorded(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(transport, "_certified_plan", recorded)
+    _, plan = w2(circle64, circle64.measure, circle64.measure)
+    assert len(made) == 1 and made[0][0] is plan
 
 
 def test_point_masses_give_distance(path3):
@@ -45,6 +77,26 @@ def test_plan_invariants_on_random_instance(gauss101):
     assert plan.coupling.min() >= 0.0
     assert plan.duality_gap <= 1e-9 * (1.0 + plan.cost)
     assert d == pytest.approx(math.sqrt(plan.cost), rel=1e-12)
+
+
+def test_plan_check_raises_under_python_O():
+    # the CLI's plan check must not vanish with the interpreter's asserts
+    import lenspace
+    src = os.path.dirname(os.path.dirname(lenspace.__file__))
+    code = textwrap.dedent("""
+        import dataclasses
+        import numpy as np
+        from lenspace import generate, parse_space_spec, w2
+        g = generate(parse_space_spec("path:3"))
+        _, plan = w2(g, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+        try:
+            dataclasses.replace(plan, cost=plan.cost + 1.0).check(g)
+        except AssertionError as exc:
+            print(exc)
+    """)
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.startswith("stored cost 5.0 vs recomputed 4.0")
 
 
 def test_marginal_sum_mismatch_names_defect(two_point):
@@ -80,13 +132,13 @@ def test_oracle_forced_two_point_transport():
 def test_oracle_matches_lp_on_gaussian_reflection(gauss101):
     # reflecting the measure across 0 is transport along the interval
     flipped = gauss101.measure[::-1].copy()
-    d_lp, plan_lp = _w2_lp(gauss101, gauss101.measure, flipped)
+    d_lp, cost_lp = dense_w2(gauss101, gauss101.measure, flipped)
     d_or = w2_oracle_1d(gauss101.coords[:, 0], gauss101.measure, flipped)
     assert abs(d_lp - d_or) <= 1e-8
     # the flip moves only rounding-level mass, so compare w2 with the LP in
     # cost: the square root turns the LP's 1e-10 feasibility slack into 1e-9
     d, plan = w2(gauss101, gauss101.measure, flipped)
-    assert abs(plan.cost - plan_lp.cost) <= 1e-10
+    assert abs(plan.cost - cost_lp) <= 1e-10
     # and with the oracle in cost too: the two CDF merges round the moved
     # mass differently, and the exact cost here is 1.2e-17
     assert abs(plan.cost - d_or ** 2) <= 1e-15
@@ -102,7 +154,7 @@ def test_lp_matches_oracle_uneven_spacing():
     for _ in range(5):
         a = rng.uniform(0.0, 1.0, 4); a /= a.sum()
         b = rng.uniform(0.0, 1.0, 4); b /= b.sum()
-        d_lp, _ = _w2_lp(g, a, b)
+        d_lp, _ = dense_w2(g, a, b)
         assert abs(d_lp - w2_oracle_1d(pos, a, b)) <= 1e-10
         assert abs(w2(g, a, b)[0] - d_lp) <= 1e-10
 
@@ -130,10 +182,10 @@ def _path_instance(draw):
 def test_path_fast_path_matches_dense_lp(instance):
     g, a, b = instance
     d, plan = w2(g, a, b)
-    _, plan_lp = _w2_lp(g, a, b)
+    _, cost_lp = dense_w2(g, a, b)
     # in cost, where the LP is certified; near zero distance the square root
     # would magnify the LP's feasibility slack
-    assert abs(plan.cost - plan_lp.cost) <= 1e-10 * (1.0 + plan_lp.cost)
+    assert abs(plan.cost - cost_lp) <= 1e-10 * (1.0 + cost_lp)
     assert d == math.sqrt(plan.cost)
     plan.check(g)
 
@@ -144,7 +196,6 @@ def test_path_fast_path_solves_no_lp(gauss101, monkeypatch):
     def no_lp(*args):
         raise AssertionError("LP solved on a path graph")
 
-    monkeypatch.setattr(transport, "_w2_lp", no_lp)
     monkeypatch.setattr(transport, "_transport_lp", no_lp)
     for g, alpha in ((gauss101, 1.0), (_generate(_parse("path:64")), 0.1)):
         target = np.exp(alpha * g.coords[:, 0]) * g.measure
@@ -156,52 +207,90 @@ def test_path_fast_path_solves_no_lp(gauss101, monkeypatch):
 
 def test_failed_certificate_falls_back_to_lp(gauss101, monkeypatch):
     # an anti-monotone staircase is a feasible tree plan but not an optimal
-    # one; the reduced-cost check must reject it and the certified shortlist
-    # LP must answer without the dense LP
+    # one; the reduced-cost check must reject it and restricted LPs must
+    # answer, none of them over all n^2 cells
     real = transport._staircase
 
     def anti_monotone(a, b):
         rows, cols, mass = real(a, b[::-1])
         return rows, len(b) - 1 - cols, mass
 
-    lp_calls = []
-
-    def counted_lp(*args):
-        lp_calls.append(args)
-        return _w2_lp(*args)
-
     monkeypatch.setattr(transport, "_staircase", anti_monotone)
-    monkeypatch.setattr(transport, "_w2_lp", counted_lp)
+    sizes = _lp_cells(monkeypatch)
     target = np.exp(gauss101.coords[:, 0]) * gauss101.measure
     target /= target.sum()
     d, plan = w2(gauss101, target, gauss101.measure)
-    d_lp, plan_lp = _w2_lp(gauss101, target, gauss101.measure)
-    assert lp_calls == []
-    assert abs(plan.cost - plan_lp.cost) <= 1e-10 * (1.0 + plan_lp.cost)
+    _, cost_lp = dense_w2(gauss101, target, gauss101.measure)
+    assert sizes and max(sizes) < gauss101.n ** 2
+    assert abs(plan.cost - cost_lp) <= 1e-10 * (1.0 + cost_lp)
     assert d == math.sqrt(plan.cost)
     plan.check(gauss101)
 
 
 def test_failed_shortlist_falls_back_to_dense_lp(torus8, monkeypatch):
-    # a certificate that only ever rejects cells already in the support
-    # (the diagonal is in every first support) adds no cell: the shortlist
-    # must stop and the dense LP must answer
-    lp_calls = []
+    # a restricted solve that fails leaves no potentials to grow the support
+    # by: the next support must be all n^2 cells, and that one solve answers
+    n = torus8.n
+    sizes = []
+    real = transport._transport_lp
 
-    def counted_lp(*args):
-        lp_calls.append(args)
-        return _w2_lp(*args)
+    def fail_restricted(space, a, b, src, dst):
+        sizes.append(len(src))
+        if len(src) < n * n:
+            return SimpleNamespace(status=4, message="forced failure")
+        return real(space, a, b, src, dst)
 
-    def diagonal_violation(space, *args):
-        return None, -np.eye(space.n)
-
-    monkeypatch.setattr(transport, "_certified_plan", diagonal_violation)
-    monkeypatch.setattr(transport, "_w2_lp", counted_lp)
-    a = np.zeros(torus8.n); a[0] = 1.0
+    monkeypatch.setattr(transport, "_transport_lp", fail_restricted)
+    a = np.zeros(n); a[0] = 1.0
     d, plan = w2(torus8, a, torus8.measure)
-    assert len(lp_calls) == 1
-    assert d == _w2_lp(torus8, a, torus8.measure)[0]
+    assert len(sizes) == 2 and sizes[0] < n * n and sizes[1] == n * n
     plan.check(torus8)
+    _, cost_lp = dense_w2(torus8, a, torus8.measure)
+    assert abs(plan.cost - cost_lp) <= 1e-10 * (1.0 + cost_lp)
+    assert d == math.sqrt(plan.cost)
+
+
+def test_uncertified_support_grows_to_all_cells(torus8, monkeypatch):
+    # a certificate that fails on every restricted support, and only on cells
+    # already in it (the diagonal is in every first support), adds no cell:
+    # the next support must be all n^2 cells, and that one solve answers
+    n = torus8.n
+    real = transport._certified_plan
+
+    def full_only(space, a, b, src, dst, *args):
+        if len(src) < n * n:
+            return None, -np.eye(n)
+        return real(space, a, b, src, dst, *args)
+
+    monkeypatch.setattr(transport, "_certified_plan", full_only)
+    sizes = _lp_cells(monkeypatch)
+    a = np.zeros(n); a[0] = 1.0
+    d, plan = w2(torus8, a, torus8.measure)
+    assert sizes.count(n * n) == 1 and sizes[-1] == n * n
+    plan.check(torus8)
+    _, cost_lp = dense_w2(torus8, a, torus8.measure)
+    assert abs(plan.cost - cost_lp) <= 1e-10 * (1.0 + cost_lp)
+    assert d == math.sqrt(plan.cost)
+
+
+def _infeasible_lp(*args):
+    return SimpleNamespace(status=2, message="The problem is infeasible.")
+
+
+def _never_certified(space, *args):
+    return None, -np.eye(space.n)
+
+
+@pytest.mark.parametrize("name, fake, words", [
+    ("_transport_lp", _infeasible_lp, "all n\\^2 cells failed: The problem is infeasible"),
+    ("_certified_plan", _never_certified, "all n\\^2 cells gave no certified plan"),
+], ids=["lp-fails", "never-certified"])
+def test_dense_support_failure_raises(torus8, monkeypatch, name, fake, words):
+    # only a failed or uncertified solve over all n^2 cells gives up
+    monkeypatch.setattr(transport, name, fake)
+    a = np.zeros(torus8.n); a[0] = 1.0
+    with pytest.raises(RuntimeError, match=words):
+        w2(torus8, a, torus8.measure)
 
 
 @st.composite
@@ -236,30 +325,24 @@ def _graph_instance(draw):
 def test_general_route_matches_dense_lp(instance):
     g, a, b = instance
     d, plan = w2(g, a, b)
-    _, plan_lp = _w2_lp(g, a, b)
-    assert abs(plan.cost - plan_lp.cost) <= 1e-10 * (1.0 + plan_lp.cost)
+    _, cost_lp = dense_w2(g, a, b)
+    assert abs(plan.cost - cost_lp) <= 1e-10 * (1.0 + cost_lp)
     assert d == math.sqrt(plan.cost)
     plan.check(g)  # includes duality gap <= 1e-9 (1 + cost)
-    # the route under test answered, not the dense fallback
-    assert np.array_equal(a, b) or transport._shortlist_plan(g, a, b) is not None
-
-
-def _no_dense_lp(*args):
-    raise AssertionError("dense LP called")
 
 
 @pytest.mark.parametrize("spec", ["torus2d:6:6", "circle:32"])
 def test_general_route_solves_no_dense_lp(spec, monkeypatch):
     g = _generate(_parse(spec))
-    monkeypatch.setattr(transport, "_w2_lp", _no_dense_lp)
+    sizes = _lp_cells(monkeypatch)
     rng = np.random.default_rng(14)
     a = rng.gamma(1.0, size=g.n); a /= a.sum()
     d, plan = w2(g, a, g.measure)
     assert d > 0
     plan.check(g)
-    monkeypatch.undo()
-    _, plan_lp = _w2_lp(g, a, g.measure)
-    assert abs(plan.cost - plan_lp.cost) <= 1e-10 * (1.0 + plan_lp.cost)
+    assert sizes and max(sizes) < g.n ** 2
+    _, cost_lp = dense_w2(g, a, g.measure)
+    assert abs(plan.cost - cost_lp) <= 1e-10 * (1.0 + cost_lp)
 
 
 def test_antipodal_point_masses_on_circle(circle64, monkeypatch):
@@ -267,11 +350,13 @@ def test_antipodal_point_masses_on_circle(circle64, monkeypatch):
     # other, so only the staircase seed makes the first restricted LP feasible
     a = np.zeros(64); a[0] = 1.0
     b = np.zeros(64); b[32] = 1.0
-    monkeypatch.setattr(transport, "_w2_lp", _no_dense_lp)
+    sizes = _lp_cells(monkeypatch)
     d, plan = w2(circle64, a, b)
+    assert max(sizes) < 64 * 64
     assert d == pytest.approx(circle64.dist[0, 32], rel=1e-12)
     assert plan.coupling[0, 32] == 1.0
     plan.check(circle64)
+    monkeypatch.undo()
     nearest = np.zeros((64, 64), dtype=bool)
     k = transport._NEAREST
     nearest[np.arange(64).repeat(k),
@@ -291,7 +376,7 @@ def test_brute_force_matches_lp_small():
         for _ in range(10):
             a = rng.uniform(0.0, 1.0, n); a /= a.sum()
             b = rng.uniform(0.0, 1.0, n); b /= b.sum()
-            d_lp, _ = _w2_lp(g, a, b)
+            d_lp, _ = dense_w2(g, a, b)
             assert abs(d_lp - brute_force_w2(g, a, b)) <= 1e-9
 
 

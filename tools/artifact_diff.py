@@ -56,6 +56,8 @@ CASES = [
     ("transport-path", ["transport", "--space", "path:64", "--mu0", "point:0", "--mu1", "nu"]),
     ("transport-circle", ["transport", "--space", "circle:64", "--mu0", "point:0",
                           "--mu1", "nu"]),
+    ("transport-identity", ["transport", "--space", "circle:64", "--mu0", "nu",
+                            "--mu1", "nu"]),
     ("transport-complete", ["transport", "--space", "complete:9", "--mu0", "point:0",
                             "--mu1", "nu"]),
     ("transport-torus", ["transport", "--space", "torus2d:8:8", "--mu0", TORUS_MARGINAL,
