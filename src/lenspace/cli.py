@@ -184,13 +184,12 @@ def _cmd_semigroup(args: argparse.Namespace):
         if args.field.endswith(".csv"):
             raise ValueError("defect study needs a named field spec, not a CSV file")
         dt, ds = args.defect_t, args.defect_s
-        defect_rows = []
-        level_spec, level_space, level_field = spec, space, f  # level 0: built above
-        for level in range(args.refinements + 1):
-            if level:
-                level_spec = refine(level_spec)
-                level_space = generate(level_spec)
-                level_field = resolve_field(level_space, args.field, args.seed)
+        defect_rows = [(space.mesh_h, semigroup_defect(space, f, dt, ds))]
+        level_spec = spec
+        for _ in range(args.refinements):
+            level_spec = refine(level_spec)
+            level_space = generate(level_spec)
+            level_field = resolve_field(level_space, args.field, args.seed)
             defect_rows.append((level_space.mesh_h,
                                 semigroup_defect(level_space, level_field, dt, ds)))
 

@@ -58,9 +58,9 @@ def w2_oracle_1d(pos, mu0, mu1) -> float:
 def dense_w2(space, mu0, mu1):
     """(W2, W2^2) by one LP over all n^2 cells, built here from scratch.
 
-    Its constraint matrix and costs come from space.dist, it runs with
-    HiGHS' default presolve and it reads no potential, so it shares no
-    code with the package's transport; only the LP solver is common.
+    Its constraint matrix and costs come from space.dist and it reads no
+    potential, so it shares no code with the package's transport; only
+    the LP solver is common.
     """
     n = space.n
     a = np.asarray(mu0, dtype=float)
@@ -74,7 +74,7 @@ def dense_w2(space, mu0, mu1):
                   b_eq=np.concatenate([a / a.sum(), b / b.sum()]),
                   bounds=(0, None), method="highs",
                   options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
+                           "dual_feasibility_tolerance": 1e-10, "presolve": False})
     if res.status != 0:
         raise RuntimeError(f"reference LP failed: {res.message}")
     cost = max(float(res.fun), 0.0)

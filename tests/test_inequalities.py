@@ -100,6 +100,19 @@ def test_ratios_invariant_under_positive_scaling(vals, c):
         assert ratio(_PATH8, g) == pytest.approx(a, rel=1e-9)
 
 
+def test_poincare_variance_floor_is_relative_to_the_field():
+    # the 1e-12 variance floor applies after max|f| is scaled into [0.5, 1):
+    # a large, nearly constant witness is degenerate although its absolute
+    # variance (5e-11) is above the floor, while a larger spread still counts
+    x = np.arange(8)
+    flat = 1000.0 + 1e-5 * np.cos(x)
+    centered = flat - flat @ _PATH8.measure
+    assert centered ** 2 @ _PATH8.measure > 1e-12
+    with pytest.raises(DegenerateWitnessError, match="variance vanishes"):
+        poincare_ratio(_PATH8, make_field(_PATH8, flat))
+    assert poincare_ratio(_PATH8, make_field(_PATH8, 1000.0 + 1e-2 * np.cos(x))) > 0
+
+
 def test_talagrand_invariant_under_sign_flip(gauss101):
     f = tilt_field(gauss101, 0.5)
     g = make_field(gauss101, -f.values)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -324,7 +325,31 @@ def _graph_instance(draw):
 @settings(max_examples=150, deadline=None)
 def test_general_route_matches_dense_lp(instance):
     g, a, b = instance
-    d, plan = w2(g, a, b)
+    solves = []  # [support cells, LP result, violation its certificate found]
+    lp, certify = transport._transport_lp, transport._certified_plan
+
+    def recorded_lp(space, a, b, src, dst):
+        solves.append([set(zip(src.tolist(), dst.tolist())), lp(space, a, b, src, dst), None])
+        return solves[-1][1]
+
+    def recorded_certify(*args):
+        plan, violation = certify(*args)
+        if solves:
+            solves[-1][2] = violation
+        return plan, violation
+
+    with mock.patch.object(transport, "_transport_lp", recorded_lp), \
+            mock.patch.object(transport, "_certified_plan", recorded_certify):
+        d, plan = w2(g, a, b)
+    # every restricted solve answered, and each support grew only by cells its
+    # certificate found violated, at most one per row and one per column: no
+    # jump to all n^2 cells happened
+    for _, res, _ in solves:
+        assert res.status == 0 and res.x.min() >= -1e-9
+    for (before, _, violation), (after, _, _) in zip(solves, solves[1:]):
+        added = after - before
+        assert added and len(added) <= 2 * g.n
+        assert all(violation[cell] < 0 for cell in added)
     _, cost_lp = dense_w2(g, a, b)
     assert abs(plan.cost - cost_lp) <= 1e-10 * (1.0 + cost_lp)
     assert d == math.sqrt(plan.cost)
