@@ -9,7 +9,8 @@ semigroup identity holds up to a defect that shrinks with the mesh, and
 Q_t f solves the Hamilton-Jacobi equation  du/dt = -|grad^- u|^2 / 2  in
 the same approximate sense.  This module computes the evolution, the
 graph gradient and descending-slope norms, and the associated defects
-and residuals.
+and residuals.  Its one min-plus kernel, ``_minimizers``, also runs the
+transport certificate: the c-transform for cost d^2 is Q_{1/2}.
 """
 
 from __future__ import annotations
@@ -39,6 +40,29 @@ def _time_grid(times) -> np.ndarray:
     return grid
 
 
+# cells per block of rows in _minimizers: its one buffer holds 512 KB
+_BLOCK_CELLS = 1 << 16
+
+
+def _minimizers(space: MeasuredSpace, g: np.ndarray, scale: float) -> np.ndarray:
+    """For each x, the first y that minimizes g(y) + scale * d(x, y)^2.
+
+    Squares dist a block of rows at a time into one buffer: no n x n temporary.
+    """
+    n = space.n
+    rows = max(1, _BLOCK_CELLS // n)
+    buf = np.empty((min(rows, n), n))
+    out = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, rows):
+        d = space.dist[lo:lo + rows]
+        b = buf[:len(d)]
+        np.multiply(d, d, out=b)
+        b *= scale
+        b += g
+        b.argmin(axis=1, out=out[lo:lo + len(d)])
+    return out
+
+
 def apply(space: MeasuredSpace, f: ScalarField, t: float) -> ScalarField:
     """Evolve f for time t >= 0 by exact minimization over all points."""
     vals = check_binding(space, f)
@@ -47,7 +71,9 @@ def apply(space: MeasuredSpace, f: ScalarField, t: float) -> ScalarField:
     inv2t = 1.0 / (2.0 * t) if t > 0 else np.inf
     if not np.isfinite(inv2t):
         return make_field(space, vals)
-    out = (vals[None, :] + space.dist_sq * inv2t).min(axis=1)
+    y = _minimizers(space, vals, inv2t)
+    # the kernel's own float expression, evaluated at the minimizing cell
+    out = vals[y] + space.dist[np.arange(space.n), y] ** 2 * inv2t
     return make_field(space, out)
 
 
@@ -100,23 +126,12 @@ def semigroup_defect(space: MeasuredSpace, f: ScalarField, t: float, s: float) -
     return float((two_step.values - one_step.values).max())
 
 
-def hj_forward_residual(space: MeasuredSpace, f: ScalarField, t: float,
-                        s: float) -> ScalarField:
-    """Residual of the Hamilton-Jacobi equation at time t with step s:
-
-        r(x) = (Q_{t+s} f - Q_t f)(x) / s + |grad^- Q_t f|(x)^2 / 2.
-
-    In the continuum both terms cancel in the limit s -> 0; on a mesh the
-    residual is small once s dominates the mesh scale.
-    """
-    _check_time(t, positive=True)
-    _check_time(s, positive=True)
-    return _residual(space, apply(space, f, t), apply(space, f, t + s), s)
-
-
 def _residual(space: MeasuredSpace, here: ScalarField, there: ScalarField,
               s: float) -> ScalarField:
-    """The forward residual from here = Q_t f and there = Q_{t+s} f."""
+    """Hamilton-Jacobi residual (Q_{t+s} f - Q_t f) / s + |grad^- Q_t f|^2 / 2
+    from here = Q_t f and there = Q_{t+s} f; on a mesh it is small once s
+    dominates the mesh scale, and it vanishes as s -> 0 in the continuum.
+    """
     slope = subgrad_norm_field(space, here)
     r = (there.values - here.values) / s + 0.5 * slope ** 2
     return make_field(space, r)

@@ -23,14 +23,15 @@ from scipy.sparse.csgraph import shortest_path
 class MeasuredSpace:
     """Immutable bundle of points, metric, and measure.
 
-    dist[i, j] is the graph shortest-path distance, measure a probability
-    vector, edges the generating graph as read-only arrays (rows, cols,
-    lengths), one entry per undirected edge with row < col, sorted by
-    (row, col).  mesh_h is the largest distance from a point to its
-    nearest distinct point.  kind, params and coords describe the
-    generator geometry that fields and witness families read.  space_id
-    hashes n, dist, measure, edges, kind, params and coords, so equal
-    ids mean equal inputs to every computation.  midpoint_defect is
+    dist[i, j] is the graph shortest-path distance, and the space's only
+    n x n array: no d^2 is cached.  measure is a probability vector,
+    edges the generating graph as read-only arrays (rows, cols, lengths),
+    one entry per undirected edge with row < col, sorted by (row, col).
+    mesh_h is the largest distance from a point to its nearest distinct
+    point.  kind, params and coords describe the generator geometry that
+    fields and witness families read.  space_id hashes n, dist, measure,
+    edges, kind, params and coords, so equal ids mean equal inputs to
+    every computation.  midpoint_defect is
 
         max_{x,y} min_z | max(d(x,z), d(z,y)) - d(x,y)/2 |
 
@@ -47,12 +48,6 @@ class MeasuredSpace:
     kind: str = "custom"
     params: dict = field(default_factory=dict)
     coords: np.ndarray | None = None
-
-    @cached_property
-    def dist_sq(self) -> np.ndarray:
-        d2 = self.dist ** 2
-        d2.flags.writeable = False
-        return d2
 
     @cached_property
     def edge_arrays(self):
@@ -182,8 +177,12 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
     dist = np.minimum(dist, dist.T)
     np.fill_diagonal(dist, 0.0)
 
-    off = dist + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
-    mesh_h = float(off.min(axis=1).max()) if n > 1 else 0.0
+    # a nearest distinct point is a graph neighbour: a shortest path into x
+    # ends with an edge, and float Dijkstra sums only grow along a path
+    nearest, hop = np.full(n, np.inf), dist[rows, cols]
+    np.minimum.at(nearest, rows, hop)
+    np.minimum.at(nearest, cols, hop)
+    mesh_h = float(nearest.max()) if n > 1 else 0.0
 
     dist.flags.writeable = False
     w.flags.writeable = False

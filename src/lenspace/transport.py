@@ -10,7 +10,8 @@ itself it is the monotone (quantile) coupling, found with no LP.  When a
 restricted solve fails, or a failed check adds no cell, the next support
 is all n^2 cells: the dense LP.  Every plan, the identity plan of equal
 marginals too, passes a reduced-cost check by dual potentials u, v,
-d(x, y)^2 - u(x) - v(y) >= 0 on all n^2 cells, so it is optimal.
+d(x, y)^2 - u(x) - v(y) >= 0 on all n^2 cells, so it is optimal.  Its
+row minima are the Hopf-Lax operator Q_{1/2}(-v), on the semigroup's kernel.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
+from .hopflax import _minimizers
 from .space import MeasuredSpace
 
 
@@ -53,7 +55,8 @@ class TransportPlan:
         """Raise AssertionError when a plan invariant fails, also under python -O."""
         row = np.abs(self.coupling.sum(axis=1) - self.source_marginal).max()
         col = np.abs(self.coupling.sum(axis=0) - self.target_marginal).max()
-        recomputed = float((self.coupling * space.dist_sq).sum())
+        i, j = np.nonzero(self.coupling)
+        recomputed = float(self.coupling[i, j] @ space.dist[i, j] ** 2)
         for ok, message in (
                 (self.coupling.min() >= 0.0, "coupling has negative mass"),
                 (row <= _PLAN_TOL, f"row sums off by {row}"),
@@ -111,7 +114,7 @@ def _transport_lp(space: MeasuredSpace, a, b, src, dst):
     # tight feasibility tolerances keep clamped marginal defects below 1e-9;
     # skipping presolve took about 40% off each solve on torus2d:20:20,
     # restricted or dense (2-vCPU VM)
-    return linprog(space.dist_sq[src, dst], A_eq=a_eq, b_eq=np.concatenate([a, b]),
+    return linprog(space.dist[src, dst] ** 2, A_eq=a_eq, b_eq=np.concatenate([a, b]),
                    bounds=(0, None), method="highs",
                    options={"primal_feasibility_tolerance": 1e-10,
                             "dual_feasibility_tolerance": 1e-10, "presolve": False})
@@ -122,18 +125,23 @@ def _certified_plan(space: MeasuredSpace, a, b, src, dst, mass, u, v):
 
     The proof is dual feasibility on the full LP: every reduced cost
     d(i, j)^2 - u_i - v_j is at least -1e-10 (1 + max d^2), checked over all
-    n^2 cells.  Returns (plan, violation).  When the check fails, plan is
-    None and violation holds the reduced cost of each failing cell and 0
-    elsewhere.
+    n^2 cells, by the Hopf-Lax kernel on -v for the row minima.  Returns
+    (plan, cells).  When the check fails, plan is None and cells holds
+    (rows, cols): the least reduced-cost cell of each failing row, and of
+    each failing column by the kernel on -u, as dist is exactly symmetric.
     """
-    d2 = space.dist_sq
-    reduced = d2 - u[:, None] - v[None, :]
-    failing = reduced < -1e-10 * (1.0 + d2.max())
-    if failing.any():
-        return None, np.where(failing, reduced, 0.0)
+    idx = np.arange(space.n)
+    floor = -1e-10 * (1.0 + space.diameter ** 2)
+    jmin = _minimizers(space, -v, 1.0)  # row i's least cell is (i, jmin[i])
+    bad_rows = space.dist[idx, jmin] ** 2 - u - v[jmin] < floor
+    if bad_rows.any():
+        imin = _minimizers(space, -u, 1.0)  # column j's least cell is (imin[j], j)
+        bad_cols = space.dist[imin, idx] ** 2 - u[imin] - v < floor
+        return None, (np.concatenate([idx[bad_rows], imin[bad_cols]]),
+                      np.concatenate([jmin[bad_rows], idx[bad_cols]]))
     coupling = np.zeros((space.n, space.n))
     coupling[src, dst] = mass
-    cost = float(mass @ d2[src, dst])
+    cost = float(mass @ space.dist[src, dst] ** 2)
     gap = abs(cost - (float(u @ a) + float(v @ b)))
     plan = TransportPlan(coupling=coupling, source_marginal=a,
                          target_marginal=b, cost=cost, duality_gap=gap)
@@ -162,7 +170,7 @@ def _shortlist_plan(space: MeasuredSpace, a, b):
     k = min(_NEAREST, n)
     support = np.zeros((n, n), dtype=bool)
     support[rows, cols] = True
-    support[idx.repeat(k), np.argpartition(space.dist_sq, k - 1, axis=1)[:, :k].ravel()] = True
+    support[idx.repeat(k), np.argpartition(space.dist, k - 1, axis=1)[:, :k].ravel()] = True
     support |= support.T
     while True:
         src, dst = np.nonzero(support)
@@ -171,13 +179,11 @@ def _shortlist_plan(space: MeasuredSpace, a, b):
         grow = np.zeros_like(support)
         if solved:
             u, v = res.eqlin.marginals[:n], res.eqlin.marginals[n:]
-            plan, violation = _certified_plan(space, a, b, src, dst,
-                                              np.maximum(res.x, 0.0), u, v)
+            plan, cells = _certified_plan(space, a, b, src, dst,
+                                          np.maximum(res.x, 0.0), u, v)
             if plan is not None:
                 return plan
-            grow[idx, violation.argmin(axis=1)] = True
-            grow[violation.argmin(axis=0), idx] = True
-            grow &= (violation < 0) & ~support
+            grow[cells] = ~support[cells]
         if support.all():
             raise RuntimeError("transport LP on all n^2 cells " + (
                 "gave no certified plan" if solved else f"failed: {res.message}"))
@@ -220,7 +226,7 @@ def _staircase(a: np.ndarray, b: np.ndarray):
 
 def _tree_potentials(space: MeasuredSpace, rows, cols):
     """Potentials u, v with u_i + v_j = d(i, j)^2 on the staircase cells."""
-    cell_cost = space.dist_sq[rows, cols]
+    cell_cost = space.dist[rows, cols] ** 2
     u = np.zeros(space.n)
     v = np.zeros(space.n)
     v[cols[0]] = cell_cost[0]

@@ -1,7 +1,8 @@
 """Slow independent references that the tests check the package against.
 
-None of these shares code with the routes it checks: the dense Lipschitz
-quotient and the full triangle check run over all pairs, the 1-d oracle
+None of these shares code with the routes it checks: the dense Hopf-Lax
+minimum, the dense Lipschitz quotient, the nearest-distinct-point mesh
+and the full triangle check run over all pairs, the 1-d oracle
 merges two CDFs on point positions given by the test's own construction
 of a path, the dense W2 builds its own LP over all n^2 cells, and the
 brute force enumerates every vertex of the coupling polytope.
@@ -13,6 +14,19 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
+
+
+def dense_hopf_lax(space, f, t) -> np.ndarray:
+    """(Q_t f)(x) = min_y [f(y) + d(x, y)^2 / (2t)] over one n x n array."""
+    return (f.values[None, :] + space.dist ** 2 * (1.0 / (2.0 * t))).min(axis=1)
+
+
+def dense_mesh_h(dist) -> float:
+    """Largest distance from a point to its nearest distinct point."""
+    if dist.shape[0] < 2:
+        return 0.0
+    return float((dist + np.where(np.eye(dist.shape[0], dtype=bool), np.inf, 0.0))
+                 .min(axis=1).max())
 
 
 def dense_lipschitz(space, f) -> float:
@@ -147,6 +161,6 @@ def brute_force_w2(space, mu0, mu1) -> float:
     cells, solve = coupling_vertices(space.n)
     flows = solve @ np.concatenate([a / a.sum(), b / b.sum()])
     feasible = flows.min(axis=1) >= -1e-12
-    costs = (flows * space.dist_sq.ravel()[cells]).sum(axis=1)
+    costs = (flows * (space.dist ** 2).ravel()[cells]).sum(axis=1)
     best = float(costs[feasible].min())
     return float(np.sqrt(max(best, 0.0)))

@@ -392,8 +392,9 @@ def test_defect_ladder_starts_from_the_built_space(tmp_path, monkeypatch):
 
 def test_residual_study_computes_base_field_once(tmp_path, monkeypatch):
     import lenspace.cli
-    from lenspace import generate, hj_forward_residual, parse_space_spec
+    from lenspace import apply, generate, parse_space_spec
     from lenspace.fields import cosine_field
+    from lenspace.hopflax import _residual
     calls = []
     real = lenspace.cli.apply
     monkeypatch.setattr(lenspace.cli, "apply",
@@ -406,8 +407,9 @@ def test_residual_study_computes_base_field_once(tmp_path, monkeypatch):
     f = cosine_field(space)
     rows = _read(tmp_path / "semigroup.json")["residual_vs_s"]
     for j, (s, mean_abs) in enumerate(rows):
-        r = hj_forward_residual(space, f, 0.3, 0.1 / 2 ** j)
-        assert s == 0.1 / 2 ** j
+        step = 0.1 / 2 ** j
+        r = _residual(space, apply(space, f, 0.3), apply(space, f, 0.3 + step), step)
+        assert s == step
         assert mean_abs == float(np.abs(r.values) @ space.measure)
 
 

@@ -1,17 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from lenspace import (apply, build_from_graph, hj_forward_residual,
-                      lipschitz_constant, make_field, make_trace,
-                      semigroup_defect)
+from lenspace import (apply, build_from_graph, lipschitz_constant, make_field,
+                      make_trace, semigroup_defect, transport)
 from lenspace import generate as _generate, parse_space_spec as _parse
+from lenspace import hopflax
 from lenspace.fields import random_smoothed_field
-from lenspace.hopflax import grad_norm_field, subgrad_norm_field
-from oracles import dense_lipschitz
+from lenspace.hopflax import _residual, grad_norm_field, subgrad_norm_field
+from oracles import dense_hopf_lax, dense_lipschitz
 
 _PATH8 = _generate(_parse("path:8"))
 
@@ -75,7 +76,7 @@ def test_semigroup_inequality_direction(two_point):
 
 def test_hj_residual_two_point_frozen(two_point):
     f = _f01(two_point)
-    r = hj_forward_residual(two_point, f, 1.0, 0.1)
+    r = _residual(two_point, apply(two_point, f, 1.0), apply(two_point, f, 1.0 + 0.1), 0.1)
     assert r.values[0] == pytest.approx(0.0, abs=1e-15)
     # (0.4545... - 0.5)/0.1 + 0.5^2/2
     assert r.values[1] == pytest.approx(-0.32954545454545453, rel=1e-12)
@@ -83,7 +84,7 @@ def test_hj_residual_two_point_frozen(two_point):
 
 def test_residual_zero_for_constant(circle64):
     f = make_field(circle64, np.zeros(circle64.n))
-    r = hj_forward_residual(circle64, f, 0.5, 0.1)
+    r = _residual(circle64, apply(circle64, f, 0.5), apply(circle64, f, 0.5 + 0.1), 0.1)
     assert np.all(r.values == 0.0)
 
 
@@ -243,7 +244,6 @@ def test_trace_json_dict_shape(two_point):
     (np.array([0.001, 0.01, 0.2, 0.82, 1.5]), 8),
 ])
 def test_trace_reuses_grid_fields(monkeypatch, circle64, times, n_apply):
-    import lenspace.hopflax as hopflax
     f = random_smoothed_field(circle64, np.random.default_rng(11))
     calls = []
     real = hopflax.apply
@@ -252,4 +252,50 @@ def test_trace_reuses_grid_fields(monkeypatch, circle64, times, n_apply):
     tr = make_trace(circle64, f, times)
     assert len(calls) == n_apply
     for t, s, r in zip(tr.times, tr.steps, tr.residuals):
-        assert np.array_equal(r.values, hj_forward_residual(circle64, f, t, s).values)
+        ref = _residual(circle64, apply(circle64, f, t), apply(circle64, f, t + s), s)
+        assert np.array_equal(r.values, ref.values)
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 100, 250])
+@pytest.mark.parametrize("spec", ["path:3", "path:8", "complete:9", "circle:64",
+                                  "torus2d:6:6", "gauss:81"])
+def test_blocked_apply_is_bitwise_the_dense_minimum(spec, block_cells, monkeypatch):
+    # blocks of one row, of more rows than n, and blocks that leave a short
+    # last one: 7 cells on path:3 (2 + 1 rows), 250 on circle:64 (21 x 3 + 1)
+    g = _generate(_parse(spec))
+    monkeypatch.setattr(hopflax, "_BLOCK_CELLS", block_cells)
+    f = random_smoothed_field(g, np.random.default_rng(21))
+    for t in (0.01, 0.3, 0.5, 1.0):
+        assert apply(g, f, t).values.tobytes() == dense_hopf_lax(g, f, t).tobytes()
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_blocked_apply_across_a_block_boundary(n):
+    # the default block is 65536 // n rows: all of 255 or 256 rows, and 255
+    # rows plus a last block of 2 for 257
+    g = _generate(_parse(f"circle:{n}"))
+    f = random_smoothed_field(g, np.random.default_rng(n))
+    for t in (0.01, 0.5):
+        assert apply(g, f, t).values.tobytes() == dense_hopf_lax(g, f, t).tobytes()
+
+
+def test_kernel_callers_allocate_no_square_array():
+    # apply and a failing transport certificate each peak below a quarter of
+    # one n x n float array
+    g = _generate(_parse("circle:1024"))
+    n = g.n
+    f = random_smoothed_field(g, np.random.default_rng(22))
+    idx, u, v = np.arange(n), np.zeros(n), np.ones(n)
+    peaks = []
+    for run in (lambda: apply(g, f, 0.3),
+                lambda: transport._certified_plan(g, g.measure, g.measure, idx, idx,
+                                                  g.measure, u, v)):
+        tracemalloc.start()
+        try:
+            result = run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < n * n * 8 / 4, peaks
+    plan, (rows, cols) = result
+    assert plan is None and len(rows) == len(cols) == 2 * n

@@ -320,3 +320,11 @@ def test_half_loop_midpoint_defect_matches_full_matrix(g):
 def test_half_loop_triangle_check_matches_full_loop_on_random_graphs(g):
     from oracles import full_triangle_violation
     assert validate_metric(g).triangle_violation == full_triangle_violation(g.dist)
+
+
+@given(_connected_graphs())
+@settings(max_examples=150, deadline=None)
+def test_edge_mesh_h_matches_dense_oracle(g):
+    # the nearest distinct point of every x is one of its graph neighbours
+    from oracles import dense_mesh_h
+    assert g.mesh_h == dense_mesh_h(g.dist)

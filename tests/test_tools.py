@@ -62,3 +62,19 @@ def test_same_seed_in_another_workload_is_its_own_pair(tmp_path):
     entry = _summarize(tmp_path, lines)
     assert {w: v["pairs"] for w, v in entry["workloads"].items()} == {
         "ineq-gauss": 1, "semigroup-circle": 1}
+
+
+def test_traced_progress_line_shows_correct_and_layer_counts():
+    # a traced result carries no end-to-end metric, so its progress line used
+    # to end after the side
+    metrics = {"transport.w2_calls": {"value": 4}, "hopflax.apply_ns_per_cell": {"value": 2.75},
+               "space.self_s": {"value": 0.1}}
+    line = bench_entry._progress("transport-torus", 3, "change", 1,
+                                 {"correct": True, "metrics": metrics})
+    assert line == ("transport-torus seed 3 change: correct=True "
+                    "transport.w2_calls=4 hopflax.apply_ns_per_cell=2.75")
+    plain = bench_entry._progress("ineq-gauss", 5, "parent", 0, _line("parent", 5, 1.5)["result"])
+    assert plain == ("ineq-gauss seed 5 parent: correct=True "
+                     "job_s=1.5 main_s=1.5 setup_s=1.5 peak_rss_mb=1.5")
+    assert bench_entry._progress("ineq-gauss", 5, "parent", 1, None) == \
+        "ineq-gauss seed 5 parent: correct=False"

@@ -260,7 +260,7 @@ def test_uncertified_support_grows_to_all_cells(torus8, monkeypatch):
 
     def full_only(space, a, b, src, dst, *args):
         if len(src) < n * n:
-            return None, -np.eye(n)
+            return None, (np.arange(n), np.arange(n))
         return real(space, a, b, src, dst, *args)
 
     monkeypatch.setattr(transport, "_certified_plan", full_only)
@@ -274,12 +274,32 @@ def test_uncertified_support_grows_to_all_cells(torus8, monkeypatch):
     assert d == math.sqrt(plan.cost)
 
 
+def test_failed_certificate_names_least_cell_of_each_failing_row_and_column(torus8):
+    # the cells a failed check returns are, for each row and each column with
+    # a reduced cost below the floor, the cell of its least reduced cost
+    n = torus8.n
+    rng = np.random.default_rng(15)
+    u, v = rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n)
+    idx = np.arange(n)
+    plan, (rows, cols) = transport._certified_plan(
+        torus8, torus8.measure, torus8.measure, idx, idx, torus8.measure, u, v)
+    d2 = torus8.dist ** 2
+    reduced = d2 - u[:, None] - v[None, :]
+    floor = -1e-10 * (1.0 + d2.max())
+    failing_rows = np.flatnonzero(reduced.min(axis=1) < floor)
+    failing_cols = np.flatnonzero(reduced.min(axis=0) < floor)
+    assert plan is None and 0 < len(failing_rows) < n and 0 < len(failing_cols) < n
+    expected = ([(i, int(reduced[i].argmin())) for i in failing_rows]
+                + [(int(reduced[:, j].argmin()), j) for j in failing_cols])
+    assert list(zip(rows.tolist(), cols.tolist())) == expected
+
+
 def _infeasible_lp(*args):
     return SimpleNamespace(status=2, message="The problem is infeasible.")
 
 
 def _never_certified(space, *args):
-    return None, -np.eye(space.n)
+    return None, (np.arange(space.n), np.arange(space.n))
 
 
 @pytest.mark.parametrize("name, fake, words", [
@@ -325,7 +345,7 @@ def _graph_instance(draw):
 @settings(max_examples=150, deadline=None)
 def test_general_route_matches_dense_lp(instance):
     g, a, b = instance
-    solves = []  # [support cells, LP result, violation its certificate found]
+    solves = []  # [support cells, LP result, potentials (u, v) it was checked by]
     lp, certify = transport._transport_lp, transport._certified_plan
 
     def recorded_lp(space, a, b, src, dst):
@@ -333,10 +353,9 @@ def test_general_route_matches_dense_lp(instance):
         return solves[-1][1]
 
     def recorded_certify(*args):
-        plan, violation = certify(*args)
         if solves:
-            solves[-1][2] = violation
-        return plan, violation
+            solves[-1][2] = args[-2:]
+        return certify(*args)
 
     with mock.patch.object(transport, "_transport_lp", recorded_lp), \
             mock.patch.object(transport, "_certified_plan", recorded_certify):
@@ -346,10 +365,12 @@ def test_general_route_matches_dense_lp(instance):
     # jump to all n^2 cells happened
     for _, res, _ in solves:
         assert res.status == 0 and res.x.min() >= -1e-9
-    for (before, _, violation), (after, _, _) in zip(solves, solves[1:]):
+    d2 = g.dist ** 2
+    for (before, _, (u, v)), (after, _, _) in zip(solves, solves[1:]):
         added = after - before
         assert added and len(added) <= 2 * g.n
-        assert all(violation[cell] < 0 for cell in added)
+        reduced = d2 - u[:, None] - v[None, :]
+        assert all(reduced[cell] < -1e-10 * (1.0 + d2.max()) for cell in added)
     _, cost_lp = dense_w2(g, a, b)
     assert abs(plan.cost - cost_lp) <= 1e-10 * (1.0 + cost_lp)
     assert d == math.sqrt(plan.cost)
@@ -385,7 +406,7 @@ def test_antipodal_point_masses_on_circle(circle64, monkeypatch):
     nearest = np.zeros((64, 64), dtype=bool)
     k = transport._NEAREST
     nearest[np.arange(64).repeat(k),
-            np.argpartition(circle64.dist_sq, k - 1, axis=1)[:, :k].ravel()] = True
+            np.argpartition(circle64.dist ** 2, k - 1, axis=1)[:, :k].ravel()] = True
     nearest |= nearest.T
     assert not nearest[0, 32]
     res = transport._transport_lp(circle64, a, b, *np.nonzero(nearest))

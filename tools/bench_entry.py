@@ -36,6 +36,9 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+# per-layer counts a traced run's progress line shows; it has no end-to-end metric
+TRACED_SHOWN = ("transport.w2_calls", "hopflax.apply_calls", "hopflax.apply_ns_per_cell",
+                "space.build_calls")
 
 
 def _seeds(text: str) -> list:
@@ -56,6 +59,16 @@ def _src_lines(root: str) -> int:
 def _bench() -> dict:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         return json.load(fh)
+
+
+def _progress(workload: str, seed: int, side: str, trace: int, result) -> str:
+    """One stderr line per run: correct, then the end-to-end metrics or,
+    for a traced run, the TRACED_SHOWN counts."""
+    metrics = result["metrics"] if result else {}
+    names = list(metrics) if trace == 0 else [k for k in TRACED_SHOWN if k in metrics]
+    shown = [f"correct={bool(result and result['correct'])}"]
+    shown += [f"{k}={metrics[k]['value']:.4g}" for k in names]
+    return f"{workload} seed {seed} {side}: " + " ".join(shown)
 
 
 def record(args) -> int:
@@ -80,9 +93,8 @@ def record(args) -> int:
                     "src_lines": src_lines[side], "result": result}
             with open(args.runs, "a") as fh:
                 fh.write(json.dumps(line) + "\n")
-            shown = result["metrics"] if result and args.trace == 0 else {}
-            print(f"{args.workload} seed {seed} {side}: " + " ".join(
-                f"{k}={v['value']:.4g}" for k, v in shown.items()), file=sys.stderr, flush=True)
+            print(_progress(args.workload, seed, side, args.trace, result),
+                  file=sys.stderr, flush=True)
     return 0
 
 
