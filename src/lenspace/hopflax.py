@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import MeasuredSpace, ScalarField, check_binding, make_field
+from .space import _BLOCK_CELLS, MeasuredSpace, ScalarField, check_binding, make_field
 
 
 def _check_time(t: float, *, positive: bool) -> float:
@@ -38,10 +38,6 @@ def _time_grid(times) -> np.ndarray:
     if not np.all(np.diff(grid) > 0):
         raise ValueError("time grid must be strictly increasing")
     return grid
-
-
-# cells per block of rows in _minimizers: its one buffer holds 512 KB
-_BLOCK_CELLS = 1 << 16
 
 
 def _minimizers(space: MeasuredSpace, g: np.ndarray, scale: float) -> np.ndarray:

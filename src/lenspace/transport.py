@@ -22,7 +22,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .hopflax import _minimizers
-from .space import MeasuredSpace
+from .space import _BLOCK_CELLS, MeasuredSpace
 
 
 def _check_marginal(space: MeasuredSpace, mu, name: str) -> np.ndarray:
@@ -166,29 +166,33 @@ def _shortlist_plan(space: MeasuredSpace, a, b):
                               *_tree_potentials(space, rows, cols))
     if plan is not None:
         return plan
-    idx = np.arange(n)
+    # the support as sorted flat cells i * n + j, the order np.nonzero gives
+    # an n x n mask; argpartition works row by row, so blocks of rows pick
+    # the same nearest cells as one call on all of dist
     k = min(_NEAREST, n)
-    support = np.zeros((n, n), dtype=bool)
-    support[rows, cols] = True
-    support[idx.repeat(k), np.argpartition(space.dist, k - 1, axis=1)[:, :k].ravel()] = True
-    support |= support.T
+    block = max(1, _BLOCK_CELLS // n)
+    near = [n * np.arange(lo, min(lo + block, n))[:, None]
+            + np.argpartition(space.dist[lo:lo + block], k - 1, axis=1)[:, :k]
+            for lo in range(0, n, block)]
+    cells = np.union1d(n * rows + cols, np.concatenate(near))
+    cells = np.union1d(cells, n * (cells % n) + cells // n)
     while True:
-        src, dst = np.nonzero(support)
+        src, dst = np.divmod(cells, n)
         res = _transport_lp(space, a, b, src, dst)
         solved = res.status == 0 and res.x.min() >= -1e-9
-        grow = np.zeros_like(support)
+        grow = cells[:0]
         if solved:
             u, v = res.eqlin.marginals[:n], res.eqlin.marginals[n:]
-            plan, cells = _certified_plan(space, a, b, src, dst,
-                                          np.maximum(res.x, 0.0), u, v)
+            plan, bad = _certified_plan(space, a, b, src, dst,
+                                        np.maximum(res.x, 0.0), u, v)
             if plan is not None:
                 return plan
-            grow[cells] = ~support[cells]
-        if support.all():
+            grow = np.setdiff1d(n * bad[0] + bad[1], cells)
+        if len(cells) == n * n:
             raise RuntimeError("transport LP on all n^2 cells " + (
                 "gave no certified plan" if solved else f"failed: {res.message}"))
         # no new cell to add: every cell joins
-        support |= grow if grow.any() else True
+        cells = np.union1d(cells, grow) if len(grow) else np.arange(n * n)
 
 
 def _staircase(a: np.ndarray, b: np.ndarray):

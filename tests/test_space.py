@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,16 +214,37 @@ def test_validate_metric_passes_on_generators(circle64, gauss101, torus8):
         rep = validate_metric(g)
         assert rep.passed
         assert rep.symmetry_defect == 0.0
-        assert rep.triangle_violation <= 1e-12
+        assert rep.relaxation_defect <= 1e-12
+        assert rep.realization_defect <= 1e-12
         assert rep.measure_sum_defect <= 1e-12
 
 
-def test_half_loop_triangle_check_matches_full_loop(circle64, gauss101, torus8):
+def test_edge_certificate_and_triangle_oracle_pass_on_generators(circle64, gauss101, torus8):
     from oracles import full_triangle_violation
     spaces = [circle64, gauss101, torus8] + [
         _generate(_parse(spec)) for spec in ("path:7", "complete:6", "torus2d:3:5")]
     for g in spaces:
-        assert validate_metric(g).triangle_violation == full_triangle_violation(g.dist)
+        rep = validate_metric(g)
+        assert rep.passed
+        assert max(rep.relaxation_defect, rep.realization_defect) <= rep.tol
+        assert full_triangle_violation(g.dist) <= rep.tol
+
+
+@pytest.mark.parametrize("shift", [-3, 1])
+def test_tampered_distance_fails_edge_certificate_and_triangle_oracle(circle64, shift):
+    # d(0, 32) is the antipodal 32 hops; 29 hops breaks d(1, 32) <= d(1, 0) + d(0, 32),
+    # 33 hops breaks d(0, 32) <= d(0, 1) + d(1, 32)
+    from dataclasses import replace
+    from oracles import full_triangle_violation
+    h = circle64.mesh_h
+    dist = circle64.dist.copy()
+    dist[0, 32] = dist[32, 0] = dist[0, 32] + shift * h
+    g = replace(circle64, dist=dist)
+    rep = validate_metric(g)
+    assert not rep.passed
+    assert rep.symmetry_defect == 0.0
+    assert min(rep.relaxation_defect, rep.realization_defect) > rep.tol
+    assert full_triangle_violation(dist) > rep.tol
 
 
 def test_doubling_constant_unit_circle_frozen():
@@ -317,9 +340,42 @@ def test_half_loop_midpoint_defect_matches_full_matrix(g):
 
 @given(_connected_graphs())
 @settings(max_examples=150, deadline=None)
-def test_half_loop_triangle_check_matches_full_loop_on_random_graphs(g):
+def test_edge_certificate_and_triangle_oracle_pass_on_random_graphs(g):
     from oracles import full_triangle_violation
-    assert validate_metric(g).triangle_violation == full_triangle_violation(g.dist)
+    rep = validate_metric(g)
+    assert rep.passed
+    assert max(rep.relaxation_defect, rep.realization_defect) <= rep.tol
+    assert full_triangle_violation(g.dist) <= rep.tol
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_midpoint_defect(spec):
+    return _full_midpoint_defect(_generate(_parse(spec)).dist)
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 100])
+@pytest.mark.parametrize("spec", ["torus2d:24:24", "circle:256", "path:7", "complete:6"])
+def test_pruned_midpoint_defect_is_bitwise_the_full_loop(spec, block_cells, monkeypatch):
+    # blocks of one row with one pair minimized at a time, and short last blocks
+    import lenspace.space
+    monkeypatch.setattr(lenspace.space, "_BLOCK_CELLS", block_cells)
+    g = _generate(_parse(spec))
+    assert g.midpoint_defect == _reference_midpoint_defect(spec)
+
+
+def test_metric_checks_allocate_no_square_array():
+    # validate_metric and midpoint_defect each peak below a quarter of one
+    # n x n float array
+    g = _generate(_parse("circle:1024"))
+    peaks = []
+    for run in (lambda: validate_metric(g), lambda: g.midpoint_defect):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < g.n * g.n * 8 / 4, peaks
 
 
 @given(_connected_graphs())

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -389,6 +390,26 @@ def test_general_route_solves_no_dense_lp(spec, monkeypatch):
     assert sizes and max(sizes) < g.n ** 2
     _, cost_lp = dense_w2(g, a, g.measure)
     assert abs(plan.cost - cost_lp) <= 1e-10 * (1.0 + cost_lp)
+
+
+def test_shortlist_solve_allocates_little_beyond_the_coupling(monkeypatch):
+    # a solve over many shortlist rounds peaks below 1.25 n x n float arrays:
+    # the dense coupling, and no n x n seed, support mask or index array.
+    # torus2d:32:32 has as many points as circle:1024, whose solves take
+    # about 30 rounds and tens of seconds
+    g = _generate(_parse("torus2d:32:32"))
+    sizes = _lp_cells(monkeypatch)
+    a = np.random.default_rng(3).gamma(1.0, size=g.n)
+    a /= a.sum()
+    tracemalloc.start()
+    try:
+        _, plan = w2(g, a, np.full(g.n, 1.0 / g.n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sizes) > 1 and max(sizes) < g.n ** 2
+    assert peak < 1.25 * g.n * g.n * 8, peak
+    plan.check(g)
 
 
 def test_antipodal_point_masses_on_circle(circle64, monkeypatch):
