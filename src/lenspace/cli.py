@@ -307,8 +307,9 @@ def _cmd_transport(args: argparse.Namespace):
     mu1 = _resolve_marginal(space, args.mu1)
     distance, plan = w2(space, mu0, mu1)
     plan.check(space)
-    triplets = [[int(i), int(j), float(plan.coupling[i, j])]
-                for i, j in np.argwhere(plan.coupling > 1e-15)]
+    keep = plan.mass > 1e-15
+    triplets = [[int(i), int(j), float(m)] for i, j, m in
+                zip(plan.rows[keep], plan.cols[keep], plan.mass[keep])]
     doc = {
         "space": _space_summary(space),
         "distance": distance,

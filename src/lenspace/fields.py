@@ -95,6 +95,7 @@ def load_field_csv(space: MeasuredSpace, path: str) -> ScalarField:
     if not lines or lines[0].strip() != "index,value":
         raise ValueError(f"field file {path} must start with an index,value header")
     vals = np.full(space.n, np.nan)
+    seen = np.zeros(space.n, dtype=bool)
     for line in lines[1:]:
         idx, _, val = line.partition(",")
         try:
@@ -104,6 +105,9 @@ def load_field_csv(space: MeasuredSpace, path: str) -> ScalarField:
             raise ValueError(f"field file {path}: bad row {line!r}") from None
         if not (0 <= i < space.n):
             raise ValueError(f"field file {path}: index {i} outside 0..{space.n - 1}")
+        if seen[i]:
+            raise ValueError(f"field file {path}: index {i} repeated")
+        seen[i] = True
         vals[i] = x
     if np.isnan(vals).any():
         missing = int(np.flatnonzero(np.isnan(vals))[0])

@@ -129,7 +129,7 @@ def laplacian_eigenfields(space: MeasuredSpace, k: int = 3) -> list:
     a symmetric surrogate for the subgradient Dirichlet energy, so the
     low generalized eigenvectors approximate Poincare extremals.
     """
-    src, dst, length = space.edge_arrays
+    src, dst, _, length, _ = space.edge_arrays
     weight = (space.measure[src] + space.measure[dst]) / (2.0 * length ** 2)
     lap = np.zeros((space.n, space.n))
     np.add.at(lap, (src, dst), -weight)

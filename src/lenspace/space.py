@@ -53,21 +53,24 @@ class MeasuredSpace:
 
     @cached_property
     def edge_arrays(self):
-        """Directed edge lists (src, dst, length) with both orientations.
+        """The directed edges (src, dst, weight, length, starts), both
+        orientations of each edge, sorted by (src, dst).
 
-        Lengths are metric distances between the endpoints, not raw edge
-        weights; the two differ when an edge is longer than the shortest
-        path between its endpoints.  Sorted by (src, dst).
+        weight is the raw edge weight; length is the metric distance
+        dist[src, dst], smaller when a shorter path joins the endpoints.
+        The edges out of x are [starts[x], starts[x + 1]); the graph is
+        symmetric, so they are also the edges into x with the roles swapped.
         """
-        rows, cols, _ = self.edges
+        rows, cols, vals = self.edges
         src, dst = np.concatenate([rows, cols]), np.concatenate([cols, rows])
         order = np.lexsort((dst, src))
         src, dst = src[order], dst[order]
-        return src, dst, self.dist[src, dst]
+        return (src, dst, np.concatenate([vals, vals])[order], self.dist[src, dst],
+                np.searchsorted(src, np.arange(self.n)))
 
     @cached_property
     def midpoint_defect(self) -> float:
-        return _max_midpoint_defect(self.dist, self.edges)
+        return _max_midpoint_defect(self)
 
     @property
     def diameter(self) -> float:
@@ -117,56 +120,37 @@ def check_binding(space: MeasuredSpace, f: ScalarField) -> np.ndarray:
 _BLOCK_CELLS = 1 << 16
 
 
-def _in_edges(edges, n: int):
-    """The directed edges of the graph, sorted by destination: (src, dst, w, starts).
-
-    w holds the raw edge weights, both orientations of each undirected
-    edge, and the edges into y are src[starts[y]:starts[y + 1]].
-    """
-    rows, cols, vals = edges
-    dst = np.concatenate([cols, rows])
-    order = np.argsort(dst, kind="stable")
-    dst = dst[order]
-    return (np.concatenate([rows, cols])[order], dst,
-            np.concatenate([vals, vals])[order], np.searchsorted(dst, np.arange(n)))
-
-
-def _edge_relax(d: np.ndarray, src, w, starts):
-    """For rows d of dist: cand[:, k] = d(x, src[k]) + w[k] per directed edge,
-    and through[x, y], the least cand over the edges into y."""
-    cand = d[:, src]
-    cand += w
+def _edge_relax(d: np.ndarray, dst, weight, starts):
+    """For rows d of dist: cand[:, k] = d(x, dst[k]) + weight[k] per directed
+    edge, and through[x, y], the least cand over the edges at y."""
+    cand = d[:, dst]
+    cand += weight
     return cand, np.minimum.reduceat(cand, starts, axis=1)
 
 
-def _max_midpoint_defect(dist: np.ndarray, edges=None) -> float:
+def _max_midpoint_defect(space: MeasuredSpace) -> float:
     """max over pairs y >= x of min_z |max(d(x,z), d(z,y)) - d(x,y)/2|.
 
     dist is exactly symmetric, so the pairs y < x repeat earlier ones.  A
     pair's value at any one z bounds its minimum from above, so a pair
     whose bound is at most the running max cannot raise it; only the
-    other pairs are minimized over all z, largest bound first.  With the
-    graph's edges, each bound takes the two points of a shortest path
-    from x to y on either side of its middle (_midpoint_bounds); without,
-    every pair is minimized.  Each value is the same float expression
-    the full loop evaluates, so the result is bitwise the full loop's.
+    other pairs are minimized over all z, largest bound first.  Each
+    bound takes the two points of a shortest path from x to y on either
+    side of its middle (_midpoint_bounds).  Each value is the same float
+    expression the full loop evaluates, so the result is bitwise the full
+    loop's.
     """
-    n = dist.shape[0]
+    dist, n = space.dist, space.n
     if n < 2:
         return 0.0
-    if edges is None:
-        rows, graph = max(1, _BLOCK_CELLS // n), None
-    else:  # a row takes its 2m edge cells and n per binary-lifting level
-        graph = _in_edges(edges, n)
-        rows = max(1, _BLOCK_CELLS // (len(graph[0]) + n * (n - 1).bit_length()))
+    src, dst, weight, _, starts = space.edge_arrays
+    # a row takes its 2m edge cells and n per binary-lifting level
+    rows = max(1, _BLOCK_CELLS // (len(src) + n * (n - 1).bit_length()))
     chunk = max(1, _BLOCK_CELLS // n)  # pairs minimized at once
     worst = 0.0
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        if graph is None:
-            bound = np.full((hi - lo, n - lo), np.inf)
-        else:
-            bound = _midpoint_bounds(dist, lo, hi, *graph)
+        bound = _midpoint_bounds(dist, lo, hi, src, dst, weight, starts)
         # pair (x, y) sits at bound[x - lo, y - lo]; drop y < x
         bound = np.triu(bound).ravel()
         top = np.flatnonzero(bound > worst)
@@ -186,20 +170,20 @@ def _max_midpoint_defect(dist: np.ndarray, edges=None) -> float:
     return worst
 
 
-def _midpoint_bounds(dist, lo, hi, src, dst, w, starts):
+def _midpoint_bounds(dist, lo, hi, src, dst, weight, starts):
     """Upper bounds on the midpoint defect of the pairs x in [lo, hi),
     y >= lo, as a (hi - lo) x (n - lo) array.
 
-    pred[x, y] is the least s whose edge (s, y) realizes d(x, y), and
-    pred[x, x] = x.  Along pred from y, d(x, .) falls toward x; binary
+    pred[x, y] is the least neighbour s of y whose edge realizes d(x, y),
+    and pred[x, x] = x.  Along pred from y, d(x, .) falls toward x; binary
     lifting finds the last z1 with d(x, z1) > d(x, y)/2 and its
     predecessor z0, and the bound is the pair's value at the better of
     the two.
     """
     d = dist[lo:hi]
     b, n = d.shape
-    cand, through = _edge_relax(d, src, w, starts)
-    pred = np.minimum.reduceat(np.where(cand == through[:, dst], src, n), starts, axis=1)
+    cand, through = _edge_relax(d, dst, weight, starts)
+    pred = np.minimum.reduceat(np.where(cand == through[:, src], dst, n), starts, axis=1)
     x = np.arange(lo, lo + b)
     pred[np.arange(b), x] = x
     # points as flat indices into d, so that each step is one np.take
@@ -300,8 +284,8 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
 
     digest = hashlib.sha256()
     digest.update(np.int64(n).tobytes())
-    digest.update(np.ascontiguousarray(dist).tobytes())
-    digest.update(np.ascontiguousarray(w).tobytes())
+    digest.update(np.ascontiguousarray(dist))
+    digest.update(np.ascontiguousarray(w))
     # the edges too: gradients and slopes read the graph, not just the metric
     for arr in (rows, cols, vals):
         arr.flags.writeable = False
@@ -360,13 +344,13 @@ def validate_metric(space: MeasuredSpace) -> MetricReport:
     blocks of rows.
     """
     d, n = space.dist, space.n
-    src, _, w, starts = _in_edges(space.edges, n)
-    rows = max(1, _BLOCK_CELLS // max(1, len(src)))
+    _, dst, weight, _, starts = space.edge_arrays
+    rows = max(1, _BLOCK_CELLS // max(1, len(dst)))
     relax = real = sym = 0.0
     for lo in range(0, n, rows):
         block = d[lo:lo + rows]
-        if len(src):
-            through = _edge_relax(block, src, w, starts)[1]
+        if len(dst):
+            through = _edge_relax(block, dst, weight, starts)[1]
         else:  # one point: no edge, and no y != x
             through = np.full(block.shape, np.inf)
         through -= block

@@ -43,9 +43,15 @@ def _check_marginal(space: MeasuredSpace, mu, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """An optimal coupling between two measures, with its certificate."""
+    """An optimal coupling between two measures, with its certificate.
 
-    coupling: np.ndarray
+    The coupling is stored as its cells: mass[k] sits at (rows[k], cols[k]),
+    distinct cells in row-major order, and every other cell is empty.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    mass: np.ndarray
     source_marginal: np.ndarray
     target_marginal: np.ndarray
     cost: float
@@ -53,12 +59,16 @@ class TransportPlan:
 
     def check(self, space: MeasuredSpace):
         """Raise AssertionError when a plan invariant fails, also under python -O."""
-        row = np.abs(self.coupling.sum(axis=1) - self.source_marginal).max()
-        col = np.abs(self.coupling.sum(axis=0) - self.target_marginal).max()
-        i, j = np.nonzero(self.coupling)
-        recomputed = float(self.coupling[i, j] @ space.dist[i, j] ** 2)
+        n, rows, cols, mass = space.n, self.rows, self.cols, self.mass
+        if not (rows.shape == cols.shape == mass.shape == (len(mass),)
+                and np.all((rows >= 0) & (rows < n) & (cols >= 0) & (cols < n))
+                and np.all(np.diff(rows * n + cols) > 0)):
+            raise AssertionError("cells are not distinct, in 0..n-1 and in row-major order")
+        row = np.abs(np.bincount(rows, mass, n) - self.source_marginal).max()
+        col = np.abs(np.bincount(cols, mass, n) - self.target_marginal).max()
+        recomputed = float(mass @ space.dist[rows, cols] ** 2)
         for ok, message in (
-                (self.coupling.min() >= 0.0, "coupling has negative mass"),
+                (np.all(mass >= 0.0), "coupling has negative mass"),
                 (row <= _PLAN_TOL, f"row sums off by {row}"),
                 (col <= _PLAN_TOL, f"column sums off by {col}"),
                 (abs(recomputed - self.cost) <= _PLAN_TOL * (1.0 + abs(self.cost)),
@@ -139,11 +149,9 @@ def _certified_plan(space: MeasuredSpace, a, b, src, dst, mass, u, v):
         bad_cols = space.dist[imin, idx] ** 2 - u[imin] - v < floor
         return None, (np.concatenate([idx[bad_rows], imin[bad_cols]]),
                       np.concatenate([jmin[bad_rows], idx[bad_cols]]))
-    coupling = np.zeros((space.n, space.n))
-    coupling[src, dst] = mass
     cost = float(mass @ space.dist[src, dst] ** 2)
     gap = abs(cost - (float(u @ a) + float(v @ b)))
-    plan = TransportPlan(coupling=coupling, source_marginal=a,
+    plan = TransportPlan(rows=src, cols=dst, mass=mass, source_marginal=a,
                          target_marginal=b, cost=cost, duality_gap=gap)
     return plan, None
 

@@ -2,10 +2,11 @@
 
 None of these shares code with the routes it checks: the dense Hopf-Lax
 minimum, the dense Lipschitz quotient, the nearest-distinct-point mesh
-and the full triangle check run over all pairs, the 1-d oracle
-merges two CDFs on point positions given by the test's own construction
-of a path, the dense W2 builds its own LP over all n^2 cells, and the
-brute force enumerates every vertex of the coupling polytope.
+and the full triangle check run over all pairs, the slopes loop over the
+raw edge list, the 1-d oracle merges two CDFs on point positions given
+by the test's own construction of a path, the dense W2 builds its own LP
+over all n^2 cells, and the brute force enumerates every vertex of the
+coupling polytope.
 """
 
 from functools import lru_cache
@@ -36,6 +37,19 @@ def dense_lipschitz(space, f) -> float:
     diff = np.abs(f.values[:, None] - f.values[None, :])
     off = ~np.eye(space.n, dtype=bool)
     return float((diff[off] / space.dist[off]).max())
+
+
+def dense_slopes(space, f):
+    """(|grad f|, |grad^- f|) per point, by a loop over the raw edge list:
+    each edge counts both ways, at the metric distance of its endpoints."""
+    vals = f.values.tolist()
+    grad, sub = np.zeros(space.n), np.zeros(space.n)
+    for i, j in zip(space.edges[0].tolist(), space.edges[1].tolist()):
+        length = float(space.dist[i, j])
+        for x, y in ((i, j), (j, i)):
+            grad[x] = max(grad[x], abs(vals[y] - vals[x]) / length)
+            sub[x] = max(sub[x], max(vals[x] - vals[y], 0.0) / length)
+    return grad, sub
 
 
 def full_triangle_violation(dist) -> float:

@@ -126,6 +126,18 @@ def test_malformed_space_file_exit2(tmp_path, capsys, change, words):
     assert not out.exists() or not list(out.iterdir())
 
 
+def test_field_csv_with_repeated_index_exit2(tmp_path, capsys):
+    # this used to exit 0, evolving the repeated index's last value
+    path = tmp_path / "f.csv"
+    path.write_text("index,value\n0,1.0\n1,2.0\n2,3.0\n0,5.0\n")
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "semigroup", "--space", "path:3",
+                 "--field", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: field file {path}: index 0 repeated\n"
+    assert not out.exists() or not list(out.iterdir())
+
+
 @pytest.mark.parametrize("doc, words", [
     (dict(_GOOD_FILE, kind="circle", coords=[0.0, 1.0]), "params.length, got None"),
     (dict(_GOOD_FILE, kind="circle", coords=[0.0, 1.0], params={"length": -2.0}),
@@ -552,7 +564,7 @@ _NO_DEFECT_RUNS = [
 def test_commands_never_compute_midpoint_defect(tmp_path, monkeypatch, argv):
     import lenspace.space
 
-    def refuse(dist):
+    def refuse(*args):
         raise AssertionError("midpoint defect computed")
 
     monkeypatch.setattr(lenspace.space, "_max_midpoint_defect", refuse)

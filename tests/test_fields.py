@@ -116,3 +116,11 @@ def test_load_field_csv_errors(tmp_path, path3):
     p.write_text("index,value\n0,one\n1,2.0\n2,0.0\n")
     with pytest.raises(ValueError, match="bad row"):
         load_field_csv(path3, str(p))
+
+
+def test_load_field_csv_rejects_repeated_index(tmp_path, path3):
+    # a repeated index used to load, with its last row's value
+    p = tmp_path / "twice.csv"
+    p.write_text("index,value\n0,1.0\n1,2.0\n2,3.0\n0,5.0\n")
+    with pytest.raises(ValueError, match="index 0 repeated"):
+        load_field_csv(path3, str(p))

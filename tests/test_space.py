@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 from lenspace import (build_from_graph, doubling_constant,
                       local_poincare_constant, make_field, validate_metric)
 from lenspace import generate as _generate, parse_space_spec as _parse
+from lenspace.hopflax import grad_norm_field, subgrad_norm_field
 
 
 def test_two_point_distances(two_point):
@@ -182,15 +183,26 @@ def test_save_load_reproduces_edges(spec, tmp_path):
 
 
 def test_edge_arrays_hold_both_orientations_sorted(torus8):
-    # gradients sum over edge_arrays with np.add.at, so their order is fixed:
-    # every undirected edge both ways, sorted by (src, dst)
-    src, dst, length = torus8.edge_arrays
-    rows, cols, _ = torus8.edges
+    # the one directed-edge table: every undirected edge both ways, sorted by
+    # (src, dst), with its raw weight, its metric length and the start of
+    # each point's group; the chord 0-2 (weight 7.5) is longer than d(0, 2)
+    g = build_from_graph([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 7.5), (2, 3, 0.5)],
+                         np.ones(4), 4)
+    src, dst, weight, length, starts = g.edge_arrays
+    assert src.tolist() == [0, 0, 1, 1, 2, 2, 2, 3]
+    assert dst.tolist() == [1, 2, 0, 2, 0, 1, 3, 2]
+    assert weight.tolist() == [1.0, 7.5, 1.0, 1.0, 7.5, 1.0, 0.5, 0.5]
+    assert length.tolist() == [1.0, 2.0, 1.0, 1.0, 2.0, 1.0, 0.5, 0.5]
+    assert starts.tolist() == [0, 2, 4, 7]
+    assert g.edge_arrays is g.edge_arrays  # built once per space
+    src, dst, weight, length, starts = torus8.edge_arrays
+    rows, cols, vals = (a.tolist() for a in torus8.edges)
     assert len(src) == 2 * len(rows)
     assert np.all(np.diff(src * torus8.n + dst) > 0)
-    assert set(zip(src.tolist(), dst.tolist())) == (
-        set(zip(rows.tolist(), cols.tolist())) | set(zip(cols.tolist(), rows.tolist())))
+    assert set(zip(src.tolist(), dst.tolist(), weight.tolist())) == (
+        set(zip(rows, cols, vals)) | set(zip(cols, rows, vals)))
     assert np.array_equal(length, torus8.dist[src, dst])
+    assert np.array_equal(starts, np.searchsorted(src, np.arange(torus8.n)))
 
 
 def test_mesh_h_circle(circle64):
@@ -334,8 +346,21 @@ def _connected_graphs(draw):
 @given(_connected_graphs())
 @settings(max_examples=150, deadline=None)
 def test_half_loop_midpoint_defect_matches_full_matrix(g):
-    from lenspace.space import _max_midpoint_defect
-    assert _max_midpoint_defect(g.dist) == _full_midpoint_defect(g.dist)
+    # the pruned path, on graphs whose chords can be longer than the
+    # distance between their endpoints
+    assert g.midpoint_defect == _full_midpoint_defect(g.dist)
+
+
+@given(_connected_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_slopes_match_dense_oracle_bitwise(g, data):
+    # slopes divide by the metric length of each edge, not its raw weight
+    from oracles import dense_slopes
+    values = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=g.n, max_size=g.n))
+    f = make_field(g, values)
+    grad, sub = dense_slopes(g, f)
+    assert grad_norm_field(g, f).tobytes() == grad.tobytes()
+    assert subgrad_norm_field(g, f).tobytes() == sub.tobytes()
 
 
 @given(_connected_graphs())

@@ -32,12 +32,19 @@ def _lp_cells(monkeypatch) -> list:
     return sizes
 
 
+def _dense(plan, n: int) -> np.ndarray:
+    """The plan's coupling as an n x n array."""
+    coupling = np.zeros((n, n))
+    coupling[plan.rows, plan.cols] = plan.mass
+    return coupling
+
+
 def test_identical_marginals_give_zero(circle64):
     d, plan = w2(circle64, circle64.measure, circle64.measure)
     assert d == 0.0
     assert plan.cost == 0.0
     assert plan.duality_gap == 0.0
-    assert np.array_equal(plan.coupling, np.diag(circle64.measure))
+    assert np.array_equal(_dense(plan, 64), np.diag(circle64.measure))
 
 
 def test_identity_plan_is_certified(circle64, monkeypatch):
@@ -76,7 +83,7 @@ def test_plan_invariants_on_random_instance(gauss101):
     b = rng.uniform(0.1, 1.0, gauss101.n); b /= b.sum()
     d, plan = w2(gauss101, a, b)
     plan.check(gauss101)
-    assert plan.coupling.min() >= 0.0
+    assert plan.mass.min() >= 0.0
     assert plan.duality_gap <= 1e-9 * (1.0 + plan.cost)
     assert d == pytest.approx(math.sqrt(plan.cost), rel=1e-12)
 
@@ -91,14 +98,19 @@ def test_plan_check_raises_under_python_O():
         from lenspace import generate, parse_space_spec, w2
         g = generate(parse_space_spec("path:3"))
         _, plan = w2(g, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
-        try:
-            dataclasses.replace(plan, cost=plan.cost + 1.0).check(g)
-        except AssertionError as exc:
-            print(exc)
+        # the last cell again, with no mass: sums and cost stay right
+        twice = dict(rows=np.r_[plan.rows, plan.rows[-1]], cols=np.r_[plan.cols, plan.cols[-1]],
+                     mass=np.r_[plan.mass, 0.0])
+        for bad in (dict(cost=plan.cost + 1.0), twice, dict(cols=plan.cols + 1)):
+            try:
+                dataclasses.replace(plan, **bad).check(g)
+            except AssertionError as exc:
+                print(exc)
     """)
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert out.stdout.startswith("stored cost 5.0 vs recomputed 4.0")
+    layout = "cells are not distinct, in 0..n-1 and in row-major order"
+    assert out.stdout.splitlines() == ["stored cost 5.0 vs recomputed 4.0", layout, layout]
 
 
 def test_marginal_sum_mismatch_names_defect(two_point):
@@ -204,7 +216,7 @@ def test_path_fast_path_solves_no_lp(gauss101, monkeypatch):
         d, plan = w2(g, target / target.sum(), g.measure)
         assert d > 0
         plan.check(g)
-        assert np.count_nonzero(plan.coupling) <= 2 * g.n - 1
+        assert np.count_nonzero(plan.mass) <= 2 * g.n - 1
 
 
 def test_failed_certificate_falls_back_to_lp(gauss101, monkeypatch):
@@ -392,9 +404,10 @@ def test_general_route_solves_no_dense_lp(spec, monkeypatch):
     assert abs(plan.cost - cost_lp) <= 1e-10 * (1.0 + cost_lp)
 
 
-def test_shortlist_solve_allocates_little_beyond_the_coupling(monkeypatch):
-    # a solve over many shortlist rounds peaks below 1.25 n x n float arrays:
-    # the dense coupling, and no n x n seed, support mask or index array.
+def test_shortlist_solve_allocates_less_than_one_square_array(monkeypatch):
+    # a solve over many shortlist rounds peaks below one n x n float array:
+    # the plan is its cells, and there is no n x n seed, support mask or
+    # index array.
     # torus2d:32:32 has as many points as circle:1024, whose solves take
     # about 30 rounds and tens of seconds
     g = _generate(_parse("torus2d:32:32"))
@@ -408,7 +421,7 @@ def test_shortlist_solve_allocates_little_beyond_the_coupling(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(sizes) > 1 and max(sizes) < g.n ** 2
-    assert peak < 1.25 * g.n * g.n * 8, peak
+    assert peak < 1.0 * g.n * g.n * 8, peak
     plan.check(g)
 
 
@@ -421,7 +434,7 @@ def test_antipodal_point_masses_on_circle(circle64, monkeypatch):
     d, plan = w2(circle64, a, b)
     assert max(sizes) < 64 * 64
     assert d == pytest.approx(circle64.dist[0, 32], rel=1e-12)
-    assert plan.coupling[0, 32] == 1.0
+    assert _dense(plan, 64)[0, 32] == 1.0
     plan.check(circle64)
     monkeypatch.undo()
     nearest = np.zeros((64, 64), dtype=bool)

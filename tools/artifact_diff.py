@@ -33,6 +33,10 @@ SIDES = ("parent", "change")
 # a Gamma(1) marginal on torus2d:8:8 (64 points), written by prepare() on
 # both sides with the same bytes
 TORUS_MARGINAL = "mu_torus8.csv"
+# a hand-written ring of 12 points with chords, also written by prepare():
+# the chord 0-3 (weight 9) is longer than d(0, 3) = 3.75, so its raw weight
+# and its metric length differ, which they never do on generator spaces
+CHORDED = "chorded.json"
 
 # (name, argv); a name is also the case's output directory
 CASES = [
@@ -69,6 +73,9 @@ CASES = [
     ("plot-psi", ["plot-data", "--report", "chain/chain.json", "--kind", "psi"]),
     ("plot-defect", ["plot-data", "--report", "semigroup-refine/semigroup.json",
                      "--kind", "defect_vs_mesh"]),
+    ("constants-chorded", ["constants", "--space", CHORDED, "--which", "lsi,poincare"]),
+    ("doubling-chorded", ["doubling", "--space", CHORDED, "--r-min", "0.5", "--r-max", "2.0",
+                          "--field", "random", "--radius", "1.0"]),
 ]
 
 
@@ -78,6 +85,11 @@ def prepare(work: str):
         fh.write("index,value\n")
         for i, w in enumerate(weights):
             fh.write(f"{i},{w:.17g}\n")
+    ring = [[i, (i + 1) % 12, 1.0 + 0.25 * (i % 3)] for i in range(12)]
+    doc = {"n": 12, "edges": ring + [[0, 3, 9.0], [4, 9, 2.5], [2, 7, 4.0]],
+           "measure": [1 + i % 4 for i in range(12)]}
+    with open(os.path.join(work, CHORDED), "w") as fh:
+        json.dump(doc, fh)
 
 
 def run_cases(root: str, work: str) -> dict:
