@@ -109,7 +109,7 @@ def load_field_csv(space: MeasuredSpace, path: str) -> ScalarField:
             raise ValueError(f"field file {path}: index {i} repeated")
         seen[i] = True
         vals[i] = x
-    if np.isnan(vals).any():
-        missing = int(np.flatnonzero(np.isnan(vals))[0])
+    if not seen.all():
+        missing = int(np.argmin(seen))
         raise ValueError(f"field file {path}: no value for point {missing}")
     return make_field(space, vals)

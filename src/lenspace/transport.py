@@ -6,12 +6,15 @@ shortlist method (Gottschlich & Schuhmacher 2014): the LP restricted to
 a small support of cells, grown by the cells that violate dual
 feasibility until none does.  The support starts from the staircase of
 the two measures in index order, checked first: on a path numbered along
-itself it is the monotone (quantile) coupling, found with no LP.  When a
-restricted solve fails, or a failed check adds no cell, the next support
-is all n^2 cells: the dense LP.  Every plan, the identity plan of equal
-marginals too, passes a reduced-cost check by dual potentials u, v,
-d(x, y)^2 - u(x) - v(y) >= 0 on all n^2 cells, so it is optimal.  Its
-row minima are the Hopf-Lax operator Q_{1/2}(-v), on the semigroup's kernel.
+itself it is the monotone (quantile) coupling, found with no LP.  A solve
+keeps one HiGHS model: each round adds its new cells as columns and
+re-solves by the primal simplex from the last optimal basis.  When a
+restricted solve fails, or a failed check adds no cell, the missing cells
+join and the dense LP over all n^2 cells is solved cold.  Every plan, the
+identity plan of equal marginals too, passes a reduced-cost check by dual
+potentials u, v, d(x, y)^2 - u(x) - v(y) >= 0 on all n^2 cells, so it is
+optimal.  Its row minima are the Hopf-Lax operator Q_{1/2}(-v), on the
+semigroup's kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .hopflax import _minimizers
 from .space import _BLOCK_CELLS, MeasuredSpace
@@ -83,6 +85,15 @@ class TransportPlan:
 _PLAN_TOL = 1e-9
 # cells per row in the first shortlist support, nearest first
 _NEAREST = 8
+# HiGHS options of every transport LP: tight feasibility tolerances keep
+# clamped marginal defects below 1e-9; skipping presolve took about 40% off
+# each solve on torus2d:20:20, restricted or dense (2-vCPU VM)
+_LP_OPTIONS = {"output_flag": False, "presolve": "off",
+               "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+# HiGHS simplex_strategy of cold solves (dual, the default) and of warm ones
+# (primal: 1-80 iterations per round after the second on torus2d:20:20,
+# where the dual simplex took 300-500)
+_DUAL_SIMPLEX, _PRIMAL_SIMPLEX = 1, 4
 
 
 def w2(space: MeasuredSpace, mu0, mu1):
@@ -105,29 +116,45 @@ def w2(space: MeasuredSpace, mu0, mu1):
     return float(np.sqrt(plan.cost)), plan
 
 
-def _transport_lp(space: MeasuredSpace, a, b, src, dst):
-    """The transportation LP restricted to the cells (src[k], dst[k]).
+class _TransportLP:
+    """The transportation LP of a to b on a growing list of cells, one HiGHS model.
 
-    Returns scipy's result; on success res.x is the mass per cell and
-    res.eqlin.marginals the row potentials u followed by the column
-    potentials v.
+    Row i of the coupling sums to a[i] and column j to b[j]; each cell is a
+    column, in the order the cells were added.
     """
-    # imported here: scipy.optimize is a large share of the package import time
-    from scipy.optimize import linprog
 
-    n, k = space.n, len(src)
-    # row i of the coupling sums to a[i], column j to b[j]
-    cells = np.arange(k)
-    a_eq = csr_matrix((np.ones(2 * k), (np.concatenate([src, n + dst]),
-                                        np.concatenate([cells, cells]))),
-                      shape=(2 * n, k))
-    # tight feasibility tolerances keep clamped marginal defects below 1e-9;
-    # skipping presolve took about 40% off each solve on torus2d:20:20,
-    # restricted or dense (2-vCPU VM)
-    return linprog(space.dist[src, dst] ** 2, A_eq=a_eq, b_eq=np.concatenate([a, b]),
-                   bounds=(0, None), method="highs",
-                   options={"primal_feasibility_tolerance": 1e-10,
-                            "dual_feasibility_tolerance": 1e-10, "presolve": False})
+    def __init__(self, space: MeasuredSpace, a, b):
+        # imported here: scipy.optimize is a large share of the package import time
+        from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+
+        self.space, self.optimal, self.highs = space, HighsModelStatus.kOptimal, _Highs()
+        for key, value in _LP_OPTIONS.items():
+            self.highs.setOptionValue(key, value)
+        supply = np.concatenate([a, b])
+        self.highs.addRows(len(supply), supply, supply, 0, [], [], [])
+
+    def solve(self, src, dst, cold: bool):
+        """Add the cells (src[k], dst[k]) as columns and solve again.
+
+        A cold solve clears the solver and runs the dual simplex from no
+        basis.  Otherwise the new columns enter nonbasic, so the last
+        optimal basis stays primal feasible and the primal simplex goes on
+        from it.  Returns (status, x, u, v): HiGHS's model status, and when
+        it is optimal the mass per column and the row potentials u, v.
+        """
+        n, k, h = self.space.n, len(src), self.highs
+        h.addCols(k, self.space.dist[src, dst] ** 2, np.zeros(k), np.full(k, np.inf),
+                  2 * k, np.arange(0, 2 * k, 2, dtype=np.int32),
+                  np.stack([src, n + dst], axis=1).ravel().astype(np.int32), np.ones(2 * k))
+        if cold:
+            h.clearSolver()
+        h.setOptionValue("simplex_strategy", _DUAL_SIMPLEX if cold else _PRIMAL_SIMPLEX)
+        h.run()
+        if h.getModelStatus() != self.optimal:
+            return h.modelStatusToString(h.getModelStatus()), None, None, None
+        solution = h.getSolution()
+        duals = np.array(solution.row_dual)
+        return "Optimal", np.array(solution.col_value), duals[:n], duals[n:]
 
 
 def _certified_plan(space: MeasuredSpace, a, b, src, dst, mass, u, v):
@@ -164,9 +191,10 @@ def _shortlist_plan(space: MeasuredSpace, a, b):
     it seeds the first support, so the first solve has a solution, with
     each row's nearest cells, made symmetric.  While the certificate
     fails, the most violated cell of each row and of each column joins
-    the support.  When a solve fails, or a failed check adds no new cell,
-    the next support is all n^2 cells: the dense LP.  Raises RuntimeError
-    when the solve on all n^2 cells fails or is not certified.
+    the support as a column of the one HiGHS model, re-solved warm.  When
+    a solve fails, or a failed check adds no new cell, every missing cell
+    joins and the dense LP is solved cold.  Raises RuntimeError when the
+    solve on all n^2 cells fails or is not certified.
     """
     n = space.n
     rows, cols, mass = _staircase(a, b)
@@ -184,23 +212,26 @@ def _shortlist_plan(space: MeasuredSpace, a, b):
             for lo in range(0, n, block)]
     cells = np.union1d(n * rows + cols, np.concatenate(near))
     cells = np.union1d(cells, n * (cells % n) + cells // n)
+    lp, new, cold = _TransportLP(space, a, b), cells, True
     while True:
-        src, dst = np.divmod(cells, n)
-        res = _transport_lp(space, a, b, src, dst)
-        solved = res.status == 0 and res.x.min() >= -1e-9
+        status, x, u, v = lp.solve(*np.divmod(new, n), cold)
+        solved = x is not None and x.min() >= -1e-9
         grow = cells[:0]
         if solved:
-            u, v = res.eqlin.marginals[:n], res.eqlin.marginals[n:]
-            plan, bad = _certified_plan(space, a, b, src, dst,
-                                        np.maximum(res.x, 0.0), u, v)
+            # the LP's columns follow the order the cells joined in
+            order = np.argsort(cells)
+            plan, bad = _certified_plan(space, a, b, *np.divmod(cells[order], n),
+                                        np.maximum(x[order], 0.0), u, v)
             if plan is not None:
                 return plan
             grow = np.setdiff1d(n * bad[0] + bad[1], cells)
         if len(cells) == n * n:
             raise RuntimeError("transport LP on all n^2 cells " + (
-                "gave no certified plan" if solved else f"failed: {res.message}"))
-        # no new cell to add: every cell joins
-        cells = np.union1d(cells, grow) if len(grow) else np.arange(n * n)
+                "gave no certified plan" if solved else f"failed: {status}"))
+        # no new cell to add: every missing cell joins, and HiGHS starts cold
+        cold = not len(grow)
+        new = np.setdiff1d(np.arange(n * n), cells) if cold else grow
+        cells = np.concatenate([cells, new])
 
 
 def _staircase(a: np.ndarray, b: np.ndarray):

@@ -138,6 +138,18 @@ def test_field_csv_with_repeated_index_exit2(tmp_path, capsys):
     assert not out.exists() or not list(out.iterdir())
 
 
+def test_field_csv_with_nan_value_exit2(tmp_path, capsys):
+    # this used to report the nan row's point as missing
+    path = tmp_path / "f.csv"
+    path.write_text("index,value\n0,nan\n1,2.0\n2,3.0\n")
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "semigroup", "--space", "path:3",
+                 "--field", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: field values must be finite\n"
+    assert not out.exists() or not list(out.iterdir())
+
+
 @pytest.mark.parametrize("doc, words", [
     (dict(_GOOD_FILE, kind="circle", coords=[0.0, 1.0]), "params.length, got None"),
     (dict(_GOOD_FILE, kind="circle", coords=[0.0, 1.0], params={"length": -2.0}),
@@ -506,10 +518,9 @@ def test_transport_identical_marginals_zero(tmp_path):
 def test_transport_lp_failure_exit2(tmp_path, capsys, monkeypatch):
     # an LP that always fails, even over all n^2 cells, is an error: exit 2,
     # one stderr line, no report
-    from types import SimpleNamespace
     from lenspace import transport
-    monkeypatch.setattr(transport, "_transport_lp", lambda *args: SimpleNamespace(
-        status=4, message="Numerical difficulties encountered."))
+    monkeypatch.setattr(transport._TransportLP, "solve", lambda *args: (
+        "Numerical difficulties encountered.", None, None, None))
     code = main(["--out-dir", str(tmp_path), "transport", "--space", "circle:16",
                  "--mu0", "point:0", "--mu1", "nu"])
     assert code == 2
@@ -575,7 +586,8 @@ def test_commands_never_compute_midpoint_defect(tmp_path, monkeypatch, argv):
 
 
 def test_cli_import_skips_scipy_optimize():
-    # only the transport LPs need scipy.optimize; _transport_lp imports it itself
+    # only the transport LPs need scipy.optimize; the HiGHS model of a shortlist
+    # solve, _TransportLP, imports it itself
     import lenspace
     src = os.path.dirname(os.path.dirname(lenspace.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -124,3 +124,12 @@ def test_load_field_csv_rejects_repeated_index(tmp_path, path3):
     p.write_text("index,value\n0,1.0\n1,2.0\n2,3.0\n0,5.0\n")
     with pytest.raises(ValueError, match="index 0 repeated"):
         load_field_csv(path3, str(p))
+
+
+def test_load_field_csv_nan_value_is_not_missing(tmp_path, path3):
+    # a row that reads nan is present: it fails as a non-finite value, not as
+    # a missing point
+    p = tmp_path / "nan.csv"
+    p.write_text("index,value\n0,nan\n1,2.0\n2,3.0\n")
+    with pytest.raises(ValueError, match="field values must be finite"):
+        load_field_csv(path3, str(p))

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -22,13 +21,14 @@ from oracles import brute_force_w2, coupling_vertices, dense_w2, w2_oracle_1d
 def _lp_cells(monkeypatch) -> list:
     """Record the cell count of every transport LP that w2 solves."""
     sizes = []
-    real = transport._transport_lp
+    real = transport._TransportLP.solve
 
-    def counted(space, a, b, src, dst):
-        sizes.append(len(src))
-        return real(space, a, b, src, dst)
+    def counted(lp, src, dst, cold):
+        result = real(lp, src, dst, cold)
+        sizes.append(lp.highs.getNumCol())
+        return result
 
-    monkeypatch.setattr(transport, "_transport_lp", counted)
+    monkeypatch.setattr(transport._TransportLP, "solve", counted)
     return sizes
 
 
@@ -210,7 +210,7 @@ def test_path_fast_path_solves_no_lp(gauss101, monkeypatch):
     def no_lp(*args):
         raise AssertionError("LP solved on a path graph")
 
-    monkeypatch.setattr(transport, "_transport_lp", no_lp)
+    monkeypatch.setattr(transport._TransportLP, "solve", no_lp)
     for g, alpha in ((gauss101, 1.0), (_generate(_parse("path:64")), 0.1)):
         target = np.exp(alpha * g.coords[:, 0]) * g.measure
         d, plan = w2(g, target / target.sum(), g.measure)
@@ -243,21 +243,23 @@ def test_failed_certificate_falls_back_to_lp(gauss101, monkeypatch):
 
 def test_failed_shortlist_falls_back_to_dense_lp(torus8, monkeypatch):
     # a restricted solve that fails leaves no potentials to grow the support
-    # by: the next support must be all n^2 cells, and that one solve answers
+    # by: the next support must be all n^2 cells, and that one solve answers,
+    # started cold
     n = torus8.n
-    sizes = []
-    real = transport._transport_lp
+    sizes, colds = [], []
+    real = transport._TransportLP.solve
 
-    def fail_restricted(space, a, b, src, dst):
-        sizes.append(len(src))
-        if len(src) < n * n:
-            return SimpleNamespace(status=4, message="forced failure")
-        return real(space, a, b, src, dst)
+    def fail_restricted(lp, src, dst, cold):
+        result = real(lp, src, dst, cold)
+        sizes.append(lp.highs.getNumCol())
+        colds.append(cold)
+        return result if sizes[-1] == n * n else ("forced failure", None, None, None)
 
-    monkeypatch.setattr(transport, "_transport_lp", fail_restricted)
+    monkeypatch.setattr(transport._TransportLP, "solve", fail_restricted)
     a = np.zeros(n); a[0] = 1.0
     d, plan = w2(torus8, a, torus8.measure)
     assert len(sizes) == 2 and sizes[0] < n * n and sizes[1] == n * n
+    assert colds == [True, True]
     plan.check(torus8)
     _, cost_lp = dense_w2(torus8, a, torus8.measure)
     assert abs(plan.cost - cost_lp) <= 1e-10 * (1.0 + cost_lp)
@@ -308,20 +310,21 @@ def test_failed_certificate_names_least_cell_of_each_failing_row_and_column(toru
 
 
 def _infeasible_lp(*args):
-    return SimpleNamespace(status=2, message="The problem is infeasible.")
+    return "The problem is infeasible.", None, None, None
 
 
 def _never_certified(space, *args):
     return None, (np.arange(space.n), np.arange(space.n))
 
 
-@pytest.mark.parametrize("name, fake, words", [
-    ("_transport_lp", _infeasible_lp, "all n\\^2 cells failed: The problem is infeasible"),
-    ("_certified_plan", _never_certified, "all n\\^2 cells gave no certified plan"),
+@pytest.mark.parametrize("owner, name, fake, words", [
+    (transport._TransportLP, "solve", _infeasible_lp,
+     "all n\\^2 cells failed: The problem is infeasible"),
+    (transport, "_certified_plan", _never_certified, "all n\\^2 cells gave no certified plan"),
 ], ids=["lp-fails", "never-certified"])
-def test_dense_support_failure_raises(torus8, monkeypatch, name, fake, words):
+def test_dense_support_failure_raises(torus8, monkeypatch, owner, name, fake, words):
     # only a failed or uncertified solve over all n^2 cells gives up
-    monkeypatch.setattr(transport, name, fake)
+    monkeypatch.setattr(owner, name, fake)
     a = np.zeros(torus8.n); a[0] = 1.0
     with pytest.raises(RuntimeError, match=words):
         w2(torus8, a, torus8.measure)
@@ -359,10 +362,11 @@ def _graph_instance(draw):
 def test_general_route_matches_dense_lp(instance):
     g, a, b = instance
     solves = []  # [support cells, LP result, potentials (u, v) it was checked by]
-    lp, certify = transport._transport_lp, transport._certified_plan
+    solve, certify = transport._TransportLP.solve, transport._certified_plan
 
-    def recorded_lp(space, a, b, src, dst):
-        solves.append([set(zip(src.tolist(), dst.tolist())), lp(space, a, b, src, dst), None])
+    def recorded_solve(lp, src, dst, cold):
+        support = (solves[-1][0] if solves else set()) | set(zip(src.tolist(), dst.tolist()))
+        solves.append([support, solve(lp, src, dst, cold), None])
         return solves[-1][1]
 
     def recorded_certify(*args):
@@ -370,14 +374,14 @@ def test_general_route_matches_dense_lp(instance):
             solves[-1][2] = args[-2:]
         return certify(*args)
 
-    with mock.patch.object(transport, "_transport_lp", recorded_lp), \
+    with mock.patch.object(transport._TransportLP, "solve", recorded_solve), \
             mock.patch.object(transport, "_certified_plan", recorded_certify):
         d, plan = w2(g, a, b)
     # every restricted solve answered, and each support grew only by cells its
     # certificate found violated, at most one per row and one per column: no
     # jump to all n^2 cells happened
-    for _, res, _ in solves:
-        assert res.status == 0 and res.x.min() >= -1e-9
+    for _, (_, x, _, _), _ in solves:
+        assert x is not None and x.min() >= -1e-9
     d2 = g.dist ** 2
     for (before, _, (u, v)), (after, _, _) in zip(solves, solves[1:]):
         added = after - before
@@ -390,7 +394,7 @@ def test_general_route_matches_dense_lp(instance):
     plan.check(g)  # includes duality gap <= 1e-9 (1 + cost)
 
 
-@pytest.mark.parametrize("spec", ["torus2d:6:6", "circle:32"])
+@pytest.mark.parametrize("spec", ["torus2d:6:6", "circle:32", "circle:256"])
 def test_general_route_solves_no_dense_lp(spec, monkeypatch):
     g = _generate(_parse(spec))
     sizes = _lp_cells(monkeypatch)
@@ -404,12 +408,40 @@ def test_general_route_solves_no_dense_lp(spec, monkeypatch):
     assert abs(plan.cost - cost_lp) <= 1e-10 * (1.0 + cost_lp)
 
 
+def test_warm_rounds_reuse_one_model(monkeypatch):
+    # a solve over several shortlist rounds builds one HiGHS model; its later
+    # rounds start from the last optimal basis, so together they take fewer
+    # simplex iterations than the cold first round
+    from scipy.optimize._highspy import _core
+    iterations = []  # per model built, the simplex iterations of each run
+
+    class Counted(_core._Highs):
+        def __init__(self):
+            super().__init__()
+            iterations.append([])
+
+        def run(self):
+            status = super().run()
+            iterations[-1].append(self.getInfo().simplex_iteration_count)
+            return status
+
+    monkeypatch.setattr(_core, "_Highs", Counted)
+    g = _generate(_parse("torus2d:20:20"))
+    a = np.random.default_rng(3).gamma(1.0, size=g.n)
+    a /= a.sum()
+    _, plan = w2(g, a, np.full(g.n, 1.0 / g.n))
+    plan.check(g)
+    assert len(iterations) == 1
+    first, *warm = iterations[0]
+    assert warm and sum(warm) < first, iterations
+
+
 def test_shortlist_solve_allocates_less_than_one_square_array(monkeypatch):
     # a solve over many shortlist rounds peaks below one n x n float array:
     # the plan is its cells, and there is no n x n seed, support mask or
     # index array.
     # torus2d:32:32 has as many points as circle:1024, whose solves take
-    # about 30 rounds and tens of seconds
+    # about 30 rounds and several times as long
     g = _generate(_parse("torus2d:32:32"))
     sizes = _lp_cells(monkeypatch)
     a = np.random.default_rng(3).gamma(1.0, size=g.n)
@@ -443,8 +475,8 @@ def test_antipodal_point_masses_on_circle(circle64, monkeypatch):
             np.argpartition(circle64.dist ** 2, k - 1, axis=1)[:, :k].ravel()] = True
     nearest |= nearest.T
     assert not nearest[0, 32]
-    res = transport._transport_lp(circle64, a, b, *np.nonzero(nearest))
-    assert res.status == 2  # infeasible
+    status, x, _, _ = transport._TransportLP(circle64, a, b).solve(*np.nonzero(nearest), True)
+    assert status == "Infeasible" and x is None
 
 
 def test_brute_force_matches_lp_small():
