@@ -26,7 +26,7 @@ from .fields import load_field_csv, random_smoothed_field, resolve_field, \
     save_field_csv, tilt_field
 from .generators import generate, parse_space_spec, refine, save_space
 from .hopflax import _check_time, _residual, apply, make_trace, semigroup_defect
-from .inequalities import _RATIOS, _canon, _check_K, default_witness_family, \
+from .inequalities import _RATIOS, _canon, _check_K, _unit_scale, default_witness_family, \
     estimate_constant, phi_trace, psi_trace, verify_chain
 from .space import doubling_constant, local_poincare_constant, validate_metric
 from .transport import w2
@@ -112,7 +112,9 @@ def _resolve_marginal(space, text: str) -> np.ndarray:
         v[i] = 1.0
         return v
     if text.startswith("tilt:"):
-        dens = tilt_field(space, float(text[5:])).values ** 2 * space.measure
+        # scaled to max in [0.5, 1) first, exactly, so the square cannot overflow
+        tilt = _unit_scale(space, tilt_field(space, float(text[5:])))
+        dens = tilt.values ** 2 * space.measure
         return dens / dens.sum()
     if text.endswith(".csv"):
         w = load_field_csv(space, text).values
@@ -234,7 +236,7 @@ def _cmd_constants(args: argparse.Namespace):
         ref = _out_path(args, f"witness_{name}.csv")
         save_field_csv(est.witness, ref)
         artifacts.append(ref)
-        again = _RATIOS[name](space, est.witness)
+        again = _RATIOS[name](space, load_field_csv(space, ref))
         if abs(again - est.value) > _REPRODUCIBILITY * (1.0 + abs(est.value)):
             failures.append(f"{name} witness ratio {est.value} not reproducible ({again})")
         witnesses.append({"which": name, "label": est.witness_label,

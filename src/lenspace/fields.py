@@ -44,7 +44,9 @@ def cosine_field(space: MeasuredSpace) -> ScalarField:
 
 def tilt_field(space: MeasuredSpace, alpha: float) -> ScalarField:
     """Exponential tilt e^(alpha * x / 2) along the 1-d coordinate."""
-    return make_field(space, np.exp(0.5 * float(alpha) * _axis(space)))
+    with np.errstate(over="ignore"):  # make_field rejects the inf, one error line
+        vals = np.exp(0.5 * float(alpha) * _axis(space))
+    return make_field(space, vals)
 
 
 def random_smoothed_field(space: MeasuredSpace, rng) -> ScalarField:

@@ -176,10 +176,11 @@ def refine(spec: SpaceSpec) -> SpaceSpec:
 
 def save_space(space: MeasuredSpace, path: str):
     """Write a space to JSON; loading the file reproduces it bit for bit."""
-    rows, cols, lengths = space.edges
+    src, dst, weight, _, _ = space.edges
+    up = src < dst  # each undirected edge once, sorted by (row, col)
     doc = {
         "n": space.n,
-        "edges": [list(e) for e in zip(rows.tolist(), cols.tolist(), lengths.tolist())],
+        "edges": [list(e) for e in zip(src[up].tolist(), dst[up].tolist(), weight[up].tolist())],
         "measure": space.measure.tolist(),
     }
     if space.coords is not None:

@@ -76,7 +76,7 @@ def apply(space: MeasuredSpace, f: ScalarField, t: float) -> ScalarField:
 def grad_norm_field(space: MeasuredSpace, f: ScalarField) -> np.ndarray:
     """Local slope |grad f|(x): max |f(y) - f(x)| / d(x, y) over neighbors y."""
     vals = check_binding(space, f)
-    src, dst, _, length, _ = space.edge_arrays
+    src, dst, _, length, _ = space.edges
     out = np.zeros(space.n)
     np.maximum.at(out, src, np.abs(vals[dst] - vals[src]) / length)
     return out
@@ -89,7 +89,7 @@ def subgrad_norm_field(space: MeasuredSpace, f: ScalarField) -> np.ndarray:
     minimum and never exceeds |grad f|(x).
     """
     vals = check_binding(space, f)
-    src, dst, _, length, _ = space.edge_arrays
+    src, dst, _, length, _ = space.edges
     out = np.zeros(space.n)
     np.maximum.at(out, src, np.maximum(vals[src] - vals[dst], 0.0) / length)
     return out

@@ -129,7 +129,7 @@ def laplacian_eigenfields(space: MeasuredSpace, k: int = 3) -> list:
     a symmetric surrogate for the subgradient Dirichlet energy, so the
     low generalized eigenvectors approximate Poincare extremals.
     """
-    src, dst, _, length, _ = space.edge_arrays
+    src, dst, _, length, _ = space.edges
     weight = (space.measure[src] + space.measure[dst]) / (2.0 * length ** 2)
     lap = np.zeros((space.n, space.n))
     np.add.at(lap, (src, dst), -weight)
@@ -151,8 +151,8 @@ def default_witness_family(space: MeasuredSpace, seed: int = 0,
     """Labeled witness fields: tilts, eigenfields, random smoothed noise.
 
     Exponential tilts are only meaningful on non-periodic 1-d spaces
-    (they realize the Gaussian extremals); eigenfields and random fields
-    work everywhere.
+    (they realize the Gaussian extremals), and a tilt that overflows is
+    left out; eigenfields and random fields work everywhere.
     """
     if n_random < 0:
         raise ValueError(f"n_random must be >= 0, got {n_random}")
@@ -160,7 +160,10 @@ def default_witness_family(space: MeasuredSpace, seed: int = 0,
     if (space.coords is not None and space.coords.shape[1] == 1
             and space.kind not in ("circle", "torus2d")):
         for alpha in (0.25, 0.5, 0.75, 1.0):
-            family.append((f"tilt:{alpha}", tilt_field(space, alpha)))
+            try:
+                family.append((f"tilt:{alpha}", tilt_field(space, alpha)))
+            except ValueError:  # the tilt overflows on a long enough space
+                pass
     for i, f in enumerate(laplacian_eigenfields(space, k=3)):
         family.append((f"eigen:{i + 1}", f))
     for i in range(n_random):

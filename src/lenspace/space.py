@@ -24,12 +24,16 @@ class MeasuredSpace:
     """Immutable bundle of points, metric, and measure.
 
     dist[i, j] is the graph shortest-path distance, and the space's only
-    n x n array: no d^2 is cached.  measure is a probability vector,
-    edges the generating graph as read-only arrays (rows, cols, lengths),
-    one entry per undirected edge with row < col, sorted by (row, col).
-    mesh_h is the largest distance from a point to its nearest distinct
-    point.  kind, params and coords describe the generator geometry that
-    fields and witness families read.  space_id hashes n, dist, measure,
+    n x n array: no d^2 is cached.  measure is a probability vector.
+    edges is the generating graph as read-only directed arrays
+    (src, dst, weight, length, starts): each edge in both orientations,
+    sorted by (src, dst).  weight is the raw edge weight; length is the
+    metric distance dist[src, dst], smaller when a shorter path joins the
+    endpoints.  The edges out of x are [starts[x], starts[x + 1]); the
+    graph is symmetric, so they are also the edges into x with the roles
+    swapped.  mesh_h is the largest distance from a point to its nearest
+    distinct point.  kind, params and coords describe the generator
+    geometry that fields and witness families read.  space_id hashes n, dist, measure,
     edges, kind, params and coords, so equal ids mean equal inputs to
     every computation.  midpoint_defect is
 
@@ -50,23 +54,6 @@ class MeasuredSpace:
     kind: str = "custom"
     params: dict = field(default_factory=dict)
     coords: np.ndarray | None = None
-
-    @cached_property
-    def edge_arrays(self):
-        """The directed edges (src, dst, weight, length, starts), both
-        orientations of each edge, sorted by (src, dst).
-
-        weight is the raw edge weight; length is the metric distance
-        dist[src, dst], smaller when a shorter path joins the endpoints.
-        The edges out of x are [starts[x], starts[x + 1]); the graph is
-        symmetric, so they are also the edges into x with the roles swapped.
-        """
-        rows, cols, vals = self.edges
-        src, dst = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        return (src, dst, np.concatenate([vals, vals])[order], self.dist[src, dst],
-                np.searchsorted(src, np.arange(self.n)))
 
     @cached_property
     def midpoint_defect(self) -> float:
@@ -143,7 +130,7 @@ def _max_midpoint_defect(space: MeasuredSpace) -> float:
     dist, n = space.dist, space.n
     if n < 2:
         return 0.0
-    src, dst, weight, _, starts = space.edge_arrays
+    src, dst, weight, _, starts = space.edges
     # a row takes its 2m edge cells and n per binary-lifting level
     rows = max(1, _BLOCK_CELLS // (len(src) + n * (n - 1).bit_length()))
     chunk = max(1, _BLOCK_CELLS // n)  # pairs minimized at once
@@ -264,14 +251,19 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
     dist = np.minimum(dist, dist.T)
     np.fill_diagonal(dist, 0.0)
 
+    dist.flags.writeable = False
+    # the stored graph: both orientations of each edge, sorted by (src, dst)
+    src, dst = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    table = (src, dst, np.concatenate([vals, vals])[order], dist[src, dst],
+             np.searchsorted(src, np.arange(n)))
+    for arr in table:
+        arr.flags.writeable = False
     # a nearest distinct point is a graph neighbour: a shortest path into x
     # ends with an edge, and float Dijkstra sums only grow along a path
-    nearest, hop = np.full(n, np.inf), dist[rows, cols]
-    np.minimum.at(nearest, rows, hop)
-    np.minimum.at(nearest, cols, hop)
-    mesh_h = float(nearest.max()) if n > 1 else 0.0
+    mesh_h = float(np.minimum.reduceat(table[3], table[4]).max()) if n > 1 else 0.0
 
-    dist.flags.writeable = False
     w.flags.writeable = False
     if coords is not None:
         coords = np.atleast_2d(np.array(coords, dtype=float))
@@ -288,7 +280,6 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
     digest.update(np.ascontiguousarray(w))
     # the edges too: gradients and slopes read the graph, not just the metric
     for arr in (rows, cols, vals):
-        arr.flags.writeable = False
         digest.update(arr.tobytes())
     # and kind, params and coords: witness families and the cos, coordinate
     # and tilt fields read them
@@ -304,7 +295,7 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
         n=n,
         dist=dist,
         measure=w,
-        edges=(rows, cols, vals),
+        edges=table,
         mesh_h=mesh_h,
         space_id=digest.hexdigest()[:16],
         kind=kind,
@@ -344,7 +335,7 @@ def validate_metric(space: MeasuredSpace) -> MetricReport:
     blocks of rows.
     """
     d, n = space.dist, space.n
-    _, dst, weight, _, starts = space.edge_arrays
+    _, dst, weight, _, starts = space.edges
     rows = max(1, _BLOCK_CELLS // max(1, len(dst)))
     relax = real = sym = 0.0
     for lo in range(0, n, rows):

@@ -40,11 +40,13 @@ def dense_lipschitz(space, f) -> float:
 
 
 def dense_slopes(space, f):
-    """(|grad f|, |grad^- f|) per point, by a loop over the raw edge list:
-    each edge counts both ways, at the metric distance of its endpoints."""
+    """(|grad f|, |grad^- f|) per point, by a loop over the src < dst half
+    of the edge table: each edge counts both ways, at the metric distance
+    of its endpoints."""
     vals = f.values.tolist()
     grad, sub = np.zeros(space.n), np.zeros(space.n)
-    for i, j in zip(space.edges[0].tolist(), space.edges[1].tolist()):
+    src, dst = space.edges[0], space.edges[1]
+    for i, j in zip(src[src < dst].tolist(), dst[src < dst].tolist()):
         length = float(space.dist[i, j])
         for x, y in ((i, j), (j, i)):
             grad[x] = max(grad[x], abs(vals[y] - vals[x]) / length)

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from lenspace import load_space, parse_space_spec
+from lenspace import generate, load_space, parse_space_spec
 from lenspace.cli import _build_parser, main
 
 
@@ -538,6 +539,63 @@ def test_transport_bad_point_exit2(tmp_path):
 def test_transport_unknown_marginal_exit2(tmp_path):
     assert main(["--out-dir", str(tmp_path), "transport", "--space", "path:8",
                  "--mu0", "blob", "--mu1", "nu"]) == 2
+
+
+def test_tilt_marginal_on_long_path_matches_quantile_oracle(tmp_path):
+    # e^(x / 2) squared overflows at x = 710 while the normalized density
+    # does not; the marginal used to be non-finite here, with two warnings
+    from oracles import w2_oracle_1d
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["--out-dir", str(tmp_path), "transport", "--space", "path:711",
+                     "--mu0", "tilt:1", "--mu1", "nu"])
+    assert code == 0
+    space = generate(parse_space_spec("path:711"))
+    x = space.coords[:, 0]
+    mu0 = np.exp(x - x.max()) * space.measure
+    expected = w2_oracle_1d(x, mu0 / mu0.sum(), space.measure)
+    assert abs(_read(tmp_path / "transport.json")["distance"] - expected) <= 1e-8
+
+
+def test_witness_family_leaves_out_an_overflowing_tilt(tmp_path):
+    # tilt:1.0 reaches e^710 = inf on path:1421; the command used to exit 2
+    code = main(["--out-dir", str(tmp_path), "constants", "--space", "path:1421",
+                 "--which", "poincare", "--budget", "1"])
+    assert code == 0
+    labels = [lab for lab, _ in _read(tmp_path / "constants.json")["witnesses"][0]
+              ["evaluations"]]
+    assert "tilt:0.75" in labels and "tilt:1.0" not in labels
+
+
+def test_overflowing_tilt_field_exit2_one_line():
+    # the overflow is an input error with its one-line message, no warning
+    import lenspace
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lenspace.__file__)))
+    with tempfile.TemporaryDirectory() as out:
+        proc = subprocess.run([sys.executable, "-m", "lenspace.cli", "--out-dir", out,
+                               "semigroup", "--space", "path:1421", "--field", "tilt:1"],
+                              env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: field values must be finite\n"
+
+
+def test_constants_recomputes_witness_ratio_from_saved_csv(tmp_path, monkeypatch):
+    # a witness CSV that does not hold the witness is a failed check
+    import lenspace.cli
+    from lenspace.space import ScalarField
+    real = lenspace.cli.save_field_csv
+
+    def corrupt(f, path):
+        vals = f.values.copy()
+        vals[0] += 1.0 + abs(vals[0])
+        real(ScalarField(values=vals, space_id=f.space_id), path)
+
+    monkeypatch.setattr(lenspace.cli, "save_field_csv", corrupt)
+    code = main(["--out-dir", str(tmp_path), "constants", "--space", "path:16",
+                 "--which", "lsi,poincare", "--budget", "1"])
+    assert code == 1
+    failures = _read(tmp_path / "constants.json")["checks"]["reproducibility_failures"]
+    assert [f.split()[0] for f in failures] == ["lsi", "poincare"]
 
 
 def test_doubling_circle(tmp_path):

@@ -1,5 +1,8 @@
 import functools
+import json
 import math
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -176,10 +179,17 @@ def test_save_load_reproduces_edges(spec, tmp_path):
             assert mine.dtype == theirs.dtype
             assert mine.tobytes() == theirs.tobytes()
             assert not theirs.flags.writeable
-        rows, cols, _ = back.edges
+        # the file holds the src < dst half, one row per edge with row < col,
+        # sorted by (row, col)
+        with open(tmp_path / "s.json") as fh:
+            rows, cols, _ = np.array(json.load(fh)["edges"]).T.astype(int)
+        src, dst, _, _, _ = back.edges
+        assert rows.tolist() == src[src < dst].tolist()
+        assert cols.tolist() == dst[src < dst].tolist()
         assert np.all(rows < cols)
         assert np.all(np.diff(rows * back.n + cols) > 0)
-    assert chorded.edges[2].tolist() == [1.0, 7.5, 0.5]
+    src, dst, weight, _, _ = chorded.edges
+    assert weight[src < dst].tolist() == [1.0, 7.5, 0.5]
 
 
 def test_edge_arrays_hold_both_orientations_sorted(torus8):
@@ -188,15 +198,16 @@ def test_edge_arrays_hold_both_orientations_sorted(torus8):
     # each point's group; the chord 0-2 (weight 7.5) is longer than d(0, 2)
     g = build_from_graph([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 7.5), (2, 3, 0.5)],
                          np.ones(4), 4)
-    src, dst, weight, length, starts = g.edge_arrays
+    src, dst, weight, length, starts = g.edges
     assert src.tolist() == [0, 0, 1, 1, 2, 2, 2, 3]
     assert dst.tolist() == [1, 2, 0, 2, 0, 1, 3, 2]
     assert weight.tolist() == [1.0, 7.5, 1.0, 1.0, 7.5, 1.0, 0.5, 0.5]
     assert length.tolist() == [1.0, 2.0, 1.0, 1.0, 2.0, 1.0, 0.5, 0.5]
     assert starts.tolist() == [0, 2, 4, 7]
-    assert g.edge_arrays is g.edge_arrays  # built once per space
-    src, dst, weight, length, starts = torus8.edge_arrays
-    rows, cols, vals = (a.tolist() for a in torus8.edges)
+    assert not any(a.flags.writeable for a in g.edges)  # stored once per space
+    src, dst, weight, length, starts = torus8.edges
+    up = src < dst
+    rows, cols, vals = src[up].tolist(), dst[up].tolist(), weight[up].tolist()
     assert len(src) == 2 * len(rows)
     assert np.all(np.diff(src * torus8.n + dst) > 0)
     assert set(zip(src.tolist(), dst.tolist(), weight.tolist())) == (
@@ -401,6 +412,22 @@ def test_metric_checks_allocate_no_square_array():
         finally:
             tracemalloc.stop()
     assert max(peaks) < g.n * g.n * 8 / 4, peaks
+
+
+@given(_connected_graphs())
+@settings(max_examples=100, deadline=None)
+def test_saved_space_reloads_edge_table_id_and_mesh_bitwise(g):
+    from lenspace.generators import load_space, save_space
+    from oracles import dense_mesh_h
+    with tempfile.TemporaryDirectory() as tmp:
+        save_space(g, os.path.join(tmp, "s.json"))
+        back = load_space(os.path.join(tmp, "s.json"))
+    assert len(back.edges) == len(g.edges) == 5
+    for mine, theirs in zip(g.edges, back.edges):
+        assert mine.dtype == theirs.dtype
+        assert mine.tobytes() == theirs.tobytes()
+    assert back.space_id == g.space_id
+    assert back.mesh_h == g.mesh_h == dense_mesh_h(back.dist)
 
 
 @given(_connected_graphs())

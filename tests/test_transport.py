@@ -341,7 +341,8 @@ def _graph_instance(draw):
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
     edges += [(i, j, draw(length)) for i, j in draw(st.lists(pairs, max_size=n))]
     g = build_from_graph(edges, np.ones(n), n)
-    rows, cols, _ = g.edges
+    src, dst, _, _, _ = g.edges
+    rows, cols = src[src < dst], dst[src < dst]
     degree = np.bincount(np.concatenate([rows, cols]), minlength=n)
     if len(rows) == n - 1 and degree.max() <= 2:
         # a connected tree with no vertex of degree 3 is a path: close it

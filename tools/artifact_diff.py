@@ -76,6 +76,12 @@ CASES = [
     ("constants-chorded", ["constants", "--space", CHORDED, "--which", "lsi,poincare"]),
     ("doubling-chorded", ["doubling", "--space", CHORDED, "--r-min", "0.5", "--r-max", "2.0",
                           "--field", "random", "--radius", "1.0"]),
+    # a tilt marginal whose square overflows a float, and a witness family
+    # whose tilt:1.0 itself overflows
+    ("transport-path711", ["transport", "--space", "path:711", "--mu0", "tilt:1",
+                           "--mu1", "nu"]),
+    ("constants-path1421", ["constants", "--space", "path:1421", "--which", "poincare",
+                            "--budget", "1"]),
 ]
 
 
