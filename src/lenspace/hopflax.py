@@ -204,8 +204,9 @@ def make_trace(space: MeasuredSpace, f: ScalarField, times) -> SemigroupTrace:
         if (b.values - a.values).max() > 0:
             raise AssertionError("evolution is not monotone in t")
 
-    lip_f = lipschitz_constant(space, f)
     defect = float((vals - fields[0].values).max())
+    with np.errstate(over="ignore"):  # an overflowing bound is inf, written as null
+        bound = float(times[0] * np.float64(lipschitz_constant(space, f)) ** 2 / 2.0)
     return SemigroupTrace(
         source=f,
         times=times,
@@ -216,5 +217,5 @@ def make_trace(space: MeasuredSpace, f: ScalarField, times) -> SemigroupTrace:
         mean_abs_residual=mean_abs,
         max_abs_residual=max_abs,
         convergence_defect=defect,
-        convergence_bound=float(times[0] * lip_f ** 2 / 2.0),
+        convergence_bound=bound,
     )

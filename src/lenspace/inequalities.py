@@ -37,18 +37,15 @@ class DegenerateWitnessError(ValueError):
     """The witness carries no information for the requested ratio."""
 
 
-_WHICH = {
-    "lsi": "lsi",
-    "t": "talagrand", "talagrand": "talagrand",
-    "p": "poincare", "poincare": "poincare",
-}
+_WHICH = {"t": "talagrand", "p": "poincare"}  # aliases of _RATIOS keys
 
 
 def _canon(which: str) -> str:
     key = str(which).lower()
-    if key not in _WHICH:
-        raise ValueError(f"unknown inequality {which!r}; use lsi, talagrand, or poincare")
-    return _WHICH[key]
+    key = _WHICH.get(key, key)
+    if key not in _RATIOS:
+        raise ValueError(f"unknown inequality {which!r}; use one of {', '.join(_RATIOS)}")
+    return key
 
 
 def entropy_functional(space: MeasuredSpace, F: ScalarField) -> float:
@@ -119,7 +116,16 @@ def poincare_ratio(space: MeasuredSpace, h: ScalarField) -> float:
     return float(slope ** 2 @ space.measure) / var
 
 
+# the one list of inequalities, in chain order; read at call time by _score
 _RATIOS = {"lsi": lsi_ratio, "talagrand": talagrand_ratio, "poincare": poincare_ratio}
+
+
+def _score(space: MeasuredSpace, which: str, f: ScalarField) -> float | None:
+    """The ratio of inequality which at witness f; None when f is degenerate for it."""
+    try:
+        return float(_RATIOS[which](space, f))
+    except DegenerateWitnessError:
+        return None
 
 
 def laplacian_eigenfields(space: MeasuredSpace, k: int = 3) -> list:
@@ -172,15 +178,9 @@ def default_witness_family(space: MeasuredSpace, seed: int = 0,
     return family
 
 
-def _ratios(space: MeasuredSpace, ratio_fn, family) -> list:
+def _ratios(space: MeasuredSpace, which: str, family) -> list:
     """(label, field, ratio) per family member; ratio None when degenerate."""
-    out = []
-    for label, f in family:
-        try:
-            r = float(ratio_fn(space, f))
-        except DegenerateWitnessError:
-            r = None
-        out.append((str(label), f, r))
+    out = [(str(label), f, _score(space, which, f)) for label, f in family]
     if not out:
         raise ValueError("witness family is empty")
     return out
@@ -204,7 +204,7 @@ class ConstantEstimate:
     evaluations: tuple  # (label, ratio-or-None) per family member
 
 
-def _refine_witness(space, ratio_fn, f, value, budget, rng):
+def _refine_witness(space, which, f, value, budget, rng):
     # single-coordinate random descent; keeps the value an upper bound
     vals = f.values.copy()
     scale = max(float(vals.max() - vals.min()), 1e-6)
@@ -213,11 +213,8 @@ def _refine_witness(space, ratio_fn, f, value, budget, rng):
         step = 0.2 * scale * (0.9 ** k) * float(rng.standard_normal())
         cand = vals.copy()
         cand[i] += step
-        try:
-            r = ratio_fn(space, make_field(space, cand))
-        except DegenerateWitnessError:
-            continue
-        if r < value:
+        r = _score(space, which, make_field(space, cand))
+        if r is not None and r < value:
             value = r
             vals = cand
     return make_field(space, vals), value
@@ -238,7 +235,6 @@ def estimate_constant(space: MeasuredSpace, which: str, family=None,
     budget=None picks DEFAULT_BUDGETS[which].
     """
     which = _canon(which)
-    ratio_fn = _RATIOS[which]
     if budget is None:
         budget = DEFAULT_BUDGETS[which]
     if budget < 1:
@@ -246,11 +242,11 @@ def estimate_constant(space: MeasuredSpace, which: str, family=None,
     family = default_witness_family(space, seed) if family is None else family
     best = None
     evaluations = []
-    for idx, (label, f, r0) in enumerate(_ratios(space, ratio_fn, family)):
+    for idx, (label, f, r0) in enumerate(_ratios(space, which, family)):
         if r0 is None:
             evaluations.append((label, None))
             continue
-        f1, r1 = _refine_witness(space, ratio_fn, f, r0, budget,
+        f1, r1 = _refine_witness(space, which, f, r0, budget,
                                  np.random.default_rng([seed, idx]))
         evaluations.append((label, r1))
         if best is None or r1 < best[2]:
@@ -325,7 +321,8 @@ def phi_trace(space: MeasuredSpace, g: ScalarField, K: float, times) -> PhiTrace
     out = np.array([phi_at(t) for t in grid])
     steps = np.diff(out)
     max_up = float(steps.max()) if steps.size else 0.0
-    gap = abs(K * (phi_at(1.0) - mean_g) - dual_talagrand_defect(space, g, K))
+    phi_1 = out[grid == 1.0][0] if 1.0 in grid else phi_at(1.0)  # no second Q_1 g
+    gap = abs(K * (phi_1 - mean_g) - dual_talagrand_defect(space, g, K))
     return PhiTrace(K=K, times=grid, values=out,
                     max_upward_step=max(max_up, 0.0),
                     small_t_defect=abs(float(out[0]) - mean_g),
@@ -377,7 +374,7 @@ def verify_chain(space: MeasuredSpace, K: float, family, tau: float) -> ChainRep
     checks = []
     for k, stage in enumerate(_RATIOS, start=1):
         threshold = K * (1 - tau) ** k
-        for label, _, r in _ratios(space, _RATIOS[stage], family):
+        for label, _, r in _ratios(space, stage, family):
             checks.append(ChainCheck(stage, label, r, threshold, r is None or r >= threshold))
         failed = next((c for c in checks if not c.passed), None)
         if failed is not None:

@@ -415,6 +415,19 @@ def test_defect_ladder_starts_from_the_built_space(tmp_path, monkeypatch):
     assert [h for h, _ in rows] == pytest.approx([2 * math.pi / n for n in built])
 
 
+def test_default_residual_study_reuses_the_trace_field(tmp_path, monkeypatch):
+    # Q_{t0} f is the trace's middle field; only each Q_{t0+s} f is new
+    import lenspace.cli
+    calls = []
+    real = lenspace.cli.apply
+    monkeypatch.setattr(lenspace.cli, "apply",
+                        lambda space, f, t: calls.append(t) or real(space, f, t))
+    code = main(["--out-dir", str(tmp_path), "semigroup", "--space", "circle:32",
+                 "--field", "cos", "--times", "0.2,0.4,0.8"])
+    assert code == 0
+    assert calls == [0.4 + 0.2 / 2 ** j for j in range(3)]
+
+
 def test_residual_study_computes_base_field_once(tmp_path, monkeypatch):
     import lenspace.cli
     from lenspace import apply, generate, parse_space_spec
@@ -542,19 +555,22 @@ def test_transport_unknown_marginal_exit2(tmp_path):
 
 
 def test_tilt_marginal_on_long_path_matches_quantile_oracle(tmp_path):
-    # e^(x / 2) squared overflows at x = 710 while the normalized density
-    # does not; the marginal used to be non-finite here, with two warnings
+    # the normalized density never overflows, though e^(x / 2) squared does
+    # at x = 710 (the marginal was non-finite, with two warnings) and e^(x / 2)
+    # itself at x = 1420 (the tilt field was refused)
     from oracles import w2_oracle_1d
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code = main(["--out-dir", str(tmp_path), "transport", "--space", "path:711",
-                     "--mu0", "tilt:1", "--mu1", "nu"])
-    assert code == 0
-    space = generate(parse_space_spec("path:711"))
-    x = space.coords[:, 0]
-    mu0 = np.exp(x - x.max()) * space.measure
-    expected = w2_oracle_1d(x, mu0 / mu0.sum(), space.measure)
-    assert abs(_read(tmp_path / "transport.json")["distance"] - expected) <= 1e-8
+    for spec in ("path:711", "path:1421"):
+        out = tmp_path / spec.replace(":", "")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["--out-dir", str(out), "transport", "--space", spec,
+                         "--mu0", "tilt:1", "--mu1", "nu"])
+        assert code == 0
+        space = generate(parse_space_spec(spec))
+        x = space.coords[:, 0]
+        mu0 = np.exp(x - x.max()) * space.measure
+        expected = w2_oracle_1d(x, mu0 / mu0.sum(), space.measure)
+        assert abs(_read(out / "transport.json")["distance"] - expected) <= 1e-8
 
 
 def test_witness_family_leaves_out_an_overflowing_tilt(tmp_path):
@@ -567,16 +583,34 @@ def test_witness_family_leaves_out_an_overflowing_tilt(tmp_path):
     assert "tilt:0.75" in labels and "tilt:1.0" not in labels
 
 
-def test_overflowing_tilt_field_exit2_one_line():
-    # the overflow is an input error with its one-line message, no warning
+def _run_cli(out, *argv):
+    # a fresh interpreter, so that stderr holds every warning and traceback
     import lenspace
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lenspace.__file__)))
+    return subprocess.run([sys.executable, "-m", "lenspace.cli", "--out-dir", str(out), *argv],
+                          env=env, capture_output=True, text=True)
+
+
+def test_overflowing_tilt_field_exit2_one_line():
+    # the overflow is an input error with its one-line message, no warning;
+    # so is a tilt marginal whose exponent alpha x itself overflows
     with tempfile.TemporaryDirectory() as out:
-        proc = subprocess.run([sys.executable, "-m", "lenspace.cli", "--out-dir", out,
-                               "semigroup", "--space", "path:1421", "--field", "tilt:1"],
-                              env=env, capture_output=True, text=True)
+        proc = _run_cli(out, "semigroup", "--space", "path:1421", "--field", "tilt:1")
+        marginal = _run_cli(out, "transport", "--space", "path:8", "--mu0", "tilt:1e308",
+                            "--mu1", "nu")
     assert proc.returncode == 2
     assert proc.stderr == "error: field values must be finite\n"
+    assert marginal.returncode == 2
+    assert marginal.stderr == "error: mu0 has non-finite entries\n"
+
+
+def test_overflowing_convergence_bound_is_null(tmp_path):
+    # t_min Lip(f)^2 / 2 overflows though f is finite; it used to raise
+    # OverflowError, a traceback and exit 1
+    proc = _run_cli(tmp_path, "semigroup", "--space", "path:1000", "--field", "tilt:1.4")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert _read(tmp_path / "semigroup.json")["trace"]["convergence_bound"] is None
 
 
 def test_constants_recomputes_witness_ratio_from_saved_csv(tmp_path, monkeypatch):
@@ -596,6 +630,64 @@ def test_constants_recomputes_witness_ratio_from_saved_csv(tmp_path, monkeypatch
     assert code == 1
     failures = _read(tmp_path / "constants.json")["checks"]["reproducibility_failures"]
     assert [f.split()[0] for f in failures] == ["lsi", "poincare"]
+
+
+def test_degenerate_reloaded_witness_is_a_reproducibility_failure(tmp_path, monkeypatch):
+    # a constant witness CSV informs no lsi ratio: a failed check (exit 1),
+    # where it used to escape as an input error (exit 2)
+    import lenspace.cli
+    from lenspace.space import ScalarField
+    real = lenspace.cli.save_field_csv
+    monkeypatch.setattr(lenspace.cli, "save_field_csv", lambda f, path: real(
+        ScalarField(values=np.ones_like(f.values), space_id=f.space_id), path))
+    code = main(["--out-dir", str(tmp_path), "constants", "--space", "gauss:21:1:4",
+                 "--which", "lsi", "--budget", "1"])
+    assert code == 1
+    failures = _read(tmp_path / "constants.json")["checks"]["reproducibility_failures"]
+    assert len(failures) == 1
+    assert failures[0].startswith("lsi witness ratio ") and failures[0].endswith("(None)")
+
+
+def test_every_ratio_is_looked_up_in_the_registry_at_call_time(tmp_path, monkeypatch):
+    # a tracer counts ratio calls by rebinding the registry's values: every
+    # evaluation must go through them, none through a module-level name
+    import lenspace.cli
+    from lenspace import inequalities
+    calls = dict.fromkeys(inequalities._RATIOS, 0)
+    for name, fn in list(inequalities._RATIOS.items()):
+        def counted(space, f, name=name, fn=fn):
+            calls[name] += 1
+            return fn(space, f)
+        monkeypatch.setitem(inequalities._RATIOS, name, counted)
+
+    def stale(space, f):
+        raise AssertionError("ratio called by its module-level name")
+    for module in (lenspace.cli, inequalities):
+        for attr in ("lsi_ratio", "talagrand_ratio", "poincare_ratio"):
+            monkeypatch.setattr(module, attr, stale, raising=False)
+
+    budget = 2
+    code = main(["--out-dir", str(tmp_path / "c"), "constants", "--space", "gauss:9:1:4",
+                 "--budget", str(budget)])
+    assert code == 0
+    doc = _read(tmp_path / "c" / "constants.json")
+    assert [w["which"] for w in doc["witnesses"]] == list(calls)
+    for w in doc["witnesses"]:
+        name, evaluations = w["which"], w["evaluations"]
+        refined = sum(r is not None for _, r in evaluations)
+        stage = sum(c["stage"] == name for c in doc["chain"])
+        # the family once, budget proposals per informative witness, the
+        # reloaded witness once, and the chain stage
+        assert calls[name] == len(evaluations) + budget * refined + 1 + stage
+    assert sum(c["stage"] == "lsi" for c in doc["chain"]) > 0
+
+    calls.update(dict.fromkeys(calls, 0))
+    code = main(["--out-dir", str(tmp_path / "k"), "chain", "--space", "gauss:9:1:4",
+                 "--K", "0.1", "--trace-fields", "1"])
+    assert code == 0
+    chain = _read(tmp_path / "k" / "chain.json")["chain"]
+    assert calls == {name: sum(c["stage"] == name for c in chain) for name in calls}
+    assert all(calls.values())
 
 
 def test_doubling_circle(tmp_path):

@@ -254,6 +254,24 @@ def test_psi_phi_sign_agreement(gauss101):
             assert (pv > 1.0) == (fv > 0.0)
 
 
+def test_phi_trace_reads_phi_1_off_its_grid(gauss101, monkeypatch):
+    # Q_1 g is computed once on a grid that holds t = 1, and once more by
+    # the dual defect that the endpoint identity compares against
+    calls = []
+    real = inequalities.apply
+    monkeypatch.setattr(inequalities, "apply",
+                        lambda space, f, t: calls.append(t) or real(space, f, t))
+    g = random_smoothed_field(gauss101, np.random.default_rng(18))
+    grid = np.geomspace(0.01, 1.0, 12)
+    tr = phi_trace(gauss101, g, 0.9, grid)
+    assert calls == list(grid) + [1.0]
+    assert tr.endpoint_identity_gap <= 1e-12
+    calls.clear()
+    tr = phi_trace(gauss101, g, 0.9, [0.5])
+    assert calls == [0.5, 1.0, 1.0]
+    assert tr.endpoint_identity_gap <= 1e-12
+
+
 def test_endpoint_identity_random_pairs(gauss101):
     for i in range(5):
         rng = np.random.default_rng([17, i])

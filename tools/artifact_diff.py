@@ -82,6 +82,16 @@ CASES = [
                            "--mu1", "nu"]),
     ("constants-path1421", ["constants", "--space", "path:1421", "--which", "poincare",
                             "--budget", "1"]),
+    # a tilt marginal whose tilt field itself overflows
+    ("transport-path1421", ["transport", "--space", "path:1421", "--mu0", "tilt:1",
+                            "--mu1", "nu"]),
+    # a chain whose LSI hypothesis is refuted (exit 1), the t and p aliases, and
+    # a Talagrand estimate solved by LPs at a given --K
+    ("chain-refuted", ["chain", "--space", "gauss:41:1:4", "--K", "1.5",
+                       "--trace-fields", "2"]),
+    ("constants-alias", ["constants", "--space", "gauss:81:1:4", "--which", "t,p"]),
+    ("constants-circle-K", ["constants", "--space", "circle:32", "--which", "talagrand",
+                            "--K", "0.5", "--budget", "1"]),
 ]
 
 
