@@ -406,8 +406,22 @@ def run(args: argparse.Namespace) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one stderr line, as every input error."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy takes only non-negative integer seeds."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lenspace",
         description="Hopf-Lax semigroup and functional-inequality toolkit "
                     "on finite metric-measure spaces",
@@ -430,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--field", default="cos")
     p.add_argument("--times", default="geo:0.01:1:8")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--residual-study", help="T:S_MAX:LEVELS residual sweep")
     p.add_argument("--refinements", type=int, default=0,
                    help="defect-vs-mesh study depth (generator spaces only)")
@@ -443,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", default="all")
     p.add_argument("--budget", type=int, default=None,
                    help="refinement proposals per witness (default: per-inequality)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--K", type=float, default=None,
                    help="chain-check constant (default: estimated LSI)")
     p.add_argument("--tau", type=float, default=0.05)
@@ -453,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--n-random", type=int, default=6)
     p.add_argument("--trace-fields", type=int, default=20)
     p.add_argument("--psi-times", default="geo:0.01:2:12")
@@ -476,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", help="also certify a local Poincare inequality for this field")
     p.add_argument("--radius", type=float, default=0.1)
     p.add_argument("--dilation", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="doubling.json")
 
     p = sub.add_parser("plot-data", parents=[common], help="extract a two/three-column CSV from a report")

@@ -19,9 +19,14 @@ semigroup's kernel.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from .hopflax import _minimizers
 from .space import _BLOCK_CELLS, MeasuredSpace
@@ -116,6 +121,26 @@ def w2(space: MeasuredSpace, mu0, mu1):
     return float(np.sqrt(plan.cost)), plan
 
 
+def _highs_core():
+    """scipy's HiGHS extension module, loaded from its file under its own name.
+
+    The plain import first runs scipy.optimize's __init__, which takes far
+    longer than the extension; a later import of scipy.optimize reuses this
+    module.  Falls back to the plain import when no file is found.
+    """
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    stem = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy", "_core")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.exists(stem + suffix):
+            spec = importlib.util.spec_from_file_location(name, stem + suffix)
+            module = sys.modules[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    return importlib.import_module(name)
+
+
 class _TransportLP:
     """The transportation LP of a to b on a growing list of cells, one HiGHS model.
 
@@ -124,10 +149,9 @@ class _TransportLP:
     """
 
     def __init__(self, space: MeasuredSpace, a, b):
-        # imported here: scipy.optimize is a large share of the package import time
-        from scipy.optimize._highspy._core import HighsModelStatus, _Highs
-
-        self.space, self.optimal, self.highs = space, HighsModelStatus.kOptimal, _Highs()
+        # HiGHS loads at the first LP, and _Highs is looked up on each model
+        core = _highs_core()
+        self.space, self.optimal, self.highs = space, core.HighsModelStatus.kOptimal, core._Highs()
         for key, value in _LP_OPTIONS.items():
             self.highs.setOptionValue(key, value)
         supply = np.concatenate([a, b])

@@ -356,6 +356,22 @@ def test_bad_counts_and_defect_times_exit2(tmp_path, capsys, argv, words):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["semigroup", "--space", "circle:16", "--field", "cos"],
+    ["constants", "--space", "circle:8"],
+    ["chain", "--space", "circle:8", "--K", "0.5"],
+    ["doubling", "--space", "circle:8", "--r-min", "0.1", "--r-max", "1", "--field", "random"],
+], ids=lambda a: a[0])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_negative_seed_exit2_one_line(tmp_path, capsys, argv, seed):
+    # constants, chain and doubling used to exit 2 with numpy's message, which
+    # names no flag; semigroup with a cos field used to exit 0
+    assert main(["--out-dir", str(tmp_path)] + argv + ["--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: argument --seed: must be a non-negative integer, got {seed}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_transport_has_no_seed_flag(tmp_path, capsys):
     # transport reads no randomness, so it takes no --seed
     assert main(["--out-dir", str(tmp_path), "transport", "--space", "path:8",
@@ -736,12 +752,14 @@ def test_commands_never_compute_midpoint_defect(tmp_path, monkeypatch, argv):
 
 
 def test_cli_import_skips_scipy_optimize():
-    # only the transport LPs need scipy.optimize; the HiGHS model of a shortlist
-    # solve, _TransportLP, imports it itself
+    # the package needs neither scipy.optimize nor scipy.special: the transport
+    # LP loads only HiGHS's extension module, at its first solve, and
+    # logsumexp is ported to numpy
     import lenspace
     src = os.path.dirname(os.path.dirname(lenspace.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, lenspace.cli; sys.exit('scipy.optimize' in sys.modules)"
+    code = ("import sys, lenspace.cli\n"
+            "sys.exit('scipy.optimize' in sys.modules or 'scipy.special' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 

@@ -205,6 +205,42 @@ def test_dual_talagrand_requires_positive_K(two_point):
         dual_talagrand_defect(two_point, g, 0.0)
 
 
+_GAUSS81 = _generate(_parse("gauss:81"))
+_GAUSS81_FIELD = random_smoothed_field(_GAUSS81, 5).values
+_WEIGHTS = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1e-300, 1e300))
+
+
+@st.composite
+def _logsumexp_inputs(draw):
+    if draw(st.booleans()):  # K times a smoothed field on gauss:81, weighted by its measure
+        K = draw(st.floats(-1e3, 1e3, allow_nan=False))
+        return K * _GAUSS81_FIELD, _GAUSS81.measure
+    n = draw(st.integers(1, 12))
+    pool = draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=3))
+    a = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))  # repeats
+    b = np.array(draw(st.lists(_WEIGHTS, min_size=n, max_size=n)))
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(_logsumexp_inputs())
+@example((np.array([2.5]), np.array([0.3])))  # a single entry
+@example((np.array([1.0, 7.0, 3.0]), np.array([0.0, 0.0, 0.4])))  # all but one weight zero
+@example((np.array([np.inf, 1.0]), np.array([0.0, 2.0])))  # a zero weight drops inf
+@example((np.array([4.0, 4.0, 1.0, 4.0]), np.array([0.2, 0.3, 0.1, 0.4])))  # repeated maxima
+@example((np.array([800.0, 800.0, -5.0]), np.array([0.5, 0.5, 1.0])))  # exp(a) overflows
+@example((np.array([np.inf, 1.0]), np.array([1.0, 1.0])))  # inf result: the direct sum decides
+@example((np.array([1.0, 0.0]), np.array([1e-300, 1e300])))  # s / m overflows, sum is finite
+def test_logsumexp_port_is_bitwise_scipy(inputs):
+    from scipy.special import logsumexp
+    a, b = inputs
+    ours = inequalities._logsumexp(a, b)
+    with np.errstate(all="ignore"):
+        theirs = float(logsumexp(a, b=b))
+    assert np.float64(ours).tobytes() == np.float64(theirs).tobytes() or (
+        math.isnan(ours) and math.isnan(theirs)), (ours, theirs)
+
+
 def test_psi_trace_zero_field_is_one(gauss101):
     h = make_field(gauss101, np.zeros(gauss101.n))
     tr = psi_trace(gauss101, h, 0.9, [0.01, 0.1, 1.0])

@@ -113,6 +113,66 @@ def test_plan_check_raises_under_python_O():
     assert out.stdout.splitlines() == ["stored cost 5.0 vs recomputed 4.0", layout, layout]
 
 
+def _run_python(*blocks: str) -> str:
+    """Run the code blocks, one after the other, in a fresh interpreter that
+    imports this checkout's lenspace; returns its stdout."""
+    import lenspace
+    src = os.path.dirname(os.path.dirname(lenspace.__file__))
+    code = "".join(textwrap.dedent(block) for block in blocks)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+
+
+# a w2 on torus2d:6:6 that needs the LP: a gamma draw against the uniform measure
+_TORUS6_W2 = """
+    import sys
+    import numpy as np
+    from lenspace import generate, parse_space_spec, w2
+    g = generate(parse_space_spec("torus2d:6:6"))
+    a = np.random.default_rng(3).gamma(1.0, size=g.n)
+    _, plan = w2(g, a / a.sum(), np.full(g.n, 1.0 / g.n))
+    plan.check(g)
+    core = sys.modules["scipy.optimize._highspy._core"]
+"""
+
+
+def test_direct_highs_load_is_reused_by_scipy_optimize():
+    # HiGHS's extension module is loaded without scipy.optimize, under its own
+    # name, so a later import of scipy.optimize in the process shares it
+    out = _run_python(_TORUS6_W2, """
+        print("scipy.optimize" in sys.modules)
+        from scipy.optimize import linprog
+        from scipy.optimize._highspy import _core
+        print(_core is core)
+        print(linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], method="highs").x.tolist())
+    """)
+    assert out.splitlines() == ["False", "True", "[1.0, 0.0]"]
+
+
+def test_transport_loads_highs_without_scipy_optimize(tmp_path):
+    # tilt:1 against nu on circle:64 is no staircase plan, so the LP is solved
+    out = _run_python(f"""
+        import sys
+        from lenspace.cli import main
+        print(main(["--out-dir", {str(tmp_path)!r}, "transport", "--space", "circle:64",
+                    "--mu0", "tilt:1", "--mu1", "nu"]))
+        print([m for m in ("scipy.optimize", "scipy.special", "scipy.optimize._highspy._core")
+               if m in sys.modules])
+    """)
+    assert out.splitlines() == ["0", "['scipy.optimize._highspy._core']"]
+
+
+def test_highs_falls_back_to_the_plain_import():
+    # when no extension file is found, scipy.optimize is imported as before
+    out = _run_python("""
+        import importlib.machinery
+        importlib.machinery.EXTENSION_SUFFIXES = [".no-such-suffix"]
+    """, _TORUS6_W2, """
+        print("scipy.optimize" in sys.modules)
+    """)
+    assert out.splitlines() == ["True"]
+
+
 def test_marginal_sum_mismatch_names_defect(two_point):
     with pytest.raises(ValueError, match="sums to"):
         w2(two_point, np.array([0.7, 0.7]), two_point.measure)
