@@ -24,10 +24,11 @@ import numpy as np
 from . import __version__
 from .fields import coordinate_field, load_field_csv, random_smoothed_field, \
     resolve_field, save_field_csv
-from .generators import generate, parse_space_spec, refine, save_space
-from .hopflax import _check_time, _residual, apply, make_trace, semigroup_defect
-from .inequalities import _RATIOS, _canon, _check_K, _score, default_witness_family, \
-    estimate_constant, phi_trace, psi_trace, verify_chain
+from .generators import _parse_fields, generate, parse_space_spec, refine, save_space
+from .hopflax import _check_time, _residual, _time_grid, apply, make_trace, \
+    semigroup_defect
+from .inequalities import _RATIOS, _canon, _check_K, _check_tau, _score, \
+    default_witness_family, estimate_constant, phi_trace, psi_trace, verify_chain
 from .space import doubling_constant, local_poincare_constant, validate_metric
 from .transport import w2
 
@@ -66,37 +67,25 @@ def _write_csv(path: str, header: str, rows):
 
 
 def _parse_times(text: str) -> np.ndarray:
-    head = text.split(":")[0]
+    """A checked time grid from geo:MIN:MAX:COUNT, lin:MIN:MAX:COUNT or a comma list."""
+    bad = f"bad time grid {text!r}"
+    head, _, rest = text.partition(":")
     if head in ("geo", "lin"):
-        parts = text.split(":")
-        if len(parts) != 4:
-            raise ValueError(f"bad time grid {text!r}; use geo:MIN:MAX:COUNT")
-        lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
-        if count < 1 or lo <= 0 or hi < lo or (count > 1 and hi == lo):
-            raise ValueError(f"bad time grid {text!r}")
-        if count == 1:
-            return np.array([lo])
-        fn = np.geomspace if head == "geo" else np.linspace
-        return fn(lo, hi, count)
+        lo, hi, count = _parse_fields(bad, head, rest,
+                                      {"min": float, "max": float, "count": int}).values()
+        if count < 1 or not 0 < lo <= hi:  # geomspace takes neither
+            raise ValueError(f"{bad}: need count >= 1 and 0 < min <= max")
+        return _time_grid((np.geomspace if head == "geo" else np.linspace)(lo, hi, count))
     try:
-        return np.array([float(x) for x in text.split(",")])
+        times = [float(x) for x in text.split(",")]
     except ValueError:
-        raise ValueError(f"bad time grid {text!r}") from None
-
-
-def _load_space(text: str):
-    spec = parse_space_spec(text)
-    return spec, generate(spec)
+        raise ValueError(bad) from None
+    return _time_grid(times)
 
 
 def _space_summary(space) -> dict:
-    return {
-        "id": space.space_id,
-        "kind": space.kind,
-        "n": space.n,
-        "mesh_h": space.mesh_h,
-        "diameter": space.diameter,
-    }
+    return {"id": space.space_id, "kind": space.kind, "n": space.n,
+            "mesh_h": space.mesh_h, "diameter": space.diameter}
 
 
 def _resolve_marginal(space, text: str) -> np.ndarray:
@@ -104,16 +93,17 @@ def _resolve_marginal(space, text: str) -> np.ndarray:
         return space.measure.copy()
     if text == "uniform":
         return np.full(space.n, 1.0 / space.n)
-    if text.startswith("point:"):
-        i = int(text[6:])
+    head, colon, rest = text.partition(":")
+    bad = f"bad marginal spec {text!r}"
+    if head == "point" and colon:
+        i = _parse_fields(bad, head, rest, {"index": int})["index"]
         if not (0 <= i < space.n):
-            raise ValueError(f"point index {i} outside 0..{space.n - 1}")
-        v = np.zeros(space.n)
-        v[i] = 1.0
-        return v
-    if text.startswith("tilt:"):  # e^(alpha x) nu / sum, from alpha x minus its max
+            raise ValueError(f"{bad}: index {i} outside 0..{space.n - 1}")
+        return (np.arange(space.n) == i).astype(float)
+    if head == "tilt" and colon:  # e^(alpha x) nu / sum, from alpha x minus its max
+        alpha = _parse_fields(bad, head, rest, {"alpha": float})["alpha"]
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite: w2 refuses it
-            ax = float(text[5:]) * coordinate_field(space).values
+            ax = alpha * coordinate_field(space).values
             dens = np.exp(ax - ax.max()) * space.measure
             return dens / dens.sum()
     if text.endswith(".csv"):
@@ -143,9 +133,21 @@ def _cmd_semigroup(args: argparse.Namespace):
     for flag, t in (("--defect-t", args.defect_t), ("--defect-s", args.defect_s)):
         if not 0 < t < math.inf:  # written so NaN fails
             raise ValueError(f"{flag} must be positive and finite, got {t}")
-    spec, space = _load_space(args.space)
+    spec = parse_space_spec(args.space)
+    space = generate(spec)
     f = resolve_field(space, args.field, args.seed)
     times = _parse_times(args.times)
+    study = args.residual_study
+    if study:
+        bad = f"bad --residual-study {study!r}"
+        t0, s_max, levels = _parse_fields(bad, "a study", study,
+                                          {"t": float, "s_max": float, "levels": int}).values()
+        if t0 <= 0 or levels < 1 or not math.ldexp(s_max, 1 - levels) > 0:
+            raise ValueError(f"{bad}: need t > 0, levels >= 1 and s_max / 2^(levels - 1) > 0")
+    if args.refinements > 0 and spec.kind == "custom_file":
+        raise ValueError("defect study needs a generator space spec, not a file")
+    if args.refinements > 0 and args.field.endswith(".csv"):
+        raise ValueError("defect study needs a named field spec, not a CSV file")
     trace = make_trace(space, f, times)
 
     failed = []
@@ -154,19 +156,8 @@ def _cmd_semigroup(args: argparse.Namespace):
         if lip > bound / t + 1e-12 * (1.0 + bound / t):
             failed.append(f"Lip(Q_t f) = {lip} above diam/t = {bound / t} at t = {t}")
 
-    study = args.residual_study
     if study:
-        bad = ValueError(f"bad --residual-study {study!r}; use T:S_MAX:LEVELS")
-        parts = study.split(":")
-        if len(parts) != 3:
-            raise bad
-        try:
-            t0, s_max, levels = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError:
-            raise bad from None
-        if levels < 1:
-            raise bad
-        here = apply(space, f, _check_time(t0, positive=True))
+        here = apply(space, f, t0)
     else:
         mid = len(times) // 2
         t0 = float(times[mid])
@@ -176,16 +167,12 @@ def _cmd_semigroup(args: argparse.Namespace):
     # every level shares Q_{t0} f; each step s needs only Q_{t0+s} f
     rows = []
     for j in range(levels):
-        s = _check_time(s_max / 2 ** j, positive=True)
+        s = _check_time(math.ldexp(s_max, -j), positive=True)
         r = _residual(space, here, apply(space, f, t0 + s), s)
         rows.append((s, float(np.abs(r.values) @ space.measure)))
 
     defect_rows = None
     if args.refinements > 0:
-        if spec.kind == "custom_file":
-            raise ValueError("defect study needs a generator space spec, not a file")
-        if args.field.endswith(".csv"):
-            raise ValueError("defect study needs a named field spec, not a CSV file")
         dt, ds = args.defect_t, args.defect_s
         defect_rows = [(space.mesh_h, semigroup_defect(space, f, dt, ds))]
         level_spec = spec
@@ -219,7 +206,8 @@ def _cmd_constants(args: argparse.Namespace):
     names = tuple(_RATIOS) if args.which == "all" else \
         tuple(dict.fromkeys(_canon(w.strip()) for w in args.which.split(",")))
     K = None if args.K is None else _check_K(args.K)
-    _, space = _load_space(args.space)
+    _check_tau(args.tau)
+    space = generate(parse_space_spec(args.space))
     family = default_witness_family(space, args.seed)
     # without --K the chain runs at the estimated LSI constant
     estimated = set(names) | ({"lsi"} if K is None else set())
@@ -229,9 +217,7 @@ def _cmd_constants(args: argparse.Namespace):
     chain = verify_chain(space, estimates["lsi"].value if K is None else K,
                          family, args.tau)
 
-    artifacts = []
-    witnesses = []
-    failures = []
+    artifacts, witnesses, failures = [], [], []
     for name in names:
         est = estimates[name]
         ref = _out_path(args, f"witness_{name}.csv")
@@ -263,12 +249,14 @@ def _cmd_chain(args: argparse.Namespace):
     for flag, tol in (("--psi-tol", args.psi_tol), ("--phi-tol", args.phi_tol)):
         if not 0 <= tol < math.inf:  # written so NaN fails
             raise ValueError(f"{flag} must be finite and >= 0, got {tol}")
-    _, space = _load_space(args.space)
+    _check_K(args.K)
+    _check_tau(args.tau)
+    psi_grid = _parse_times(args.psi_times)
+    phi_grid = _parse_times(args.phi_times)
+    space = generate(parse_space_spec(args.space))
     family = default_witness_family(space, args.seed, args.n_random)
     report = verify_chain(space, args.K, family, args.tau)
 
-    psi_grid = _parse_times(args.psi_times)
-    phi_grid = _parse_times(args.phi_times)
     psi_rows, phi_rows = [], []
     psi_excess, phi_step, endpoint_gap = -np.inf, 0.0, 0.0
     for i in range(args.trace_fields):
@@ -305,7 +293,7 @@ def _cmd_chain(args: argparse.Namespace):
 
 
 def _cmd_transport(args: argparse.Namespace):
-    _, space = _load_space(args.space)
+    space = generate(parse_space_spec(args.space))
     mu0 = _resolve_marginal(space, args.mu0)
     mu1 = _resolve_marginal(space, args.mu1)
     distance, plan = w2(space, mu0, mu1)
@@ -328,13 +316,11 @@ def _cmd_transport(args: argparse.Namespace):
 
 
 def _cmd_doubling(args: argparse.Namespace):
-    _, space = _load_space(args.space)
+    space = generate(parse_space_spec(args.space))
+    f = resolve_field(space, args.field, args.seed) if args.field else None
     value = doubling_constant(space, args.r_min, args.r_max, args.r_steps)
     metric = validate_metric(space)
-    local = None
-    if args.field:
-        f = resolve_field(space, args.field, args.seed)
-        local = local_poincare_constant(space, f, args.radius, args.dilation)
+    local = None if f is None else local_poincare_constant(space, f, args.radius, args.dilation)
     doc = {
         "space": dict(_space_summary(space), midpoint_defect=space.midpoint_defect),
         "doubling_constant": value,
@@ -347,32 +333,26 @@ def _cmd_doubling(args: argparse.Namespace):
     return (0 if metric.passed else 1), [out]
 
 
+# plot kind -> CSV header; a chain report keeps psi and phi under "traces"
+_PLOTS = {"psi": "t,psi,series", "phi": "t,phi,series",
+          "residual_vs_s": "s,mean_abs_residual", "defect_vs_mesh": "mesh_h,defect"}
+
+
 def _cmd_plot_data(args: argparse.Namespace):
     try:
         with open(args.report) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read report {args.report}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"report {args.report} must hold a JSON object")
     kind = args.kind
-    if kind in ("psi", "phi"):
-        trace = (doc.get("traces") or {}).get(kind)
-        if not trace:
-            raise ValueError(f"report has no {kind} trace")
-        header, rows = f"t,{kind},series", trace["rows"]
-    elif kind == "residual_vs_s":
-        rows = doc.get("residual_vs_s")
-        if not rows:
-            raise ValueError("report has no residual_vs_s data")
-        header = "s,mean_abs_residual"
-    elif kind == "defect_vs_mesh":
-        rows = doc.get("defect_vs_mesh")
-        if not rows:
-            raise ValueError("report has no defect_vs_mesh data")
-        header = "mesh_h,defect"
-    else:
-        raise ValueError(f"unknown plot kind {kind!r}")
+    rows = ((doc.get("traces") or {}).get(kind) or {}).get("rows") \
+        if kind in ("psi", "phi") else doc.get(kind)
+    if not rows:
+        raise ValueError(f"report has no {kind} data")
     out = _out_path(args, args.out)
-    _write_csv(out, header, rows)
+    _write_csv(out, _PLOTS[kind], rows)
     return 0, [out]
 
 
@@ -389,8 +369,6 @@ _COMMANDS = {
 
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command and write its artifacts plus the run manifest."""
-    if args.command not in _COMMANDS:
-        raise ValueError(f"unknown command {args.command!r}")
     os.makedirs(args.out_dir, exist_ok=True)
     start = time.monotonic()
     code, artifacts = _COMMANDS[args.command](args)
@@ -495,8 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plot-data", parents=[common], help="extract a two/three-column CSV from a report")
     p.add_argument("--report", required=True)
-    p.add_argument("--kind", required=True,
-                   choices=["psi", "phi", "residual_vs_s", "defect_vs_mesh"])
+    p.add_argument("--kind", required=True, choices=list(_PLOTS))
     p.add_argument("--out", default="plot.csv")
 
     return parser

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .generators import _parse_fields
 from .hopflax import apply
 from .space import MeasuredSpace, ScalarField, make_field
 
@@ -69,10 +70,14 @@ def resolve_field(space: MeasuredSpace, text: str, seed: int = 0) -> ScalarField
         return cosine_field(space)
     if text in ("coordinate", "coord"):
         return coordinate_field(space)
-    if text.startswith("tilt:"):
-        return tilt_field(space, float(text[5:]))
-    if text == "random" or text.startswith("random:"):
-        idx = int(text[7:]) if text.startswith("random:") else 0
+    head, colon, rest = text.partition(":")
+    bad = f"bad field spec {text!r}"
+    if head == "tilt" and colon:
+        return tilt_field(space, _parse_fields(bad, head, rest, {"alpha": float})["alpha"])
+    if head == "random":
+        idx = _parse_fields(bad, head, rest, {"index": int})["index"] if colon else 0
+        if idx < 0:  # numpy takes only non-negative seed entries
+            raise ValueError(f"{bad}: index must be >= 0, got {idx}")
         return random_smoothed_field(space, np.random.default_rng([seed, idx]))
     if text.endswith(".csv"):
         return load_field_csv(space, text)

@@ -101,16 +101,40 @@ def _complete(spec: SpaceSpec) -> MeasuredSpace:
                             params={"n": spec.n})
 
 
-# kind -> (builder, positional spec fields in order); the integer fields are
+# kind -> (builder, {spec field: type} in order); the integer fields are
 # required, a float field left out keeps its SpaceSpec default
 _KINDS = {
-    "circle": (_circle, ("n", "length")),
-    "gaussian_interval": (_gaussian_interval, ("n", "sigma", "width")),
-    "torus2d": (_torus2d, ("n", "m", "side_x", "side_y")),
-    "path": (_path, ("n",)),
-    "complete": (_complete, ("n",)),
+    "circle": (_circle, {"n": int, "length": float}),
+    "gaussian_interval": (_gaussian_interval, {"n": int, "sigma": float, "width": float}),
+    "torus2d": (_torus2d, {"n": int, "m": int, "side_x": float, "side_y": float}),
+    "path": (_path, {"n": int}),
+    "complete": (_complete, {"n": int}),
 }
-_INT_FIELDS = ("n", "m")
+
+
+def _parse_fields(bad: str, kind: str, rest: str, fields: dict,
+                  required: int | None = None) -> dict:
+    """The package's one parser of a colon spec's fields: rest -> {name: value}.
+
+    fields maps each name, in order, to int or float (which must be finite);
+    the first required (default all) must be given.  An error is one line:
+    bad (naming the spec), then the field at fault or the fields kind takes.
+    """
+    args = rest.split(":") if rest else []
+    required = len(fields) if required is None else required
+    if not required <= len(args) <= len(fields):
+        raise ValueError(f"{bad}: {kind} takes fields {':'.join(fields)} "
+                         f"({required} required), got {len(args)}")
+    values = {}
+    for (name, cast), arg in zip(fields.items(), args):
+        try:
+            values[name] = cast(arg)
+        except ValueError:
+            raise ValueError(f"{bad}: {name} {arg!r} is not "
+                             f"{'an integer' if cast is int else 'a number'}") from None
+        if cast is float and not math.isfinite(values[name]):
+            raise ValueError(f"{bad}: {name} must be finite")
+    return values
 
 
 def parse_space_spec(text: str) -> SpaceSpec:
@@ -127,23 +151,9 @@ def parse_space_spec(text: str) -> SpaceSpec:
     head, _, rest = text.partition(":")
     kind = {"gauss": "gaussian_interval", "torus": "torus2d"}.get(head, head)
     if kind in _KINDS:
-        names = _KINDS[kind][1]
-        args = rest.split(":") if rest else []
-        required = sum(name in _INT_FIELDS for name in names)
-        if not required <= len(args) <= len(names):
-            raise ValueError(f"bad space spec {text!r}: {kind} takes fields "
-                             f"{':'.join(names)} ({required} required), got {len(args)}")
-        values = {}
-        for name, arg in zip(names, args):
-            integer = name in _INT_FIELDS
-            try:
-                values[name] = int(arg) if integer else float(arg)
-            except ValueError:
-                raise ValueError(f"bad space spec {text!r}: {name} {arg!r} is not "
-                                 f"{'an integer' if integer else 'a number'}") from None
-            if not math.isfinite(values[name]):
-                raise ValueError(f"bad space spec {text!r}: {name} must be finite")
-        return SpaceSpec(kind=kind, **values)
+        fields = _KINDS[kind][1]
+        return SpaceSpec(kind=kind, **_parse_fields(f"bad space spec {text!r}", kind, rest,
+                                                    fields, list(fields.values()).count(int)))
     if os.path.exists(text):
         return SpaceSpec(kind="custom_file", path=text)
     raise ValueError(f"unknown space spec {text!r}; kinds are {', '.join(_KINDS)} "

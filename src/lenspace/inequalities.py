@@ -192,6 +192,13 @@ def _check_K(K: float) -> float:
     return K
 
 
+def _check_tau(tau: float) -> float:
+    tau = float(tau)
+    if not (0 < tau < 1):  # NaN fails every comparison
+        raise ValueError(f"tau must be in (0, 1), got {tau}")
+    return tau
+
+
 @dataclass(frozen=True)
 class ConstantEstimate:
     """Family-restricted upper bound on a best constant, with its witness."""
@@ -383,9 +390,7 @@ def verify_chain(space: MeasuredSpace, K: float, family, tau: float) -> ChainRep
     degenerate member passes); the walk stops at the first failing stage.
     """
     K = _check_K(K)
-    tau = float(tau)
-    if not (0 < tau < 1):
-        raise ValueError(f"tau must be in (0, 1), got {tau}")
+    tau = _check_tau(tau)
     family = list(family)  # every stage reads it
 
     checks = []

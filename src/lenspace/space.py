@@ -271,6 +271,8 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
             coords = coords.T
         if coords.shape[0] != n:
             raise ValueError(f"coords have {coords.shape} entries, expected n={n}")
+        if not np.all(np.isfinite(coords)):
+            raise ValueError("coords must be finite")
         coords.flags.writeable = False
     params = dict(params or {})
 

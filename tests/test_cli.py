@@ -937,3 +937,175 @@ def test_cli_fuzz_exit_codes(fuzz_out, argv):
         for name in os.listdir(fuzz_out):
             if name.endswith(".json"):
                 _strict_json(os.path.join(fuzz_out, name))
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["semigroup", "--space", "circle:16", "--field", "random:-1"],
+     "bad field spec 'random:-1': index must be >= 0, got -1"),
+    (["semigroup", "--space", "circle:16", "--field", "random:x"],
+     "bad field spec 'random:x': index 'x' is not an integer"),
+    (["semigroup", "--space", "circle:16", "--field", "tilt:abc"],
+     "bad field spec 'tilt:abc': alpha 'abc' is not a number"),
+    (["transport", "--space", "path:8", "--mu0", "point:1e3", "--mu1", "nu"],
+     "bad marginal spec 'point:1e3': index '1e3' is not an integer"),
+    (["transport", "--space", "path:8", "--mu0", "tilt:abc", "--mu1", "nu"],
+     "bad marginal spec 'tilt:abc': alpha 'abc' is not a number"),
+    (["semigroup", "--space", "circle:16", "--times", "geo:0.1:1:x"],
+     "bad time grid 'geo:0.1:1:x': count 'x' is not an integer"),
+    (["semigroup", "--space", "circle:16", "--times", "lin:0.1:1"],
+     "bad time grid 'lin:0.1:1': lin takes fields min:max:count (3 required), got 2"),
+    (["semigroup", "--space", "circle:16", "--times", "0.5", "--residual-study", "0.5:x:3"],
+     "bad --residual-study '0.5:x:3': s_max 'x' is not a number"),
+    (["semigroup", "--space", "circle:16", "--field", "random:1:2"],
+     "bad field spec 'random:1:2': random takes fields index (1 required), got 2"),
+], ids=["random-negative", "random-word", "tilt-word", "point-float", "tilt-marginal-word",
+        "geo-count-word", "lin-short", "study-word", "random-extra"])
+def test_colon_spec_error_names_spec_and_field(tmp_path, capsys, argv, line):
+    # each of these used to print Python's or numpy's own text, such as
+    # "invalid literal for int()" or "expected non-negative integer"
+    assert main(["--out-dir", str(tmp_path)] + argv) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_time_grid_forms():
+    from lenspace.cli import _parse_times
+    assert np.array_equal(_parse_times("geo:0.01:1:8"), np.geomspace(0.01, 1, 8))
+    assert np.array_equal(_parse_times("lin:0.1:1:5"), np.linspace(0.1, 1, 5))
+    assert np.array_equal(_parse_times("0.1,0.5,1"), [0.1, 0.5, 1.0])
+    assert np.array_equal(_parse_times("geo:0.5:0.5:1"), [0.5])
+    for text in ("geo:0:1:4", "geo:1:0.5:3", "lin:0.1:1:0", "geo:0.5:0.5:2", "0.5,0.1", ""):
+        with pytest.raises(ValueError):
+            _parse_times(text)
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make the CLI's expensive entry points record a call and raise."""
+    import lenspace.cli as cli
+    calls = []
+
+    def refuse(name):
+        def fn(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} ran before the inputs were checked")
+        return fn
+    for name in ("estimate_constant", "verify_chain", "make_trace", "doubling_constant"):
+        monkeypatch.setattr(cli, name, refuse(name))
+    return calls
+
+
+def _saved_circle(tmp_path):
+    path = tmp_path / "space" / "space.json"
+    assert main(["--out-dir", str(path.parent), "gen", "--spec", "circle:16"]) == 0
+    return str(path)
+
+
+def test_inputs_are_checked_before_any_work(tmp_path, capsys, no_work):
+    saved = _saved_circle(tmp_path)
+    field = tmp_path / "f.csv"
+    field.write_text("index,value\n" + "".join(f"{i},{i % 3}\n" for i in range(16)))
+    cases = [
+        (["constants", "--space", "path:8", "--tau", "1.5"], "tau must be in (0, 1), got 1.5"),
+        (_CHAIN8 + ["--psi-times", "x"], "bad time grid 'x'"),
+        (_CHAIN8 + ["--phi-times", "0.5,0.1"], "time grid must be strictly increasing"),
+        (_SEMI8 + ["--residual-study", "0.5:x:3"],
+         "bad --residual-study '0.5:x:3': s_max 'x' is not a number"),
+        (["semigroup", "--space", saved, "--times", "0.5", "--refinements", "1"],
+         "defect study needs a generator space spec, not a file"),
+        (["semigroup", "--space", "circle:16", "--times", "0.5", "--field", str(field),
+          "--refinements", "1"], "defect study needs a named field spec, not a CSV file"),
+        (["doubling", "--space", "circle:16", "--r-min", "0.3", "--r-max", "1",
+          "--field", "random:x"], "bad field spec 'random:x': index 'x' is not an integer"),
+    ]
+    capsys.readouterr()
+    for k, (argv, line) in enumerate(cases):
+        out = tmp_path / f"out{k}"
+        assert main(["--out-dir", str(out)] + argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not list(out.iterdir())
+    assert no_work == []
+
+
+def test_chain_tau_and_K_checked_before_the_family(tmp_path, capsys, monkeypatch):
+    # chain used to build the witness family before verify_chain read K and tau
+    import lenspace.cli as cli
+    monkeypatch.setattr(cli, "default_witness_family", None)
+    for flags, line in ((["--tau", "0"], "tau must be in (0, 1), got 0.0"),
+                        (["--K", "nan"], "K must be positive and finite, got nan")):
+        assert main(["--out-dir", str(tmp_path)] + _CHAIN8 + flags) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+
+def _marginal_csv(path, weights):
+    rows = "".join(f"{i},{float(w)!r}\n" for i, w in enumerate(weights))
+    path.write_text("index,value\n" + rows)
+    return str(path)
+
+
+def test_csv_marginal_is_the_normalized_weights(tmp_path, monkeypatch):
+    import lenspace.cli as cli
+    plans = []
+
+    def recording_w2(space, mu0, mu1):
+        plans.append((mu0, *cli_w2(space, mu0, mu1)))
+        return plans[-1][1:]
+    cli_w2 = cli.w2
+    monkeypatch.setattr(cli, "w2", recording_w2)
+    weights = np.random.default_rng(3).gamma(1.0, size=16)
+    mu0 = _marginal_csv(tmp_path / "mu.csv", weights)
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "transport", "--space", "circle:16",
+                 "--mu0", mu0, "--mu1", "nu"]) == 0
+    (given, _, plan), = plans
+    assert np.array_equal(given, weights / weights.sum())
+    np.testing.assert_allclose(plan.source_marginal, weights / weights.sum(), rtol=1e-14, atol=0)
+    doc = _read(out / "transport.json")
+    rows = np.zeros(16)
+    for i, _, m in doc["coupling"]:
+        rows[i] += m
+    np.testing.assert_allclose(rows, weights / weights.sum(), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("weights", [[1.0, -0.5] + [1.0] * 14, [0.0] * 16],
+                         ids=["negative", "all-zero"])
+def test_bad_csv_marginal_exit2_one_line(tmp_path, weights):
+    mu0 = _marginal_csv(tmp_path / "mu.csv", weights)
+    out = tmp_path / "out"
+    proc = _run_cli(out, "transport", "--space", "circle:16", "--mu0", mu0, "--mu1", "nu")
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: marginal weights in {mu0} must be nonnegative "
+                           "with positive sum\n")
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_nonfinite_coords_exit2_one_line(tmp_path, capsys, bad):
+    # a NaN coordinate used to pass: constants exited 0 with every tilt
+    # witness silently left out, and the coordinate field blamed the field
+    doc = {"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]], "measure": [1, 1, 1],
+           "coords": [[bad], [1.0], [2.0]]}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity tokens, as Python writes them
+    for argv in (["constants", "--space", str(path), "--budget", "1"],
+                 ["semigroup", "--space", str(path), "--field", "coordinate"]):
+        out = tmp_path / argv[0]
+        assert main(["--out-dir", str(out)] + argv) == 2
+        assert capsys.readouterr().err == "error: coords must be finite\n"
+        assert not list(out.iterdir())
+    # finite coords load as before, with the same id
+    doc["coords"][0] = [0.0]
+    path.write_text(json.dumps(doc))
+    assert load_space(str(path)).space_id == "68c91905d91c21b3"
+
+
+@pytest.mark.parametrize("text", ["[1]", "3", "null"], ids=["list", "number", "null"])
+def test_plot_data_report_not_an_object_exit2(tmp_path, capsys, text):
+    # each of these used to end in an AttributeError traceback, exit 1
+    report = tmp_path / "r.json"
+    report.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "plot-data", "--report", str(report),
+                 "--kind", "psi"]) == 2
+    assert capsys.readouterr().err == f"error: report {report} must hold a JSON object\n"
+    assert not list(out.iterdir())

@@ -103,6 +103,14 @@ def test_space_id_covers_edges():
     assert again.space_id == path.space_id
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_coords_rejected(bad):
+    # like a non-finite measure or length; a NaN coordinate used to build a
+    # space whose tilt witnesses were then dropped as if they overflowed
+    with pytest.raises(ValueError, match="^coords must be finite$"):
+        build_from_graph([(0, 1, 1.0)], np.ones(2), 2, kind="path", coords=[0.0, bad])
+
+
 def test_space_id_covers_kind_and_coords(tmp_path):
     # coords, kind and params feed the witness family and the cos, coordinate
     # and tilt fields, so two spaces that differ only there must not share an id

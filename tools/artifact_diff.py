@@ -92,6 +92,14 @@ CASES = [
     ("constants-alias", ["constants", "--space", "gauss:81:1:4", "--which", "t,p"]),
     ("constants-circle-K", ["constants", "--space", "circle:32", "--which", "talagrand",
                             "--K", "0.5", "--budget", "1"]),
+    # every form of each colon-spec parser on valid input: a lin: grid, an
+    # indexed random field and a residual study; a tilt field; a geo: and a
+    # comma-list grid
+    ("semigroup-lin-random", ["semigroup", "--space", "circle:64", "--times", "lin:0.1:1:5",
+                              "--field", "random:3", "--residual-study", "0.3:0.1:2"]),
+    ("semigroup-tilt", ["semigroup", "--space", "gauss:41:1:4", "--field", "tilt:0.5"]),
+    ("chain-grids", ["chain", "--space", "gauss:41:1:4", "--K", "0.9", "--trace-fields", "2",
+                     "--psi-times", "geo:0.02:1:6", "--phi-times", "0.1,0.5,1"]),
 ]
 
 
