@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401  argparse imports it, through gettext, when main() builds the parser
 import math
 import os
 import sys
@@ -27,9 +28,10 @@ from .fields import coordinate_field, load_field_csv, random_smoothed_field, \
 from .generators import _parse_fields, generate, parse_space_spec, refine, save_space
 from .hopflax import _check_time, _residual, _time_grid, apply, make_trace, \
     semigroup_defect
-from .inequalities import _RATIOS, _canon, _check_K, _check_tau, _score, \
+from .inequalities import _RATIOS, _canon, _check_budget, _check_K, _check_tau, _score, \
     default_witness_family, estimate_constant, phi_trace, psi_trace, verify_chain
-from .space import doubling_constant, local_poincare_constant, validate_metric
+from .space import _check_scales, _check_sweep, doubling_constant, local_poincare_constant, \
+    validate_metric
 from .transport import w2
 
 
@@ -207,6 +209,8 @@ def _cmd_constants(args: argparse.Namespace):
         tuple(dict.fromkeys(_canon(w.strip()) for w in args.which.split(",")))
     K = None if args.K is None else _check_K(args.K)
     _check_tau(args.tau)
+    if args.budget is not None:
+        _check_budget(args.budget)
     space = generate(parse_space_spec(args.space))
     family = default_witness_family(space, args.seed)
     # without --K the chain runs at the estimated LSI constant
@@ -316,6 +320,9 @@ def _cmd_transport(args: argparse.Namespace):
 
 
 def _cmd_doubling(args: argparse.Namespace):
+    _check_sweep(args.r_min, args.r_max, args.r_steps)
+    if args.field:  # the local Poincare scales, read only with a field
+        _check_scales(args.radius, args.dilation)
     space = generate(parse_space_spec(args.space))
     f = resolve_field(space, args.field, args.seed) if args.field else None
     value = doubling_constant(space, args.r_min, args.r_max, args.r_steps)

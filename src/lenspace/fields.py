@@ -10,6 +10,7 @@ resolved against the generator metadata carried by the space.
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it on first use; here at import, not in a command
 
 from .generators import _parse_fields
 from .hopflax import apply

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .fields import random_smoothed_field, tilt_field
 from .hopflax import _time_grid, apply, subgrad_norm_field
@@ -133,6 +132,11 @@ def laplacian_eigenfields(space: MeasuredSpace, k: int = 3) -> list:
     Edge conductances (nu_i + nu_j) / (2 d_ij^2) make the quadratic form
     a symmetric surrogate for the subgradient Dirichlet energy, so the
     low generalized eigenvectors approximate Poincare extremals.
+
+    L v = lam B v with B = diag(nu) is solved as the symmetric problem
+    R L R y = lam y, v = R y, for R = B^(-1/2).  R L R is formed entry by
+    entry as LAPACK's sygst forms it for a diagonal B, so the eigenpairs
+    are those scipy.linalg.eigh(L, B) computes by sygst and syevd.
     """
     src, dst, _, length, _ = space.edges
     weight = (space.measure[src] + space.measure[dst]) / (2.0 * length ** 2)
@@ -140,9 +144,13 @@ def laplacian_eigenfields(space: MeasuredSpace, k: int = 3) -> list:
     np.add.at(lap, (src, dst), -weight)
     diag = np.zeros(space.n)
     np.add.at(diag, src, weight)
-    lap[np.diag_indices(space.n)] = diag
-    floor = 1e-15 * space.measure.max()
-    _, vecs = eigh(lap, np.diag(np.maximum(space.measure, floor)))
+    root = np.sqrt(np.maximum(space.measure, 1e-15 * space.measure.max()))
+    inv = 1.0 / root
+    lap *= inv  # column j by R_jj, then row i divided by root_i
+    lap /= root[:, None]
+    lap[np.diag_indices(space.n)] = diag / (root * root)
+    _, vecs = np.linalg.eigh(lap)
+    vecs *= inv[:, None]
     out = []
     for col in range(1, min(k + 1, space.n)):
         v = vecs[:, col]
@@ -190,6 +198,12 @@ def _check_K(K: float) -> float:
     if not (0 < K < np.inf):  # NaN fails every comparison
         raise ValueError(f"K must be positive and finite, got {K}")
     return K
+
+
+def _check_budget(budget: int) -> int:
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    return budget
 
 
 def _check_tau(tau: float) -> float:
@@ -241,10 +255,7 @@ def estimate_constant(space: MeasuredSpace, which: str, family=None,
     budget=None picks DEFAULT_BUDGETS[which].
     """
     which = _canon(which)
-    if budget is None:
-        budget = DEFAULT_BUDGETS[which]
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    budget = _check_budget(DEFAULT_BUDGETS[which] if budget is None else budget)
     family = default_witness_family(space, seed) if family is None else family
     best = None
     evaluations = []

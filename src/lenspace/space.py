@@ -5,18 +5,26 @@ graph and a probability measure.  All distances are realized by paths in
 the generating graph, so the metric is a length metric up to the mesh
 scale: between any two points there is an approximate midpoint whose
 quality is measured by ``midpoint_defect``.
+
+The metric is computed in floats, and exactly so: d(s, v) is the least
+left-fold sum fl(...fl(fl(w1 + w2) + w3)... + wk) of the edge weights
+over the paths from s to v, taken the smaller of the two directions.
+That is what Dijkstra's algorithm computes in floats, since float
+addition is monotone and a positive weight never lowers a sum; so
+``shortest_path`` gives every distance bit for bit as a float Dijkstra
+would, whatever order its search takes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(eq=False)
@@ -113,6 +121,204 @@ def _edge_relax(d: np.ndarray, dst, weight, starts):
     cand = d[:, dst]
     cand += weight
     return cand, np.minimum.reduceat(cand, starts, axis=1)
+
+
+def _padded(n: int, src, sel, values, fill) -> np.ndarray:
+    """values of the selected edges by source vertex: row x holds those of
+    the selected edges out of x, then fill up to the longest row."""
+    s = src[sel]  # sorted, as src is
+    count = np.bincount(s, minlength=n)
+    slot = np.arange(len(s)) - np.repeat(np.cumsum(count) - count, count)
+    table = np.full((n, int(count.max(initial=0))), fill, dtype=values.dtype)
+    table[s, slot] = values
+    return table
+
+
+def _chain_walks(src, dst, weight, starts, deg):
+    """The walks from the edges into degree-2 vertices, as one sequence.
+
+    The walk of an edge e into a degree-2 vertex goes on through degree-2
+    vertices until it takes in a vertex of another degree, or until it has
+    seen the other k - 1 vertices of a cycle of k degree-2 vertices.  It is
+    the stretch of the sequence from pos[e]: vertex seq_v[p] is reached by
+    an edge of weight seq_w[p].  A path of degree-2 vertices is stored once
+    per direction, and every walk along it is a tail of that stretch; a
+    cycle is stored once per direction, its first k - 2 entries repeated.
+    Each stretch is followed by an infinite weight.  The walk from entry p
+    has size[p] vertices; along a path its last is of another degree, at
+    hop end[p], and along a cycle end[p] = -1.  Returns (pos, seq_v, seq_w,
+    size, end) as arrays.
+    """
+    S, D, W = src.tolist(), dst.tolist(), weight.tolist()
+    first, dg = starts.tolist(), deg.tolist()
+    pos = [-1] * len(S)
+    seq_v, seq_w, size, end = [], [], [], []
+
+    def onward(e):  # the edge out of e's degree-2 head that does not turn back
+        f = first[D[e]]
+        return f + 1 if D[f] == S[e] else f
+
+    for e in range(len(S)):
+        if dg[D[e]] == 2 and dg[S[e]] != 2:  # a path, from its end at S[e]
+            start = len(seq_v)
+            while True:
+                pos[e] = len(seq_v)
+                seq_v.append(D[e])
+                seq_w.append(W[e])
+                if dg[D[e]] != 2:
+                    break
+                e = onward(e)
+            count = len(seq_v) - start
+            size += range(count, -1, -1)  # the last, 0, is the gap's
+            end += range(count - 1, -2, -1)
+            seq_v.append(0)
+            seq_w.append(np.inf)
+    for e in range(len(S)):
+        if dg[D[e]] == 2 and pos[e] < 0:  # on a cycle of degree-2 vertices only
+            cycle = [e]
+            while (f := onward(cycle[-1])) != e:
+                cycle.append(f)
+            for j, f in enumerate(cycle):
+                pos[f] = len(seq_v) + j
+            stored = cycle + cycle[:len(cycle) - 2]
+            seq_v += [D[f] for f in stored] + [0]
+            seq_w += [W[f] for f in stored] + [np.inf]
+            size += [len(cycle) - 1] * len(stored) + [0]
+            end += [-1] * (len(stored) + 1)
+    return (np.array(pos, dtype=np.intp), np.array(seq_v, dtype=np.intp), np.array(seq_w),
+            np.array(size, dtype=np.intp), np.array(end, dtype=np.intp))
+
+
+def _relax_edges(label, pair, mask, step, plain_w):
+    """Relax the edges into vertices of degree other than 2 out of the
+    pairs (keys into label); returns the keys whose label fell."""
+    take = np.take
+    u = pair & mask
+    keys = take(step, u, axis=1)
+    keys += pair
+    cand = take(plain_w, u, axis=1)
+    cand += take(label, pair)
+    keys, cand = keys.ravel(), cand.ravel()
+    lower = np.flatnonzero(cand < take(label, keys))
+    keys = take(keys, lower)
+    np.minimum.at(label, keys, take(cand, lower))
+    return keys
+
+
+def _relax_walks(label, pair, mask, first, last, walk_v, walk_w):
+    """Relax the walks of one class (shortest_path) out of the pairs;
+    returns the keys at the walks' ends of another degree whose label fell."""
+    take = np.take
+    u = pair & mask
+    at = take(first, u, axis=0)
+    cand = walk_w[at]
+    cand[:, :, 0] += take(label, pair)[:, None]
+    np.cumsum(cand, axis=2, out=cand)
+    keys = walk_v[at]
+    keys += (pair - u)[:, None, None]
+    # the walks' ends at a vertex of another degree, as flat indices into
+    # cand, read before the labels fall
+    hop = take(last, u, axis=0).ravel()
+    ends = np.flatnonzero(hop >= 0)
+    ends = ends * cand.shape[2] + take(hop, ends)
+    end_keys = take(keys, ends)
+    fell = take(end_keys, np.flatnonzero(take(cand, ends) < take(label, end_keys)))
+    np.minimum.at(label, keys.ravel(), cand.ravel())
+    return fell
+
+
+def shortest_path(n: int, src, dst, weight, starts) -> np.ndarray:
+    """All-pairs shortest-path distances, min(d, d.T), of the graph held as
+    directed edge arrays (src, dst, weight, starts) as in MeasuredSpace.edges.
+
+    A label-correcting search from all sources at once, in blocks of
+    sources: each round, every (source, vertex) pair whose label fell in
+    the last round relaxes its edges, until no label falls.  Every label is
+    the left-fold sum fl(d(s, u) + w(u, v)) along some path, and at the end
+    no edge lowers a label, so each row is the least fold sum: bit for bit
+    what float Dijkstra gives (see the module docstring).  Pairs are keys
+    row * 2^b + vertex; np.minimum.at lowers the labels, and a key that
+    falls twice is kept once by writing each key's position and keeping
+    the key where it reads back its own.
+
+    An edge into a degree-2 vertex relaxes its whole walk (_chain_walks)
+    at once, by one row-wise cumsum, which folds left.  Sums only grow
+    along a walk, so a vertex inside it has both its edges relaxed, and
+    only a vertex of another degree, reached by an edge or at the end of a
+    walk, goes on to the next round.  A circle takes one round, a path
+    two.  Walks are relaxed in classes, each padded to its longest walk:
+    those from degree-2 vertices, and those from other vertices by size in
+    (2^(c-1), 2^c]; every class and the plain edges in chunks of about as
+    many candidates as a block has labels.  The two directions are then
+    merged by min(d, d.T) in tiles.
+    """
+    shift = max(1, (n - 1).bit_length())
+    mask = (1 << shift) - 1
+    rows = max(1, _BLOCK_CELLS // n)
+    budget = rows << shift  # labels per block
+    deg = np.bincount(src, minlength=n)
+    chain = deg[dst] == 2
+    # (vertices that have the group's edges or None for all, candidates one
+    # pair makes, relax) per group
+    groups = []
+    if not chain.all():
+        # edges into other vertices: key offsets and weights, one slot a row
+        step = _padded(n, src, ~chain, (dst - src)[~chain], 0).T.copy()
+        plain_w = _padded(n, src, ~chain, weight[~chain], np.inf).T.copy()
+        groups.append((None, len(step), partial(
+            _relax_edges, mask=mask, step=step, plain_w=plain_w)))
+    if chain.any():
+        pos, seq_v, seq_w, size, end = _chain_walks(src, dst, weight, starts, deg)
+        pad = len(seq_v)  # where the trailing infinite weights start
+        longest = int(size.max())
+        # row p of each view: the longest walk's worth of entries from p
+        seq_v = sliding_window_view(np.concatenate([seq_v, np.zeros(longest, dtype=np.intp)]),
+                                    longest)
+        seq_w = sliding_window_view(np.concatenate([seq_w, np.full(longest, np.inf)]), longest)
+        # a walk from a degree-2 vertex runs once, in its source's first
+        # round; one from a vertex of another degree may run each round
+        walk_class = np.where(deg[src] == 2, -1, np.frexp(size[pos] - 1)[1])
+        for c in sorted(set(walk_class[chain].tolist())):
+            sel = chain & (walk_class == c)
+            length = int(size[pos[sel]].max())
+            # walk k of vertex x starts at entry first[x, k] and reaches a
+            # vertex of another degree at hop last[x, k], if any; where x has
+            # fewer walks, the trailing infinite weights
+            first = _padded(n, src, sel, pos[sel], pad)
+            has = (first < pad).any(axis=1)
+            groups.append((None if has.all() else has, first.shape[1] * length, partial(
+                _relax_walks, mask=mask, first=first,
+                last=_padded(n, src, sel, end[pos[sel]], -1),
+                walk_v=seq_v[:, :length], walk_w=seq_w[:, :length])))
+    stamp = np.empty(budget, dtype=np.intp)
+    dist = np.empty((n, n))
+    take = np.take
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        work = np.full((hi - lo, mask + 1), np.inf)
+        label = work.reshape(-1)
+        front = (np.arange(hi - lo) << shift) + np.arange(lo, hi)
+        label[front] = 0.0
+        while len(front):
+            fell = [front[:0]]  # keys of the next round
+            for has, cells, relax in groups:
+                pairs = front if has is None else take(front, np.flatnonzero(take(has, front & mask)))
+                chunk = max(1, budget // cells)
+                for part in range(0, len(pairs), chunk):
+                    fell.append(relax(label, pairs[part:part + chunk]))
+            fell = np.concatenate(fell)
+            order = np.arange(len(fell))
+            stamp[fell] = order
+            front = take(fell, np.flatnonzero(take(stamp, fell) == order))
+        dist[lo:hi] = work[:, :n]
+    # the smaller of the two directions, in square tiles of a quarter block
+    tile = max(1, math.isqrt(_BLOCK_CELLS // 4))
+    for i in range(0, n, tile):
+        for j in range(i, n, tile):
+            low = np.minimum(dist[i:i + tile, j:j + tile], dist[j:j + tile, i:i + tile].T)
+            dist[i:i + tile, j:j + tile] = low
+            dist[j:j + tile, i:i + tile] = low.T
+    return dist
 
 
 def _max_midpoint_defect(space: MeasuredSpace) -> float:
@@ -242,22 +448,18 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
     rows = np.array([k[0] for k in keys], dtype=np.int64)
     cols = np.array([k[1] for k in keys], dtype=np.int64)
     vals = np.array([shortest_edge[k] for k in keys], dtype=float)
-    graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
-    dist = shortest_path(graph, method="D", directed=False)
-    if np.isinf(dist).any():
-        i, j = np.argwhere(np.isinf(dist))[0]
-        raise ValueError(f"graph is disconnected: points {i} and {j} are not connected")
-    # Dijkstra per source can round the two directions differently
-    dist = np.minimum(dist, dist.T)
-    np.fill_diagonal(dist, 0.0)
-
-    dist.flags.writeable = False
     # the stored graph: both orientations of each edge, sorted by (src, dst)
     src, dst = np.concatenate([rows, cols]), np.concatenate([cols, rows])
     order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    table = (src, dst, np.concatenate([vals, vals])[order], dist[src, dst],
-             np.searchsorted(src, np.arange(n)))
+    src, dst, weight = src[order], dst[order], np.concatenate([vals, vals])[order]
+    starts = np.searchsorted(src, np.arange(n))
+    dist = shortest_path(n, src, dst, weight, starts)
+    if np.isinf(dist).any():
+        i, j = np.argwhere(np.isinf(dist))[0]
+        raise ValueError(f"graph is disconnected: points {i} and {j} are not connected")
+
+    dist.flags.writeable = False
+    table = (src, dst, weight, dist[src, dst], starts)
     for arr in table:
         arr.flags.writeable = False
     # a nearest distinct point is a graph neighbour: a shortest path into x
@@ -364,6 +566,20 @@ def validate_metric(space: MeasuredSpace) -> MetricReport:
     )
 
 
+def _check_sweep(r_min: float, r_max: float, r_steps: int):
+    if not (0 < r_min <= r_max < np.inf):  # NaN fails every comparison
+        raise ValueError(f"need 0 < r_min <= r_max < inf, got {r_min}, {r_max}")
+    if r_steps < 1:
+        raise ValueError("r_steps must be at least 1")
+
+
+def _check_scales(radius: float, dilation: float):
+    if not (0 < radius < np.inf):  # NaN fails every comparison
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    if not (dilation >= 1):
+        raise ValueError(f"dilation must be >= 1, got {dilation}")
+
+
 def doubling_constant(space: MeasuredSpace, r_min: float, r_max: float,
                       r_steps: int = 16) -> float:
     """Empirical doubling constant over a radius sweep.
@@ -372,10 +588,7 @@ def doubling_constant(space: MeasuredSpace, r_min: float, r_max: float,
     measure(B(x, 2r)) / measure(B(x, r)).  Every sampled ball must carry
     positive measure.
     """
-    if not (0 < r_min <= r_max < np.inf):  # NaN fails every comparison
-        raise ValueError(f"need 0 < r_min <= r_max < inf, got {r_min}, {r_max}")
-    if r_steps < 1:
-        raise ValueError("r_steps must be at least 1")
+    _check_sweep(r_min, r_max, r_steps)
     radii = np.linspace(r_min, r_max, r_steps)
     worst = 1.0
     for r in radii:
@@ -401,10 +614,7 @@ def local_poincare_constant(space: MeasuredSpace, f: ScalarField,
     from .hopflax import grad_norm_field
 
     vals = check_binding(space, f)
-    if not (0 < radius < np.inf):  # NaN fails every comparison
-        raise ValueError(f"radius must be positive and finite, got {radius}")
-    if not (dilation >= 1):
-        raise ValueError(f"dilation must be >= 1, got {dilation}")
+    _check_scales(radius, dilation)
     grad = grad_norm_field(space, f)
     worst = 0.0
     for x in range(space.n):

@@ -26,7 +26,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .hopflax import _minimizers
 from .space import _BLOCK_CELLS, MeasuredSpace
@@ -126,12 +125,14 @@ def _highs_core():
 
     The plain import first runs scipy.optimize's __init__, which takes far
     longer than the extension; a later import of scipy.optimize reuses this
-    module.  Falls back to the plain import when no file is found.
+    module.  scipy's own directory is found without importing scipy.  Falls
+    back to the plain import when no file is found.
     """
     name = "scipy.optimize._highspy._core"
     if name in sys.modules:
         return sys.modules[name]
-    stem = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy", "_core")
+    scipy = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    stem = os.path.join(scipy, "optimize", "_highspy", "_core")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         if os.path.exists(stem + suffix):
             spec = importlib.util.spec_from_file_location(name, stem + suffix)
@@ -226,16 +227,19 @@ def _shortlist_plan(space: MeasuredSpace, a, b):
                               *_tree_potentials(space, rows, cols))
     if plan is not None:
         return plan
-    # the support as sorted flat cells i * n + j, the order np.nonzero gives
-    # an n x n mask; argpartition works row by row, so blocks of rows pick
-    # the same nearest cells as one call on all of dist
+    # the support as a mask of the flat cells i * n + j, listed in the order
+    # np.nonzero gives an n x n mask; argpartition works row by row, so
+    # blocks of rows pick the same nearest cells as one call on all of dist
     k = min(_NEAREST, n)
     block = max(1, _BLOCK_CELLS // n)
-    near = [n * np.arange(lo, min(lo + block, n))[:, None]
-            + np.argpartition(space.dist[lo:lo + block], k - 1, axis=1)[:, :k]
-            for lo in range(0, n, block)]
-    cells = np.union1d(n * rows + cols, np.concatenate(near))
-    cells = np.union1d(cells, n * (cells % n) + cells // n)
+    support = np.zeros((n, n), dtype=bool)
+    support[rows, cols] = True
+    for lo in range(0, n, block):
+        near = np.argpartition(space.dist[lo:lo + block], k - 1, axis=1)[:, :k]
+        support[np.arange(lo, lo + len(near))[:, None], near] = True
+    support |= support.T
+    support = support.ravel()
+    cells = np.flatnonzero(support)
     lp, new, cold = _TransportLP(space, a, b), cells, True
     while True:
         status, x, u, v = lp.solve(*np.divmod(new, n), cold)
@@ -248,13 +252,17 @@ def _shortlist_plan(space: MeasuredSpace, a, b):
                                         np.maximum(x[order], 0.0), u, v)
             if plan is not None:
                 return plan
-            grow = np.setdiff1d(n * bad[0] + bad[1], cells)
+            # the violating cells not in the support, sorted and distinct
+            grow = np.sort(n * bad[0] + bad[1])
+            grow = grow[np.append(True, grow[1:] != grow[:-1])]
+            grow = grow[~support[grow]]
         if len(cells) == n * n:
             raise RuntimeError("transport LP on all n^2 cells " + (
                 "gave no certified plan" if solved else f"failed: {status}"))
         # no new cell to add: every missing cell joins, and HiGHS starts cold
         cold = not len(grow)
-        new = np.setdiff1d(np.arange(n * n), cells) if cold else grow
+        new = np.flatnonzero(~support) if cold else grow
+        support[new] = True
         cells = np.concatenate([cells, new])
 
 

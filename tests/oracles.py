@@ -1,6 +1,8 @@
 """Slow independent references that the tests check the package against.
 
-None of these shares code with the routes it checks: the dense Hopf-Lax
+None of these shares code with the routes it checks: the all-pairs
+distances come from scipy's Dijkstra, the generalized eigenproblem from
+scipy's eigh, the dense Hopf-Lax
 minimum, the dense Lipschitz quotient, the nearest-distinct-point mesh
 and the full triangle check run over all pairs, the slopes loop over the
 raw edge list, the 1-d oracle merges two CDFs on point positions given
@@ -13,8 +15,50 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
+
+
+def csgraph_dist(n: int, edges) -> np.ndarray:
+    """All-pairs distances of the graph with edges (i, j, length) by scipy's
+    float Dijkstra from every source: parallel edges collapsed to the
+    shortest, and of the two directions of a pair the smaller."""
+    best = {}
+    for i, j, length in edges:
+        key = (min(i, j), max(i, j))
+        best[key] = min(best.get(key, np.inf), float(length))
+    keys = sorted(best)
+    graph = csr_matrix(([best[k] for k in keys],
+                        ([k[0] for k in keys], [k[1] for k in keys])), shape=(n, n))
+    dist = shortest_path(graph, method="D", directed=False)
+    # Dijkstra per source can round the two directions differently
+    dist = np.minimum(dist, dist.T)
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+def laplacian_pencil(space):
+    """(L, B): the measure-weighted graph Laplacian of the eigenfields, with
+    conductance (nu_i + nu_j) / (2 d_ij^2) per edge, built by a loop over
+    the edge list, and diag(nu) floored at 1e-15 max nu."""
+    n, nu = space.n, space.measure
+    lap = np.zeros((n, n))
+    src, dst = space.edges[0], space.edges[1]
+    for i, j in zip(src[src < dst].tolist(), dst[src < dst].tolist()):
+        c = (nu[i] + nu[j]) / (2.0 * float(space.dist[i, j]) ** 2)
+        lap[i, j] -= c
+        lap[j, i] -= c
+        lap[i, i] += c
+        lap[j, j] += c
+    return lap, np.diag(np.maximum(nu, 1e-15 * nu.max()))
+
+
+def scipy_eigenpairs(space):
+    """Eigenvalues (ascending) and B-orthonormal eigenvectors of L v = lam B v
+    by scipy.linalg.eigh on laplacian_pencil."""
+    return eigh(*laplacian_pencil(space))
 
 
 def dense_hopf_lax(space, f, t) -> np.ndarray:

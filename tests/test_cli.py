@@ -752,15 +752,49 @@ def test_commands_never_compute_midpoint_defect(tmp_path, monkeypatch, argv):
 
 
 def test_cli_import_skips_scipy_optimize():
-    # the package needs neither scipy.optimize nor scipy.special: the transport
-    # LP loads only HiGHS's extension module, at its first solve, and
-    # logsumexp is ported to numpy
+    # importing the package loads no scipy module at all: the transport LP
+    # loads only HiGHS's extension module, at its first solve, logsumexp is
+    # ported to numpy, the metric is the package's own shortest-path search
+    # and the eigenfields use numpy's eigh
     import lenspace
     src = os.path.dirname(os.path.dirname(lenspace.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, lenspace.cli\n"
-            "sys.exit('scipy.optimize' in sys.modules or 'scipy.special' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+# one command of each shape the benchmark runs, on small spaces
+_SHAPES = [
+    ["constants", "--space", "gauss:21:1:4", "--budget", "1"],
+    ["chain", "--space", "gauss:21:1:4", "--K", "0.5", "--trace-fields", "1"],
+    ["transport", "--space", "torus2d:6:6", "--mu0", "point:0", "--mu1", "nu"],
+    ["semigroup", "--space", "circle:32", "--refinements", "1"],
+    ["gen", "--spec", "torus2d:6:6"],
+    ["doubling", "--space", "torus2d:6:6", "--r-min", "0.5", "--r-max", "1",
+     "--field", "random", "--radius", "0.7"],
+]
+
+
+@pytest.mark.parametrize("argv", _SHAPES, ids=lambda a: a[0])
+def test_main_imports_only_highs_and_locale(tmp_path, argv):
+    # a module first imported inside main() is timed as the command's work:
+    # the only ones are HiGHS's extension (at the first LP) and the locale
+    # module argparse reads
+    import lenspace
+    src = os.path.dirname(os.path.dirname(lenspace.__file__))
+    code = ("import json, sys, lenspace.cli\n"
+            "before = set(sys.modules)\n"
+            f"code = lenspace.cli.main({['--out-dir', str(tmp_path)] + argv!r})\n"
+            "print(json.dumps([code, sorted(set(sys.modules) - before)]))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    code, loaded = json.loads(out)
+    assert code == 0
+    assert [m for m in loaded if not (m in ("locale", "_locale")
+                                      or m.startswith("scipy.optimize._highspy._core"))] == []
 
 
 def test_doubling_with_local_poincare(tmp_path):
@@ -1035,6 +1069,43 @@ def test_chain_tau_and_K_checked_before_the_family(tmp_path, capsys, monkeypatch
                         (["--K", "nan"], "K must be positive and finite, got nan")):
         assert main(["--out-dir", str(tmp_path)] + _CHAIN8 + flags) == 2
         assert capsys.readouterr().err == f"error: {line}\n"
+
+
+def test_constants_budget_checked_before_the_family(tmp_path, capsys, monkeypatch):
+    # constants used to build the whole witness family before
+    # estimate_constant read --budget
+    import lenspace.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("witness family built before --budget was checked")
+    monkeypatch.setattr(cli, "default_witness_family", refuse)
+    for budget in ("0", "-3"):
+        out = tmp_path / f"budget{budget}"
+        argv = ["--out-dir", str(out), "constants", "--space", "circle:16", "--budget", budget]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: budget must be >= 1, got {budget}\n"
+        assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("flags, line", [
+    (["--field", "cos", "--dilation", "0.5"], "dilation must be >= 1, got 0.5"),
+    (["--field", "cos", "--radius", "0"], "radius must be positive and finite, got 0.0"),
+    (["--field", "random", "--radius", "nan"], "radius must be positive and finite, got nan"),
+    (["--r-min", "2"], "need 0 < r_min <= r_max < inf, got 2.0, 1.0"),
+    (["--r-steps", "0"], "r_steps must be at least 1"),
+])
+def test_doubling_scales_checked_before_any_work(tmp_path, capsys, monkeypatch, flags, line):
+    # doubling used to read --radius and --dilation only after the doubling
+    # sweep and the metric check had run
+    import lenspace.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("doubling sweep ran before the flags were checked")
+    monkeypatch.setattr(cli, "doubling_constant", refuse)
+    argv = ["doubling", "--space", "circle:16", "--r-min", "0.3", "--r-max", "1"] + flags
+    assert main(["--out-dir", str(tmp_path)] + argv) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def _marginal_csv(path, weights):

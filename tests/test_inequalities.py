@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from lenspace import (dual_talagrand_defect, entropy_functional,
+from lenspace import (build_from_graph, dual_talagrand_defect, entropy_functional,
                       estimate_constant, lsi_ratio, make_field, phi_trace,
                       poincare_ratio, psi_trace, talagrand_ratio, verify_chain)
 from lenspace import generate as _generate, parse_space_spec as _parse
@@ -146,6 +146,56 @@ def test_first_eigenfield_sees_spectral_gap(circle256):
     # continuum Poincare constant of the unit-speed circle's first mode is 1
     f = laplacian_eigenfields(circle256, k=1)[0]
     assert poincare_ratio(circle256, f) == pytest.approx(1.0, abs=0.01)
+
+
+def _check_eigenfields_against_scipy(space, k):
+    """The k eigenfields against scipy.linalg.eigh(L, B) of the oracle: each
+    Rayleigh quotient within 1e-10 of its eigenvalue, relative, and each
+    eigenspace by projector distance, in the B-inner product."""
+    from oracles import laplacian_pencil, scipy_eigenpairs
+    lam, vecs = scipy_eigenpairs(space)
+    lap, B = laplacian_pencil(space)
+    fields = np.array([f.values for f in laplacian_eigenfields(space, k)]).T
+    k = fields.shape[1]
+    rayleigh = np.einsum("ij,ij->j", fields, lap @ fields) / np.einsum("ij,ij->j", fields, B @ fields)
+    assert np.all(np.abs(rayleigh - lam[1:k + 1]) <= 1e-10 * np.abs(lam[1:k + 1]))
+    # eigenvalues within 1e-8 of each other, relative, form one eigenspace;
+    # one cut at k is compared as the part of it the fields span
+    root = np.sqrt(np.diag(B))[:, None]
+    ours = np.linalg.qr(root * fields)[0]
+    theirs = root * vecs
+    j = 1
+    while j <= k:
+        end = j + 1
+        while end < space.n and lam[end] - lam[end - 1] <= 1e-8 * lam[end]:
+            end += 1
+        q, u = ours[:, j - 1:min(end, k + 1) - 1], theirs[:, j:end]
+        if end <= k + 1:  # the whole eigenspace: the two projectors agree
+            assert np.linalg.norm(q @ q.T - u @ u.T, 2) <= 1e-8
+        else:  # the fields lie in it
+            assert np.linalg.norm(q - u @ (u.T @ q), 2) <= 1e-8
+        j = end
+
+
+@pytest.mark.parametrize("spec", ["gauss:41:1:4", "gauss:81:1:4", "gauss:201:1:4",
+                                  "circle:32", "circle:256", "torus2d:12:12",
+                                  "torus2d:5:8:1:3", "path:64", "complete:9"])
+@pytest.mark.parametrize("k", [3, 8])
+def test_eigenfields_match_scipy_on_generators(spec, k):
+    _check_eigenfields_against_scipy(_generate(_parse(spec)), k)
+
+
+@given(st.integers(4, 40), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_eigenfields_match_scipy_on_chorded_rings(n, seed):
+    # a ring with random arcs, chords longer than the arcs they span and an
+    # uneven measure, as the chorded ring of tools/artifact_diff.py
+    rng = np.random.default_rng(seed)
+    edges = [(i, (i + 1) % n, w) for i, w in enumerate(rng.uniform(0.5, 2.0, n).tolist())]
+    edges += [(*rng.choice(n, 2, replace=False).tolist(), w)
+              for w in rng.uniform(1.0, 10.0, int(rng.integers(1, n))).tolist()]
+    g = build_from_graph(edges, rng.integers(1, 5, n), n)
+    _check_eigenfields_against_scipy(g, 3)
 
 
 def test_estimate_constant_two_point_exhaustive(two_point):

@@ -4,6 +4,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -444,3 +445,108 @@ def test_edge_mesh_h_matches_dense_oracle(g):
     # the nearest distinct point of every x is one of its graph neighbours
     from oracles import dense_mesh_h
     assert g.mesh_h == dense_mesh_h(g.dist)
+
+
+def _weights(draw, count):
+    # log-uniform over 1e-3..1e3, one repeated value (ties everywhere), or a
+    # few values (ties between some paths)
+    kind = draw(st.sampled_from(["spread", "equal", "few"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "equal":
+        return [draw(st.sampled_from([1e-3, 0.1, 1.0, 2 * math.pi / 7, 1e3]))] * count
+    if kind == "few":
+        return rng.choice([0.25, 1.0, 3.0], size=count).tolist()
+    return (10.0 ** rng.uniform(-3, 3, size=count)).tolist()
+
+
+@st.composite
+def _shortest_path_graphs(draw):
+    """(n, edges) of a connected graph: random, a cycle, a path, degree-2
+    chains hung on a dense core, a star or a complete graph."""
+    shape = draw(st.sampled_from(["random", "cycle", "path", "chains", "star", "complete"]))
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if n == 1:
+        return 1, []
+    if shape == "cycle" and n >= 3:
+        pairs = [(i, (i + 1) % n) for i in range(n)]
+    elif shape == "path" or shape == "cycle":
+        pairs = [(i, i + 1) for i in range(n - 1)]
+    elif shape == "star":
+        pairs = [(0, i) for i in range(1, n)]
+    elif shape == "complete":
+        n = min(n, 30)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    elif shape == "chains":
+        core = draw(st.integers(1, min(n, 8)))
+        pairs = [(i, j) for i in range(core) for j in range(i + 1, core)]
+        # the other points in chains, each leaving the core at a random
+        # point and, if drawn so, coming back at another
+        v = core
+        while v < n:
+            length = int(rng.integers(1, n - v + 1))
+            pairs.append((int(rng.integers(core)), v))
+            pairs += [(k, k + 1) for k in range(v, v + length - 1)]
+            if rng.random() < 0.5:
+                pairs.append((v + length - 1, int(rng.integers(core))))
+            v += length
+    else:
+        pairs = [(i, int(rng.integers(i))) for i in range(1, n)]
+        pairs += [tuple(rng.integers(n, size=2).tolist()) for _ in range(int(rng.integers(0, 2 * n)))]
+        pairs = [(i, j) for i, j in pairs if i != j]
+    # points renumbered at random, so chains and cycles do not run in index order
+    label = rng.permutation(n).tolist()
+    return n, [(label[i], label[j], w) for (i, j), w in zip(pairs, _weights(draw, len(pairs)))]
+
+
+@given(_shortest_path_graphs(), st.sampled_from([1 << 16, 40, 1]))
+@settings(max_examples=300, deadline=None)
+def test_shortest_path_is_bitwise_csgraph_dijkstra(graph, block_cells):
+    # in blocks of all sources, of a few and of one, and tiles of 128, 3 and
+    # 1 points when the two directions are merged
+    import lenspace.space
+    from oracles import csgraph_dist
+    n, edges = graph
+    with mock.patch.object(lenspace.space, "_BLOCK_CELLS", block_cells):
+        dist = build_from_graph(edges, np.ones(n), n).dist
+    assert np.array_equal(dist, csgraph_dist(n, edges))
+
+
+@pytest.mark.parametrize("block_cells", [1, 50, 1 << 16])
+def test_shortest_path_bitwise_on_chorded_ring_any_block(block_cells, monkeypatch):
+    # the ring of 12 points with chords longer than the arcs they span, in
+    # blocks of one source, of a few and of all
+    import lenspace.space
+    from oracles import csgraph_dist
+    monkeypatch.setattr(lenspace.space, "_BLOCK_CELLS", block_cells)
+    edges = [(i, (i + 1) % 12, 1.0 + 0.25 * (i % 3)) for i in range(12)]
+    edges += [(0, 3, 9.0), (4, 9, 2.5), (2, 7, 4.0)]
+    assert np.array_equal(build_from_graph(edges, np.ones(12), 12).dist, csgraph_dist(12, edges))
+
+
+@given(_shortest_path_graphs(), _shortest_path_graphs())
+@settings(max_examples=100, deadline=None)
+def test_disconnected_graph_message_names_first_unreached_pair(a, b):
+    from oracles import csgraph_dist
+    (n, edges), (m, more) = a, b
+    edges = edges + [(i + n, j + n, w) for i, j, w in more]
+    i, j = np.argwhere(np.isinf(csgraph_dist(n + m, edges)))[0]
+    with pytest.raises(ValueError) as err:
+        build_from_graph(edges, np.ones(n + m), n + m)
+    assert str(err.value) == f"graph is disconnected: points {i} and {j} are not connected"
+
+
+# space ids computed with scipy's Dijkstra: the metric, and every artifact
+# keyed by it, is unchanged
+@pytest.mark.parametrize("spec, space_id", [
+    ("circle:1024", "c6d843f1676a324d"),
+    ("torus2d:24:24", "0231c92b35b6d16e"),
+    ("torus2d:20:30:1:6.283", "130eaab11dcb3f5e"),
+    ("gaussian_interval:201:1:4", "313eca076fa257d7"),
+])
+def test_space_id_pinned_on_generator_spaces(spec, space_id):
+    from oracles import csgraph_dist
+    g = _generate(_parse(spec))
+    assert g.space_id == space_id
+    src, dst, weight = (arr[g.edges[0] < g.edges[1]] for arr in g.edges[:3])
+    assert np.array_equal(g.dist, csgraph_dist(g.n, zip(src.tolist(), dst.tolist(), weight)))
