@@ -28,7 +28,7 @@ from .fields import coordinate_field, load_field_csv, random_smoothed_field, \
 from .generators import _parse_fields, generate, parse_space_spec, refine, save_space
 from .hopflax import _check_time, _residual, _time_grid, apply, make_trace, \
     semigroup_defect
-from .inequalities import _RATIOS, _canon, _check_budget, _check_K, _check_tau, _score, \
+from .inequalities import _RATIOS, _canon, _check_count, _check_K, _check_tau, _score, \
     default_witness_family, estimate_constant, phi_trace, psi_trace, verify_chain
 from .space import _check_scales, _check_sweep, doubling_constant, local_poincare_constant, \
     validate_metric
@@ -55,17 +55,6 @@ def _write_json(doc: dict, path: str):
     with open(path, "w") as fh:
         json.dump(_jsonable(doc), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-
-
-def _write_csv(path: str, header: str, rows):
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            # a report stores a non-finite value as null; a CSV cell says nan
-            fh.write(",".join(
-                "nan" if x is None else
-                f"{x:.17g}" if isinstance(x, (float, np.floating)) else str(x)
-                for x in row) + "\n")
 
 
 def _parse_times(text: str) -> np.ndarray:
@@ -130,14 +119,11 @@ def _cmd_gen(args: argparse.Namespace):
 
 
 def _cmd_semigroup(args: argparse.Namespace):
-    if args.refinements < 0:
-        raise ValueError(f"--refinements must be >= 0, got {args.refinements}")
+    _check_count("--refinements", args.refinements, 0)
     for flag, t in (("--defect-t", args.defect_t), ("--defect-s", args.defect_s)):
         if not 0 < t < math.inf:  # written so NaN fails
             raise ValueError(f"{flag} must be positive and finite, got {t}")
     spec = parse_space_spec(args.space)
-    space = generate(spec)
-    f = resolve_field(space, args.field, args.seed)
     times = _parse_times(args.times)
     study = args.residual_study
     if study:
@@ -150,6 +136,8 @@ def _cmd_semigroup(args: argparse.Namespace):
         raise ValueError("defect study needs a generator space spec, not a file")
     if args.refinements > 0 and args.field.endswith(".csv"):
         raise ValueError("defect study needs a named field spec, not a CSV file")
+    space = generate(spec)
+    f = resolve_field(space, args.field, args.seed)
     trace = make_trace(space, f, times)
 
     failed = []
@@ -210,7 +198,7 @@ def _cmd_constants(args: argparse.Namespace):
     K = None if args.K is None else _check_K(args.K)
     _check_tau(args.tau)
     if args.budget is not None:
-        _check_budget(args.budget)
+        _check_count("budget", args.budget, 1)
     space = generate(parse_space_spec(args.space))
     family = default_witness_family(space, args.seed)
     # without --K the chain runs at the estimated LSI constant
@@ -248,13 +236,13 @@ def _cmd_constants(args: argparse.Namespace):
 
 
 def _cmd_chain(args: argparse.Namespace):
-    if args.trace_fields < 1:
-        raise ValueError(f"--trace-fields must be >= 1, got {args.trace_fields}")
+    _check_count("--trace-fields", args.trace_fields, 1)
     for flag, tol in (("--psi-tol", args.psi_tol), ("--phi-tol", args.phi_tol)):
         if not 0 <= tol < math.inf:  # written so NaN fails
             raise ValueError(f"{flag} must be finite and >= 0, got {tol}")
     _check_K(args.K)
     _check_tau(args.tau)
+    _check_count("n_random", args.n_random, 0)
     psi_grid = _parse_times(args.psi_times)
     phi_grid = _parse_times(args.phi_times)
     space = generate(parse_space_spec(args.space))
@@ -354,12 +342,23 @@ def _cmd_plot_data(args: argparse.Namespace):
     if not isinstance(doc, dict):
         raise ValueError(f"report {args.report} must hold a JSON object")
     kind = args.kind
-    rows = ((doc.get("traces") or {}).get(kind) or {}).get("rows") \
-        if kind in ("psi", "phi") else doc.get(kind)
+    rows = doc
+    for key in ("traces", kind, "rows") if kind in ("psi", "phi") else (kind,):
+        rows = rows.get(key) if isinstance(rows, dict) else None
     if not rows:
         raise ValueError(f"report has no {kind} data")
+    width = _PLOTS[kind].count(",") + 1
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and len(row) == width
+            and all(type(x) in (int, float, type(None)) for x in row) for row in rows):
+        raise ValueError(f"report's {kind} data must be a list of rows of {width} numbers")
     out = _out_path(args, args.out)
-    _write_csv(out, _PLOTS[kind], rows)
+    with open(out, "w") as fh:
+        fh.write(_PLOTS[kind] + "\n")
+        for row in rows:
+            # a report stores a non-finite value as null; a CSV cell says nan
+            fh.write(",".join("nan" if x is None else f"{x:.17g}" if isinstance(x, float)
+                              else str(x) for x in row) + "\n")
     return 0, [out]
 
 

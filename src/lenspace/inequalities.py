@@ -167,8 +167,7 @@ def default_witness_family(space: MeasuredSpace, seed: int = 0,
     (they realize the Gaussian extremals), and a tilt that overflows is
     left out; eigenfields and random fields work everywhere.
     """
-    if n_random < 0:
-        raise ValueError(f"n_random must be >= 0, got {n_random}")
+    _check_count("n_random", n_random, 0)
     family = []
     if (space.coords is not None and space.coords.shape[1] == 1
             and space.kind not in ("circle", "torus2d")):
@@ -200,10 +199,10 @@ def _check_K(K: float) -> float:
     return K
 
 
-def _check_budget(budget: int) -> int:
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    return budget
+def _check_count(name: str, count: int, least: int) -> int:
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}, got {count}")
+    return count
 
 
 def _check_tau(tau: float) -> float:
@@ -255,7 +254,7 @@ def estimate_constant(space: MeasuredSpace, which: str, family=None,
     budget=None picks DEFAULT_BUDGETS[which].
     """
     which = _canon(which)
-    budget = _check_budget(DEFAULT_BUDGETS[which] if budget is None else budget)
+    budget = _check_count("budget", DEFAULT_BUDGETS[which] if budget is None else budget, 1)
     family = default_witness_family(space, seed) if family is None else family
     best = None
     evaluations = []

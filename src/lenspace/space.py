@@ -12,7 +12,8 @@ over the paths from s to v, taken the smaller of the two directions.
 That is what Dijkstra's algorithm computes in floats, since float
 addition is monotone and a positive weight never lowers a sum; so
 ``shortest_path`` gives every distance bit for bit as a float Dijkstra
-would, whatever order its search takes.
+would, on either of its routes: two cumsums a row along one path or one
+cycle, a search in any order on every other graph.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -123,173 +124,89 @@ def _edge_relax(d: np.ndarray, dst, weight, starts):
     return cand, np.minimum.reduceat(cand, starts, axis=1)
 
 
-def _padded(n: int, src, sel, values, fill) -> np.ndarray:
-    """values of the selected edges by source vertex: row x holds those of
-    the selected edges out of x, then fill up to the longest row."""
-    s = src[sel]  # sorted, as src is
-    count = np.bincount(s, minlength=n)
-    slot = np.arange(len(s)) - np.repeat(np.cumsum(count) - count, count)
-    table = np.full((n, int(count.max(initial=0))), fill, dtype=values.dtype)
-    table[s, slot] = values
-    return table
-
-
-def _chain_walks(src, dst, weight, starts, deg):
-    """The walks from the edges into degree-2 vertices, as one sequence.
-
-    The walk of an edge e into a degree-2 vertex goes on through degree-2
-    vertices until it takes in a vertex of another degree, or until it has
-    seen the other k - 1 vertices of a cycle of k degree-2 vertices.  It is
-    the stretch of the sequence from pos[e]: vertex seq_v[p] is reached by
-    an edge of weight seq_w[p].  A path of degree-2 vertices is stored once
-    per direction, and every walk along it is a tail of that stretch; a
-    cycle is stored once per direction, its first k - 2 entries repeated.
-    Each stretch is followed by an infinite weight.  The walk from entry p
-    has size[p] vertices; along a path its last is of another degree, at
-    hop end[p], and along a cycle end[p] = -1.  Returns (pos, seq_v, seq_w,
-    size, end) as arrays.
+def _line_order(n: int, dst, weight, starts):
+    """The graph as one path or one cycle through all n points, if it is
+    one: the points in walk order, from an end of the path or from point 0
+    around the cycle, and the weight of the edge from each point to the
+    next, inf after the last point of a path.  None for any other graph.
     """
-    S, D, W = src.tolist(), dst.tolist(), weight.tolist()
-    first, dg = starts.tolist(), deg.tolist()
-    pos = [-1] * len(S)
-    seq_v, seq_w, size, end = [], [], [], []
-
-    def onward(e):  # the edge out of e's degree-2 head that does not turn back
-        f = first[D[e]]
-        return f + 1 if D[f] == S[e] else f
-
-    for e in range(len(S)):
-        if dg[D[e]] == 2 and dg[S[e]] != 2:  # a path, from its end at S[e]
-            start = len(seq_v)
-            while True:
-                pos[e] = len(seq_v)
-                seq_v.append(D[e])
-                seq_w.append(W[e])
-                if dg[D[e]] != 2:
-                    break
-                e = onward(e)
-            count = len(seq_v) - start
-            size += range(count, -1, -1)  # the last, 0, is the gap's
-            end += range(count - 1, -2, -1)
-            seq_v.append(0)
-            seq_w.append(np.inf)
-    for e in range(len(S)):
-        if dg[D[e]] == 2 and pos[e] < 0:  # on a cycle of degree-2 vertices only
-            cycle = [e]
-            while (f := onward(cycle[-1])) != e:
-                cycle.append(f)
-            for j, f in enumerate(cycle):
-                pos[f] = len(seq_v) + j
-            stored = cycle + cycle[:len(cycle) - 2]
-            seq_v += [D[f] for f in stored] + [0]
-            seq_w += [W[f] for f in stored] + [np.inf]
-            size += [len(cycle) - 1] * len(stored) + [0]
-            end += [-1] * (len(stored) + 1)
-    return (np.array(pos, dtype=np.intp), np.array(seq_v, dtype=np.intp), np.array(seq_w),
-            np.array(size, dtype=np.intp), np.array(end, dtype=np.intp))
+    deg = np.diff(starts, append=len(dst))
+    if n < 2 or deg.min() < 1 or deg.max() > 2 or len(dst) < 2 * n - 2:
+        return None
+    ring = len(dst) == 2 * n  # else two points of degree 1
+    D, W = dst.tolist(), weight.tolist()
+    # each point's first and last edge, the same one at an end of a path
+    first, last = starts.tolist(), (starts + deg - 1).tolist()
+    x, back = 0 if ring else int(np.argmin(deg)), -1
+    order, step = [x], []
+    for _ in range(n - 1 + ring):  # around a cycle, back to its first point
+        e = first[x] if D[first[x]] != back else last[x]
+        back, x = x, D[e]
+        order.append(x)
+        step.append(W[e])
+    if len(set(order[:n])) < n:  # a shorter path or cycle: not connected
+        return None
+    return np.array(order[:n]), np.array(step if ring else step + [np.inf])
 
 
-def _relax_edges(label, pair, mask, step, plain_w):
-    """Relax the edges into vertices of degree other than 2 out of the
-    pairs (keys into label); returns the keys whose label fell."""
-    take = np.take
-    u = pair & mask
-    keys = take(step, u, axis=1)
-    keys += pair
-    cand = take(plain_w, u, axis=1)
-    cand += take(label, pair)
-    keys, cand = keys.ravel(), cand.ravel()
-    lower = np.flatnonzero(cand < take(label, keys))
-    keys = take(keys, lower)
-    np.minimum.at(label, keys, take(cand, lower))
-    return keys
+def _line(n: int, order, step) -> np.ndarray:
+    """Shortest-path distances along one path or cycle (_line_order), in
+    blocks of sources.
+
+    From the point at walk position i the walk goes on forward through
+    weights step[i], step[i + 1], ... and back through step[i - 1],
+    step[i - 2], ..., indices mod n; on a path the infinite weight stops
+    both.  Each direction's distances are one row-wise cumsum over the
+    doubled weight sequence, which folds left as float Dijkstra does, and
+    d(i, .) is the smaller of the two.
+    """
+    twice = np.concatenate([step, step])
+    ahead = sliding_window_view(twice, n - 1)
+    behind = sliding_window_view(twice[::-1], n - 1)  # row n - i: back from i
+    at = np.empty(n, dtype=np.intp)  # each point's walk position
+    at[order] = np.arange(n)
+    rows = max(1, _BLOCK_CELLS // n)
+    dist = np.empty((n, n))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        # near[r, k] = near[r, n + k]: the distance from position i = lo + r
+        # to position i + k mod n
+        near = np.zeros((hi - lo, 2 * n))
+        np.cumsum(ahead[lo:hi], axis=1, out=near[:, 1:n])
+        back = behind[n - np.arange(lo, hi)]
+        np.cumsum(back, axis=1, out=back)
+        np.minimum(near[:, 1:n], back[:, ::-1], out=near[:, 1:n])
+        near[:, n:] = near[:, :n]
+        # d(i, v) at near[r, n + at[v] - i], flat index r (2n - 1) + n - lo + at[v]
+        flat = (n - lo + (2 * n - 1) * np.arange(hi - lo))[:, None] + at
+        dist[order[lo:hi]] = np.take(near, flat)
+    return dist
 
 
-def _relax_walks(label, pair, mask, first, last, walk_v, walk_w):
-    """Relax the walks of one class (shortest_path) out of the pairs;
-    returns the keys at the walks' ends of another degree whose label fell."""
-    take = np.take
-    u = pair & mask
-    at = take(first, u, axis=0)
-    cand = walk_w[at]
-    cand[:, :, 0] += take(label, pair)[:, None]
-    np.cumsum(cand, axis=2, out=cand)
-    keys = walk_v[at]
-    keys += (pair - u)[:, None, None]
-    # the walks' ends at a vertex of another degree, as flat indices into
-    # cand, read before the labels fall
-    hop = take(last, u, axis=0).ravel()
-    ends = np.flatnonzero(hop >= 0)
-    ends = ends * cand.shape[2] + take(hop, ends)
-    end_keys = take(keys, ends)
-    fell = take(end_keys, np.flatnonzero(take(cand, ends) < take(label, end_keys)))
-    np.minimum.at(label, keys.ravel(), cand.ravel())
-    return fell
+def _search(n: int, src, dst, weight, starts) -> np.ndarray:
+    """Shortest-path distances of any graph by a label-correcting search
+    from all sources at once, in blocks of sources.
 
-
-def shortest_path(n: int, src, dst, weight, starts) -> np.ndarray:
-    """All-pairs shortest-path distances, min(d, d.T), of the graph held as
-    directed edge arrays (src, dst, weight, starts) as in MeasuredSpace.edges.
-
-    A label-correcting search from all sources at once, in blocks of
-    sources: each round, every (source, vertex) pair whose label fell in
-    the last round relaxes its edges, until no label falls.  Every label is
-    the left-fold sum fl(d(s, u) + w(u, v)) along some path, and at the end
-    no edge lowers a label, so each row is the least fold sum: bit for bit
-    what float Dijkstra gives (see the module docstring).  Pairs are keys
-    row * 2^b + vertex; np.minimum.at lowers the labels, and a key that
-    falls twice is kept once by writing each key's position and keeping
-    the key where it reads back its own.
-
-    An edge into a degree-2 vertex relaxes its whole walk (_chain_walks)
-    at once, by one row-wise cumsum, which folds left.  Sums only grow
-    along a walk, so a vertex inside it has both its edges relaxed, and
-    only a vertex of another degree, reached by an edge or at the end of a
-    walk, goes on to the next round.  A circle takes one round, a path
-    two.  Walks are relaxed in classes, each padded to its longest walk:
-    those from degree-2 vertices, and those from other vertices by size in
-    (2^(c-1), 2^c]; every class and the plain edges in chunks of about as
-    many candidates as a block has labels.  The two directions are then
-    merged by min(d, d.T) in tiles.
+    Each round, every (source, vertex) pair whose label fell in the last
+    round relaxes its edges, in chunks of about as many candidates as a
+    block has labels, until no label falls: a chain of k degree-2 points
+    takes k rounds.  Every label is the left-fold sum fl(d(s, u) + w(u, v))
+    along some path, and at the end no edge lowers a label, so each row is
+    the least fold sum.  Pairs are keys row * 2^b + vertex; a key that
+    falls twice is kept once, where it reads back its own position.
     """
     shift = max(1, (n - 1).bit_length())
     mask = (1 << shift) - 1
     rows = max(1, _BLOCK_CELLS // n)
     budget = rows << shift  # labels per block
-    deg = np.bincount(src, minlength=n)
-    chain = deg[dst] == 2
-    # (vertices that have the group's edges or None for all, candidates one
-    # pair makes, relax) per group
-    groups = []
-    if not chain.all():
-        # edges into other vertices: key offsets and weights, one slot a row
-        step = _padded(n, src, ~chain, (dst - src)[~chain], 0).T.copy()
-        plain_w = _padded(n, src, ~chain, weight[~chain], np.inf).T.copy()
-        groups.append((None, len(step), partial(
-            _relax_edges, mask=mask, step=step, plain_w=plain_w)))
-    if chain.any():
-        pos, seq_v, seq_w, size, end = _chain_walks(src, dst, weight, starts, deg)
-        pad = len(seq_v)  # where the trailing infinite weights start
-        longest = int(size.max())
-        # row p of each view: the longest walk's worth of entries from p
-        seq_v = sliding_window_view(np.concatenate([seq_v, np.zeros(longest, dtype=np.intp)]),
-                                    longest)
-        seq_w = sliding_window_view(np.concatenate([seq_w, np.full(longest, np.inf)]), longest)
-        # a walk from a degree-2 vertex runs once, in its source's first
-        # round; one from a vertex of another degree may run each round
-        walk_class = np.where(deg[src] == 2, -1, np.frexp(size[pos] - 1)[1])
-        for c in sorted(set(walk_class[chain].tolist())):
-            sel = chain & (walk_class == c)
-            length = int(size[pos[sel]].max())
-            # walk k of vertex x starts at entry first[x, k] and reaches a
-            # vertex of another degree at hop last[x, k], if any; where x has
-            # fewer walks, the trailing infinite weights
-            first = _padded(n, src, sel, pos[sel], pad)
-            has = (first < pad).any(axis=1)
-            groups.append((None if has.all() else has, first.shape[1] * length, partial(
-                _relax_walks, mask=mask, first=first,
-                last=_padded(n, src, sel, end[pos[sel]], -1),
-                walk_v=seq_v[:, :length], walk_w=seq_w[:, :length])))
+    # the edges out of each point as key offsets and weights, one slot a
+    # row; an empty slot adds an infinite weight to the point's own key
+    slot = np.arange(len(src)) - starts[src]
+    step = np.zeros((int(slot.max(initial=-1)) + 1, n), dtype=np.intp)
+    out_w = np.full(step.shape, np.inf)
+    step[slot, src] = dst - src
+    out_w[slot, src] = weight
+    chunk = max(1, budget // max(1, len(step)))
     stamp = np.empty(budget, dtype=np.intp)
     dist = np.empty((n, n))
     take = np.take
@@ -300,17 +217,38 @@ def shortest_path(n: int, src, dst, weight, starts) -> np.ndarray:
         front = (np.arange(hi - lo) << shift) + np.arange(lo, hi)
         label[front] = 0.0
         while len(front):
-            fell = [front[:0]]  # keys of the next round
-            for has, cells, relax in groups:
-                pairs = front if has is None else take(front, np.flatnonzero(take(has, front & mask)))
-                chunk = max(1, budget // cells)
-                for part in range(0, len(pairs), chunk):
-                    fell.append(relax(label, pairs[part:part + chunk]))
+            fell = []  # the keys whose label fell, for the next round
+            for k in range(0, len(front), chunk):
+                pair = front[k:k + chunk]
+                u = pair & mask
+                keys = take(step, u, axis=1)
+                keys += pair
+                cand = take(out_w, u, axis=1)
+                cand += take(label, pair)
+                keys, cand = keys.ravel(), cand.ravel()
+                lower = np.flatnonzero(cand < take(label, keys))
+                fell.append(take(keys, lower))
+                np.minimum.at(label, fell[-1], take(cand, lower))
             fell = np.concatenate(fell)
             order = np.arange(len(fell))
             stamp[fell] = order
             front = take(fell, np.flatnonzero(take(stamp, fell) == order))
         dist[lo:hi] = work[:, :n]
+    return dist
+
+
+def shortest_path(n: int, src, dst, weight, starts) -> np.ndarray:
+    """All-pairs shortest-path distances, min(d, d.T), of the graph held as
+    directed edge arrays (src, dst, weight, starts) as in MeasuredSpace.edges.
+
+    A graph that is one path or one cycle (_line_order) takes the line route
+    (_line): two cumsums a row.  Every other graph takes the search route
+    (_search).  Each row is then the least left-fold sum over the paths
+    from its source, bit for bit what float Dijkstra gives (see the module
+    docstring), and the two directions are merged by min(d, d.T) in tiles.
+    """
+    line = _line_order(n, dst, weight, starts)
+    dist = _search(n, src, dst, weight, starts) if line is None else _line(n, *line)
     # the smaller of the two directions, in square tiles of a quarter block
     tile = max(1, math.isqrt(_BLOCK_CELLS // 4))
     for i in range(0, n, tile):

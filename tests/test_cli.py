@@ -1108,6 +1108,53 @@ def test_doubling_scales_checked_before_any_work(tmp_path, capsys, monkeypatch, 
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["semigroup", "--field", "random", "--times", "geo:1:0.1:3"],
+     "bad time grid 'geo:1:0.1:3': need count >= 1 and 0 < min <= max"),
+    (["semigroup", "--residual-study", "0:0.1:2"],
+     "bad --residual-study '0:0.1:2': need t > 0, levels >= 1 and s_max / 2^(levels - 1) > 0"),
+    (["chain", "--K", "0.5", "--n-random", "-1"], "n_random must be >= 0, got -1"),
+])
+def test_semigroup_and_chain_flags_checked_before_any_work(tmp_path, capsys, monkeypatch,
+                                                           argv, line):
+    # semigroup used to read --times and --residual-study, and chain --n-random,
+    # only after the space was built
+    import lenspace.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("space built before the flags were checked")
+    monkeypatch.setattr(cli, "generate", refuse)
+    argv = argv[:1] + ["--space", "circle:2048"] + argv[1:]
+    assert main(["--out-dir", str(tmp_path)] + argv) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("kind, doc, line", [
+    ("residual_vs_s", {"residual_vs_s": 5}, "must be a list of rows of 2 numbers"),
+    ("residual_vs_s", {"residual_vs_s": [5, 6]}, "must be a list of rows of 2 numbers"),
+    ("residual_vs_s", {"residual_vs_s": "abc"}, "must be a list of rows of 2 numbers"),
+    ("defect_vs_mesh", {"defect_vs_mesh": [[0.1, "x"]]}, "must be a list of rows of 2 numbers"),
+    ("defect_vs_mesh", {"defect_vs_mesh": [[0.1, 2.0, 3.0]]},
+     "must be a list of rows of 2 numbers"),
+    ("psi", {"traces": {"psi": {"rows": [[0.1, 1.0]]}}}, "must be a list of rows of 3 numbers"),
+    ("psi", {"traces": [1]}, "no psi data"),
+    ("phi", {"traces": {"phi": [1]}}, "no phi data"),
+], ids=["number", "flat-list", "string", "text-cell", "wide-row", "narrow-row",
+        "traces-list", "trace-list"])
+def test_plot_data_malformed_rows_exit2(tmp_path, capsys, kind, doc, line):
+    # the first three and the lists under traces used to end in a traceback
+    # (exit 1), and rows "abc" wrote a CSV of single characters (exit 0)
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "plot-data", "--report", str(report),
+                 "--kind", kind]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: report") and err.endswith(f"{line}\n") and err.count("\n") == 1
+    assert not list(out.iterdir())
+
+
 def _marginal_csv(path, weights):
     rows = "".join(f"{i},{float(w)!r}\n" for i, w in enumerate(weights))
     path.write_text("index,value\n" + rows)

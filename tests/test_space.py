@@ -408,19 +408,27 @@ def test_pruned_midpoint_defect_is_bitwise_the_full_loop(spec, block_cells, monk
     assert g.midpoint_defect == _reference_midpoint_defect(spec)
 
 
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_metric_checks_allocate_no_square_array():
     # validate_metric and midpoint_defect each peak below a quarter of one
     # n x n float array
     g = _generate(_parse("circle:1024"))
-    peaks = []
-    for run in (lambda: validate_metric(g), lambda: g.midpoint_defect):
-        tracemalloc.start()
-        try:
-            run()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [_peak_bytes(run) for run in (lambda: validate_metric(g), lambda: g.midpoint_defect)]
     assert max(peaks) < g.n * g.n * 8 / 4, peaks
+    # shortest_path, on either route, allocates its result and blocks of rows
+    from lenspace.space import shortest_path
+    for h in (g, _generate(_parse("torus2d:32:32"))):
+        src, dst, weight, _, starts = h.edges
+        peak = _peak_bytes(lambda: shortest_path(h.n, src, dst, weight, starts))
+        assert peak < h.n * h.n * 8 + (4 << 20), peak
 
 
 @given(_connected_graphs())
@@ -522,6 +530,34 @@ def test_shortest_path_bitwise_on_chorded_ring_any_block(block_cells, monkeypatc
     edges = [(i, (i + 1) % 12, 1.0 + 0.25 * (i % 3)) for i in range(12)]
     edges += [(0, 3, 9.0), (4, 9, 2.5), (2, 7, 4.0)]
     assert np.array_equal(build_from_graph(edges, np.ones(12), 12).dist, csgraph_dist(12, edges))
+
+
+def _refuse(route):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"the {route} route ran")
+    return refuse
+
+
+def test_paths_and_cycles_take_the_line_route(monkeypatch):
+    import lenspace.space
+    from oracles import csgraph_dist
+    monkeypatch.setattr(lenspace.space, "_search", _refuse("search"))
+    for spec in ("circle:257", "path:64", "gaussian_interval:81:1:4"):
+        _generate(_parse(spec))
+    # a cycle whose points are renumbered at random, so it does not run in
+    # index order
+    rng = np.random.default_rng(5)
+    label = rng.permutation(40).tolist()
+    weights = (10.0 ** rng.uniform(-3, 3, size=40)).tolist()
+    edges = [(label[i], label[(i + 1) % 40], w) for i, w in enumerate(weights)]
+    assert np.array_equal(build_from_graph(edges, np.ones(40), 40).dist, csgraph_dist(40, edges))
+
+
+def test_other_graphs_take_the_search_route(monkeypatch):
+    import lenspace.space
+    monkeypatch.setattr(lenspace.space, "_line", _refuse("line"))
+    for spec in ("torus2d:6:6", "complete:9"):
+        _generate(_parse(spec))
 
 
 @given(_shortest_path_graphs(), _shortest_path_graphs())

@@ -37,6 +37,9 @@ TORUS_MARGINAL = "mu_torus8.csv"
 # the chord 0-3 (weight 9) is longer than d(0, 3) = 3.75, so its raw weight
 # and its metric length differ, which they never do on generator spaces
 CHORDED = "chorded.json"
+# a ring and a path of 40 points, also written by prepare(), their points
+# numbered in shuffled order, so that neither runs in index order
+RING, PATH = "ring40.json", "path40.json"
 
 # (name, argv); a name is also the case's output directory
 CASES = [
@@ -100,6 +103,12 @@ CASES = [
     ("semigroup-tilt", ["semigroup", "--space", "gauss:41:1:4", "--field", "tilt:0.5"]),
     ("chain-grids", ["chain", "--space", "gauss:41:1:4", "--K", "0.9", "--trace-fields", "2",
                      "--psi-times", "geo:0.02:1:6", "--phi-times", "0.1,0.5,1"]),
+    ("doubling-ring", ["doubling", "--space", RING, "--r-min", "0.5", "--r-max", "3.0",
+                       "--field", "random", "--radius", "1.0"]),
+    ("doubling-path", ["doubling", "--space", PATH, "--r-min", "0.5", "--r-max", "3.0",
+                       "--field", "random", "--radius", "1.0"]),
+    ("semigroup-ring", ["semigroup", "--space", RING, "--field", "random"]),
+    ("semigroup-path", ["semigroup", "--space", PATH, "--field", "random"]),
 ]
 
 
@@ -114,6 +123,11 @@ def prepare(work: str):
            "measure": [1 + i % 4 for i in range(12)]}
     with open(os.path.join(work, CHORDED), "w") as fh:
         json.dump(doc, fh)
+    label = np.random.default_rng(9).permutation(40).tolist()
+    for name, count in ((RING, 40), (PATH, 39)):
+        edges = [[label[i], label[(i + 1) % 40], 0.5 + 0.25 * (i % 3)] for i in range(count)]
+        with open(os.path.join(work, name), "w") as fh:
+            json.dump({"n": 40, "edges": edges, "measure": [1 + i % 5 for i in range(40)]}, fh)
 
 
 def run_cases(root: str, work: str) -> dict:
