@@ -123,6 +123,9 @@ def _cmd_semigroup(args: argparse.Namespace):
     for flag, t in (("--defect-t", args.defect_t), ("--defect-s", args.defect_s)):
         if not 0 < t < math.inf:  # written so NaN fails
             raise ValueError(f"{flag} must be positive and finite, got {t}")
+    longest = args.defect_t + args.defect_s  # the defect study's Q_{t+s}
+    if not longest < math.inf:
+        raise ValueError(f"--defect-t + --defect-s must be finite, got {longest}")
     spec = parse_space_spec(args.space)
     times = _parse_times(args.times)
     study = args.residual_study
@@ -141,10 +144,11 @@ def _cmd_semigroup(args: argparse.Namespace):
     trace = make_trace(space, f, times)
 
     failed = []
-    bound = space.diameter
     for t, lip in zip(trace.times, trace.lipschitz):
-        if lip > bound / t + 1e-12 * (1.0 + bound / t):
-            failed.append(f"Lip(Q_t f) = {lip} above diam/t = {bound / t} at t = {t}")
+        with np.errstate(over="ignore"):  # an infinite bound fails no check
+            bound = space.diameter / t
+        if lip > bound + 1e-12 * (1.0 + bound):
+            failed.append(f"Lip(Q_t f) = {lip} above diam/t = {bound} at t = {t}")
 
     if study:
         here = apply(space, f, t0)
@@ -245,6 +249,8 @@ def _cmd_chain(args: argparse.Namespace):
     _check_count("n_random", args.n_random, 0)
     psi_grid = _parse_times(args.psi_times)
     phi_grid = _parse_times(args.phi_times)
+    if not args.K * phi_grid[0] > 0:  # phi(t) divides by K t
+        raise ValueError(f"--K {args.K} times the first --phi-times {phi_grid[0]} underflows to 0")
     space = generate(parse_space_spec(args.space))
     family = default_witness_family(space, args.seed, args.n_random)
     report = verify_chain(space, args.K, family, args.tau)

@@ -52,17 +52,24 @@ def _circle(spec: SpaceSpec) -> MeasuredSpace:
 
 def _gaussian_interval(spec: SpaceSpec) -> MeasuredSpace:
     _check_resolution(spec)
-    if spec.sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {spec.sigma}")
+    # on a space's scales (build_from_graph), 2 sigma^2 and x^2 are finite normal floats
+    if not spec.sigma >= 2.0 ** -400:
+        raise ValueError(f"sigma must be at least 2^-400, got {spec.sigma}")
     if spec.width < 3 * spec.sigma:
         raise ValueError(
             f"width {spec.width} truncates the Gaussian too early; need >= 3*sigma = {3 * spec.sigma}"
         )
+    if not spec.width <= 2.0 ** 400:
+        raise ValueError(f"width must be at most 2^400, got {spec.width}")
     n, W = spec.n, spec.width
     x = np.linspace(-W, W, n)
     step = 2 * W / (n - 1)
     edges = [(i, i + 1, step) for i in range(n - 1)]
-    weights = np.exp(-(x ** 2) / (2 * spec.sigma ** 2))
+    with np.errstate(over="ignore"):  # a weight below e^-inf is 0
+        weights = np.exp(-(x ** 2) / (2 * spec.sigma ** 2))
+    if not weights.any():
+        raise ValueError(f"sigma {spec.sigma} is too small for width {W} at n={n}: "
+                         "every weight underflows to 0")
     return build_from_graph(edges, weights, n, kind="gaussian_interval",
                             params={"sigma": spec.sigma, "width": W}, coords=x)
 

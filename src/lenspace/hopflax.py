@@ -9,8 +9,8 @@ semigroup identity holds up to a defect that shrinks with the mesh, and
 Q_t f solves the Hamilton-Jacobi equation  du/dt = -|grad^- u|^2 / 2  in
 the same approximate sense.  This module computes the evolution, the
 graph gradient and descending-slope norms, and the associated defects
-and residuals.  Its one min-plus kernel, ``_minimizers``, also runs the
-transport certificate: the c-transform for cost d^2 is Q_{1/2}.
+and residuals.  Its one min-plus kernel, ``_minima`` (minimizers and minima),
+also runs the transport certificate: the c-transform for cost d^2 is Q_{1/2}.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .space import _BLOCK_CELLS, MeasuredSpace, ScalarField, check_binding, make
 def _check_time(t: float, *, positive: bool) -> float:
     t = float(t)
     if not np.isfinite(t) or t < 0 or (positive and t == 0):
-        kind = "positive" if positive else "nonnegative"
+        kind = "finite" if np.isinf(t) else "positive" if positive else "nonnegative"
         raise ValueError(f"time must be {kind}, got {t}")
     return t
 
@@ -40,23 +40,28 @@ def _time_grid(times) -> np.ndarray:
     return grid
 
 
-def _minimizers(space: MeasuredSpace, g: np.ndarray, scale: float) -> np.ndarray:
-    """For each x, the first y that minimizes g(y) + scale * d(x, y)^2.
+def _minima(space: MeasuredSpace, g: np.ndarray, scale: float):
+    """For each x, the first y that minimizes g(y) + scale * d(x, y)^2, and
+    that minimum, read from the block buffer just minimized.
 
     Squares dist a block of rows at a time into one buffer: no n x n temporary.
+    A cell that overflows is inf, which is exact, and never a row's minimum:
+    the row's own cell costs g(x).
     """
     n = space.n
     rows = max(1, _BLOCK_CELLS // n)
     buf = np.empty((min(rows, n), n))
-    out = np.empty(n, dtype=np.intp)
+    arg, low = np.empty(n, dtype=np.intp), np.empty(n)
     for lo in range(0, n, rows):
         d = space.dist[lo:lo + rows]
         b = buf[:len(d)]
         np.multiply(d, d, out=b)
-        b *= scale
+        with np.errstate(over="ignore"):
+            b *= scale
         b += g
-        b.argmin(axis=1, out=out[lo:lo + len(d)])
-    return out
+        y = b.argmin(axis=1, out=arg[lo:lo + len(d)])
+        low[lo:lo + len(d)] = b[np.arange(len(d)), y]
+    return arg, low
 
 
 def apply(space: MeasuredSpace, f: ScalarField, t: float) -> ScalarField:
@@ -67,10 +72,7 @@ def apply(space: MeasuredSpace, f: ScalarField, t: float) -> ScalarField:
     inv2t = 1.0 / (2.0 * t) if t > 0 else np.inf
     if not np.isfinite(inv2t):
         return make_field(space, vals)
-    y = _minimizers(space, vals, inv2t)
-    # the kernel's own float expression, evaluated at the minimizing cell
-    out = vals[y] + space.dist[np.arange(space.n), y] ** 2 * inv2t
-    return make_field(space, out)
+    return make_field(space, _minima(space, vals, inv2t)[1])
 
 
 def grad_norm_field(space: MeasuredSpace, f: ScalarField) -> np.ndarray:

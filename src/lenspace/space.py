@@ -49,9 +49,9 @@ class MeasuredSpace:
         max_{x,y} min_z | max(d(x,z), d(z,y)) - d(x,y)/2 |
 
     which vanishes in the continuum limit of a length space.  It is
-    computed on first read and cached.  Bounds from shortest paths in the
-    graph settle most pairs in O(n m + n^2 log n) work; each other pair
-    costs O(n), so the worst case is still O(n^3).
+    computed on first read and cached, as is diameter.  Bounds from shortest
+    paths in the graph settle most pairs in O(n m + n^2 log n) work; each
+    other pair costs O(n), so the worst case is still O(n^3).
     """
 
     n: int
@@ -68,7 +68,7 @@ class MeasuredSpace:
     def midpoint_defect(self) -> float:
         return _max_midpoint_defect(self)
 
-    @property
+    @cached_property
     def diameter(self) -> float:
         return float(self.dist.max())
 
@@ -348,7 +348,10 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
     edges is an iterable of (i, j, length) with 0 <= i, j < n, i != j and
     length > 0; parallel edges collapse to the shortest.  measure is a
     nonnegative weight vector with positive total, normalized here.  The
-    graph must connect all points.
+    graph must connect all points.  With two or more points, the shortest
+    edge must be at least 2^-400 and the diameter at most 2^400: the
+    package squares distances everywhere, and on these scales their
+    squares, inverse squares and n-fold sums stay finite normal floats.
     """
     if n < 1:
         raise ValueError(f"need at least one point, got n={n}")
@@ -433,7 +436,7 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
         digest.update(np.array(coords.shape, dtype=np.int64).tobytes())
         digest.update(coords.tobytes())
 
-    return MeasuredSpace(
+    space = MeasuredSpace(
         n=n,
         dist=dist,
         measure=w,
@@ -444,6 +447,12 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
         params=params,
         coords=coords,
     )
+    # the scales of the docstring: squared distances stay finite normal floats
+    if not vals.min(initial=np.inf) >= 2.0 ** -400:
+        raise ValueError(f"shortest edge {vals.min():g} is below 2^-400: squares would underflow")
+    if not space.diameter <= 2.0 ** 400:
+        raise ValueError(f"diameter {space.diameter:g} is above 2^400: squares would overflow")
+    return space
 
 
 @dataclass(frozen=True)
@@ -528,13 +537,15 @@ def doubling_constant(space: MeasuredSpace, r_min: float, r_max: float,
     """
     _check_sweep(r_min, r_max, r_steps)
     radii = np.linspace(r_min, r_max, r_steps)
+    with np.errstate(over="ignore"):  # a ball of radius inf holds every point
+        doubled = 2 * radii
     worst = 1.0
-    for r in radii:
+    for r, r2 in zip(radii, doubled):
         inner = (space.dist <= r) @ space.measure
         if np.any(inner <= 0):
             x = int(np.argmin(inner))
             raise ValueError(f"ball of radius {r} around point {x} has zero measure")
-        outer = (space.dist <= 2 * r) @ space.measure
+        outer = (space.dist <= r2) @ space.measure
         worst = max(worst, float((outer / inner).max()))
     return worst
 

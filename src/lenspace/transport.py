@@ -13,8 +13,8 @@ restricted solve fails, or a failed check adds no cell, the missing cells
 join and the dense LP over all n^2 cells is solved cold.  Every plan, the
 identity plan of equal marginals too, passes a reduced-cost check by dual
 potentials u, v, d(x, y)^2 - u(x) - v(y) >= 0 on all n^2 cells, so it is
-optimal.  Its row minima are the Hopf-Lax operator Q_{1/2}(-v), on the
-semigroup's kernel.
+optimal.  Its row minima are Q_{1/2}(-v), which the semigroup's kernel
+returns with their minimizers; the check reads them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hopflax import _minimizers
+from .hopflax import _minima
 from .space import _BLOCK_CELLS, MeasuredSpace
 
 
@@ -187,18 +187,18 @@ def _certified_plan(space: MeasuredSpace, a, b, src, dst, mass, u, v):
 
     The proof is dual feasibility on the full LP: every reduced cost
     d(i, j)^2 - u_i - v_j is at least -1e-10 (1 + max d^2), checked over all
-    n^2 cells, by the Hopf-Lax kernel on -v for the row minima.  Returns
+    n^2 cells as the Hopf-Lax kernel's minima on -v, less u.  Returns
     (plan, cells).  When the check fails, plan is None and cells holds
     (rows, cols): the least reduced-cost cell of each failing row, and of
     each failing column by the kernel on -u, as dist is exactly symmetric.
     """
     idx = np.arange(space.n)
     floor = -1e-10 * (1.0 + space.diameter ** 2)
-    jmin = _minimizers(space, -v, 1.0)  # row i's least cell is (i, jmin[i])
-    bad_rows = space.dist[idx, jmin] ** 2 - u - v[jmin] < floor
+    jmin, row_min = _minima(space, -v, 1.0)  # row i's least cell is (i, jmin[i])
+    bad_rows = row_min - u < floor
     if bad_rows.any():
-        imin = _minimizers(space, -u, 1.0)  # column j's least cell is (imin[j], j)
-        bad_cols = space.dist[imin, idx] ** 2 - u[imin] - v < floor
+        imin, col_min = _minima(space, -u, 1.0)  # column j's least cell is (imin[j], j)
+        bad_cols = col_min - v < floor
         return None, (np.concatenate([idx[bad_rows], imin[bad_cols]]),
                       np.concatenate([jmin[bad_rows], idx[bad_cols]]))
     cost = float(mass @ space.dist[src, dst] ** 2)

@@ -958,11 +958,23 @@ def fuzz_out(tmp_path_factory):
 @example(argv=["gen", "--spec", "path:64:2.0"])
 @example(argv=["transport", "--space", "path:8", "--mu0", "nu", "--mu1", "nu",
                "--seed", "1"])
+@example(argv=["transport", "--space", "circle:8:1e200", "--mu0", "point:0", "--mu1", "point:3"])
+@example(argv=["constants", "--space", "circle:8:1e200", "--which", "p"])
+@example(argv=["chain", "--space", "circle:8:1e200", "--K", "1", "--trace-fields", "1"])
+@example(argv=["semigroup", "--space", "circle:8:1e200"])
+@example(argv=["constants", "--space", "circle:8:1e-160", "--which", "t"])
+@example(argv=["gen", "--spec", "gauss:3:1e-200:1"])
+@example(argv=["gen", "--spec", "gauss:2:1:1e200"])
+@example(argv=["gen", "--spec", "gauss:3:1:1e308"])
+@example(argv=["semigroup", "--space", "circle:16", "--times", "1e-308"])
+@example(argv=["semigroup", "--space", "circle:16", "--defect-t", "1e308",
+               "--defect-s", "1e308", "--refinements", "1"])
 @settings(max_examples=300, deadline=None)
 def test_cli_fuzz_exit_codes(fuzz_out, argv):
+    # a RuntimeWarning is an error: no numpy warning may leak from a command
     err = io.StringIO()
     with contextlib.redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(["--out-dir", fuzz_out]
                     + [a.replace("OUT/", fuzz_out + os.sep) for a in argv])
     assert code in (0, 1, 2)
@@ -971,6 +983,50 @@ def test_cli_fuzz_exit_codes(fuzz_out, argv):
         for name in os.listdir(fuzz_out):
             if name.endswith(".json"):
                 _strict_json(os.path.join(fuzz_out, name))
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["transport", "--space", "circle:8:1e200", "--mu0", "point:0", "--mu1", "point:3"],
+     "diameter 5e+199 is above 2^400: squares would overflow"),
+    (["constants", "--space", "circle:8:1e200", "--which", "p"],
+     "diameter 5e+199 is above 2^400: squares would overflow"),
+    (["chain", "--space", "circle:8:1e200", "--K", "1", "--trace-fields", "1"],
+     "diameter 5e+199 is above 2^400: squares would overflow"),
+    (["semigroup", "--space", "circle:8:1e200"],
+     "diameter 5e+199 is above 2^400: squares would overflow"),
+    (["doubling", "--space", "circle:8:1e200", "--r-min", "1", "--r-max", "2"],
+     "diameter 5e+199 is above 2^400: squares would overflow"),
+    (["constants", "--space", "circle:8:1e-160", "--which", "t"],
+     "shortest edge 1.25e-161 is below 2^-400: squares would underflow"),
+    (["gen", "--spec", "gauss:3:1e-200:1"], "sigma must be at least 2^-400, got 1e-200"),
+    (["gen", "--spec", "gauss:2:1:1e200"], "width must be at most 2^400, got 1e+200"),
+    (["gen", "--spec", "gauss:3:1:1e308"], "width must be at most 2^400, got 1e+308"),
+    (["gen", "--spec", "gauss:2:1:100"],
+     "sigma 1.0 is too small for width 100.0 at n=2: every weight underflows to 0"),
+], ids=["transport-huge", "constants-huge", "chain-huge", "semigroup-huge", "doubling-huge",
+        "constants-tiny", "gauss-sigma-tiny", "gauss-width-huge", "gauss-width-max",
+        "gauss-weights-underflow"])
+def test_out_of_scale_spaces_exit2_in_one_line(tmp_path, capsys, argv, line):
+    # these used to print numpy RuntimeWarnings, then end in an OverflowError
+    # traceback, a misleading message, or a run where every Q_t f equals f
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["--out-dir", str(tmp_path)] + argv) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_tiny_time_runs_silently(tmp_path, capsys):
+    # 1/(2t) overflows each cell but a row's own, and diam/t overflows: both
+    # infinities are exact, so no RuntimeWarning is printed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["--out-dir", str(tmp_path), "semigroup", "--space", "circle:16",
+                     "--times", "1e-308"]) == 0
+    assert capsys.readouterr().err == ""
+    doc = _read(tmp_path / "semigroup.json")
+    assert doc["trace"]["fields"] == [doc["trace"]["source"]]
+    assert doc["checks"]["lipschitz_bound_failures"] == []
 
 
 @pytest.mark.parametrize("argv, line", [
@@ -1051,6 +1107,8 @@ def test_inputs_are_checked_before_any_work(tmp_path, capsys, no_work):
           "--refinements", "1"], "defect study needs a named field spec, not a CSV file"),
         (["doubling", "--space", "circle:16", "--r-min", "0.3", "--r-max", "1",
           "--field", "random:x"], "bad field spec 'random:x': index 'x' is not an integer"),
+        (["semigroup", "--space", "circle:16", "--defect-t", "1e308", "--defect-s", "1e308",
+          "--refinements", "1"], "--defect-t + --defect-s must be finite, got inf"),
     ]
     capsys.readouterr()
     for k, (argv, line) in enumerate(cases):

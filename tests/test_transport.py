@@ -14,7 +14,7 @@ import hypothesis.strategies as st
 
 from lenspace import build_from_graph, w2
 from lenspace import generate as _generate, parse_space_spec as _parse
-from lenspace import transport
+from lenspace import hopflax, transport
 from oracles import brute_force_w2, coupling_vertices, dense_w2, w2_oracle_1d
 
 
@@ -367,6 +367,33 @@ def test_failed_certificate_names_least_cell_of_each_failing_row_and_column(toru
     expected = ([(i, int(reduced[i].argmin())) for i in failing_rows]
                 + [(int(reduced[:, j].argmin()), j) for j in failing_cols])
     assert list(zip(rows.tolist(), cols.tolist())) == expected
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 100])
+@pytest.mark.parametrize("spec", ["torus2d:6:6", "circle:64", "complete:9"])
+def test_certificate_flags_the_rows_and_columns_of_the_dense_reduced_costs(
+        spec, block_cells, monkeypatch):
+    # the check reads the kernel's minima, min_j d(i, j)^2 - v_j less u_i,
+    # in blocks of any size; it flags exactly the rows and columns whose
+    # least entry of the dense matrix d^2 - u - v is below the floor
+    g = _generate(_parse(spec))
+    monkeypatch.setattr(hopflax, "_BLOCK_CELLS", block_cells)
+    n, idx = g.n, np.arange(g.n)
+    rng = np.random.default_rng(23)
+    u, v = rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n)
+    plan, (rows, cols) = transport._certified_plan(g, g.measure, g.measure, idx, idx,
+                                                   g.measure, u, v)
+    reduced = g.dist ** 2 - u[:, None] - v[None, :]
+    floor = -1e-10 * (1.0 + (g.dist ** 2).max())
+    failing_rows = np.flatnonzero(reduced.min(axis=1) < floor)
+    failing_cols = np.flatnonzero(reduced.min(axis=0) < floor)
+    assert plan is None and 0 < len(failing_rows) < n and 0 < len(failing_cols) < n
+    k = len(failing_rows)
+    assert len(rows) == len(cols) == k + len(failing_cols)
+    assert np.array_equal(rows[:k], failing_rows) and np.array_equal(cols[k:], failing_cols)
+    # each flagged cell is its row's or column's least reduced cost
+    assert np.array_equal(cols[:k], reduced[failing_rows].argmin(axis=1))
+    assert np.array_equal(rows[k:], reduced[:, failing_cols].argmin(axis=0))
 
 
 def _infeasible_lp(*args):
