@@ -394,10 +394,16 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
     order = np.lexsort((dst, src))
     src, dst, weight = src[order], dst[order], np.concatenate([vals, vals])[order]
     starts = np.searchsorted(src, np.arange(n))
-    dist = shortest_path(n, src, dst, weight, starts)
+    with np.errstate(over="ignore"):  # an overflowed sum is inf, as the scale check says
+        dist = shortest_path(n, src, dst, weight, starts)
     if np.isinf(dist).any():
-        i, j = np.argwhere(np.isinf(dist))[0]
-        raise ValueError(f"graph is disconnected: points {i} and {j} are not connected")
+        # a missing path or an overflowed sum: the edges from point 0 tell which
+        reached = np.arange(n) == 0
+        while (grow := reached[src] & ~reached[dst]).any():
+            reached[dst[grow]] = True
+        if not reached.all():
+            j = int(np.argmin(reached))
+            raise ValueError(f"graph is disconnected: points 0 and {j} are not connected")
 
     dist.flags.writeable = False
     table = (src, dst, weight, dist[src, dst], starts)

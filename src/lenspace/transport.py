@@ -4,10 +4,12 @@ W2(mu0, mu1)^2 is the optimal value of the transportation linear program
 with cost d(x, y)^2 over couplings of mu0 and mu1.  w2 solves it by the
 shortlist method (Gottschlich & Schuhmacher 2014): the LP restricted to
 a small support of cells, grown by the cells that violate dual
-feasibility until none does.  The support starts from the staircase of
-the two measures in index order, checked first: on a path numbered along
-itself it is the monotone (quantile) coupling, found with no LP.  A solve
-keeps one HiGHS model: each round adds its new cells as columns and
+feasibility until none does.  The staircase of the two measures in
+index order is checked first: on a path numbered along itself it is the
+monotone (quantile) coupling, found with no LP.  Otherwise the first
+support is the staircase and each row's largest ball of at most 16
+cells, ties and all: on a torus the 13 cells within two grid steps.  A
+solve keeps one HiGHS model: each round adds its new cells as columns and
 re-solves by the primal simplex from the last optimal basis.  When a
 restricted solve fails, or a failed check adds no cell, the missing cells
 join and the dense LP over all n^2 cells is solved cold.  Every plan, the
@@ -87,8 +89,10 @@ class TransportPlan:
 
 # TransportPlan.check's slack on marginals, and on cost and gap relative to 1 + cost
 _PLAN_TOL = 1e-9
-# cells per row in the first shortlist support, nearest first
-_NEAREST = 8
+# most cells of a row's ball in the first shortlist support: the row's
+# cells strictly nearer than its (_NEAREST + 1)-th smallest distance, so
+# a tie at the edge shrinks the ball instead of growing it
+_NEAREST = 16
 # HiGHS options of every transport LP: tight feasibility tolerances keep
 # clamped marginal defects below 1e-9; skipping presolve took about 40% off
 # each solve on torus2d:20:20, restricted or dense (2-vCPU VM)
@@ -214,12 +218,14 @@ def _shortlist_plan(space: MeasuredSpace, a, b):
     The staircase of the two measures in index order, a feasible spanning
     tree, is the plan when its tree potentials pass the check.  Otherwise
     it seeds the first support, so the first solve has a solution, with
-    each row's nearest cells, made symmetric.  While the certificate
-    fails, the most violated cell of each row and of each column joins
-    the support as a column of the one HiGHS model, re-solved warm.  When
-    a solve fails, or a failed check adds no new cell, every missing cell
-    joins and the dense LP is solved cold.  Raises RuntimeError when the
-    solve on all n^2 cells fails or is not certified.
+    each row's ball: the cells strictly nearer than the row's
+    (_NEAREST + 1)-th smallest distance, every cell when n <= _NEAREST.
+    While the certificate fails, the most violated cell of each row and of
+    each column joins the support as a column of the one HiGHS model,
+    re-solved warm.  When a solve fails, or a failed check adds no new
+    cell, every missing cell joins and the dense LP is solved cold.
+    Raises RuntimeError when the solve on all n^2 cells fails or is not
+    certified.
     """
     n = space.n
     rows, cols, mass = _staircase(a, b)
@@ -228,16 +234,16 @@ def _shortlist_plan(space: MeasuredSpace, a, b):
     if plan is not None:
         return plan
     # the support as a mask of the flat cells i * n + j, listed in the order
-    # np.nonzero gives an n x n mask; argpartition works row by row, so
-    # blocks of rows pick the same nearest cells as one call on all of dist
-    k = min(_NEAREST, n)
+    # np.nonzero gives an n x n mask; each row's ball, its cells strictly
+    # nearer than its (_NEAREST + 1)-th distance, in blocks of rows (every
+    # cell when n <= _NEAREST)
+    support = np.ones((n, n), dtype=bool)
     block = max(1, _BLOCK_CELLS // n)
-    support = np.zeros((n, n), dtype=bool)
+    for lo in range(0, n, block) if n > _NEAREST else ():
+        near = space.dist[lo:lo + block]
+        np.less(near, np.partition(near, _NEAREST, axis=1)[:, _NEAREST, None],
+                out=support[lo:lo + block])
     support[rows, cols] = True
-    for lo in range(0, n, block):
-        near = np.argpartition(space.dist[lo:lo + block], k - 1, axis=1)[:, :k]
-        support[np.arange(lo, lo + len(near))[:, None], near] = True
-    support |= support.T
     support = support.ravel()
     cells = np.flatnonzero(support)
     lp, new, cold = _TransportLP(space, a, b), cells, True

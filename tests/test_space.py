@@ -4,6 +4,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -66,6 +67,26 @@ def test_zero_total_weight_rejected():
 def test_disconnected_rejected_names_pair():
     with pytest.raises(ValueError, match="points 0 and 2 are not connected"):
         build_from_graph([(0, 1, 1.0), (2, 3, 1.0)], np.ones(4), 4)
+
+
+@pytest.mark.parametrize("edges, n, message", [
+    # a path, whose line route overflows in a cumsum
+    ([(0, 1, 1e308), (1, 2, 1e308)], 3, "diameter inf is above 2^400: squares would overflow"),
+    # a ring with a chord, whose search route overflows in a relaxation
+    ([(0, 1, 1e308), (1, 2, 1e308), (2, 3, 1e308), (3, 0, 1e308), (0, 2, 1.0)], 4,
+     "diameter inf is above 2^400: squares would overflow"),
+    # an overflowing path beside a second component
+    ([(0, 1, 1e308), (1, 2, 1e308), (3, 4, 1.0)], 5,
+     "graph is disconnected: points 0 and 3 are not connected"),
+])
+def test_overflowed_distance_sums_are_not_called_disconnected(edges, n, message):
+    # an overflowed sum is inf, as a missing path is; the edges tell the two
+    # apart, and no RuntimeWarning is printed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError) as err:
+            build_from_graph(edges, np.ones(n), n)
+    assert str(err.value) == message
 
 
 def test_dist_symmetric_and_zero_diagonal(circle64):

@@ -10,6 +10,10 @@ _spec = importlib.util.spec_from_file_location(
     "bench_entry", os.path.join(_ROOT, "tools", "bench_entry.py"))
 bench_entry = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_entry)
+_spec = importlib.util.spec_from_file_location(
+    "artifact_diff", os.path.join(_ROOT, "tools", "artifact_diff.py"))
+artifact_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(artifact_diff)
 
 _METRICS = ("job_s", "main_s", "setup_s", "peak_rss_mb")
 
@@ -78,3 +82,40 @@ def test_traced_progress_line_shows_correct_and_layer_counts():
                      "job_s=1.5 main_s=1.5 setup_s=1.5 peak_rss_mb=1.5")
     assert bench_entry._progress("ineq-gauss", 5, "parent", 1, None) == \
         "ineq-gauss seed 5 parent: correct=False"
+
+
+
+_TRANSPORT = {"space": {"id": "0123456789abcdef", "n": 3}, "distance": 0.5,
+              "plan": {"rows": [0, 1], "cols": [1, 2], "mass": [0.25, 0.75]},
+              "method": "shortlist"}
+
+
+def _write(path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("keys, value, verdict", [
+    (("distance",), 0.5, "identical"),
+    (("distance",), 0.5 * (1 + 3e-13), "rounding"),
+    (("plan", "mass", 1), 0.75 * (1 - 1e-12), "rounding"),
+    (("distance",), 0.5 * (1 + 2e-12), "differs"),
+    (("space", "id"), "fedcba9876543210", "space.id"),
+    (("plan", "rows", 1), 2, "differs"),  # another cell, not a rounding
+    (("plan", "mass"), [0.25, 0.5, 0.25], "differs"),  # another structure
+    (("method",), "dense", "differs"),
+])
+def test_artifact_diff_tells_rounding_from_other_moves(tmp_path, keys, value, verdict):
+    doc = json.loads(json.dumps(_TRANSPORT))
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    parent = _write(tmp_path / "parent.json", _TRANSPORT)
+    assert artifact_diff.compare_file(parent, _write(tmp_path / "change.json", doc)) == verdict
+
+
+def test_artifact_diff_rounding_needs_the_same_space_id(tmp_path):
+    doc = dict(_TRANSPORT, space={"id": "fedcba9876543210", "n": 3}, distance=0.5 * (1 + 1e-13))
+    parent = _write(tmp_path / "parent.json", _TRANSPORT)
+    assert artifact_diff.compare_file(parent, _write(tmp_path / "change.json", doc)) == "differs"

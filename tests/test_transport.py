@@ -496,6 +496,50 @@ def test_general_route_solves_no_dense_lp(spec, monkeypatch):
     assert abs(plan.cost - cost_lp) <= 1e-10 * (1.0 + cost_lp)
 
 
+def _first_support_space(name: str):
+    if name == "star:40":  # every leaf at 1 from the hub and 2 from each other leaf
+        return build_from_graph([(0, i, 1.0) for i in range(1, 40)], np.ones(40), 40)
+    if name == "shuffled ring:48":  # a ring whose neighbours are not index neighbours
+        label = np.random.default_rng(6).permutation(48).tolist()
+        edges = [(label[i], label[(i + 1) % 48], 0.5 + 0.25 * (i % 3)) for i in range(48)]
+        return build_from_graph(edges, 1.0 + np.arange(48) % 5, 48)
+    return _generate(_parse(name))
+
+
+@pytest.mark.parametrize("name", ["torus2d:12:12", "torus2d:10:15:1:6.283", "torus2d:4:4",
+                                  "circle:64", "circle:129", "star:40", "complete:30",
+                                  "shuffled ring:48"])
+def test_first_support_is_each_rows_ball_and_the_staircase(name, monkeypatch):
+    # the first LP holds, in each row, every cell strictly nearer than the
+    # row's (_NEAREST + 1)-th smallest distance, ties and all, and the
+    # staircase cells; on 16 points or fewer it holds every cell
+    g = _first_support_space(name)
+    rng = np.random.default_rng(17)
+    a, b = (transport._check_marginal(g, m / m.sum(), "mu")
+            for m in rng.gamma(1.0, size=(2, g.n)))
+    first = []
+    real = transport._TransportLP.solve
+
+    def recorded(lp, src, dst, cold):
+        if not first:
+            first.append((set(zip(src.tolist(), dst.tolist())), len(src), cold))
+        return real(lp, src, dst, cold)
+
+    monkeypatch.setattr(transport._TransportLP, "solve", recorded)
+    _, plan = w2(g, a, b)
+    k = transport._NEAREST
+    kth = np.sort(g.dist, axis=1)[:, k, None] if g.n > k else np.inf
+    ball = g.dist < kth
+    assert ball.sum(axis=1).max() <= k
+    rows, cols, _ = transport._staircase(a, b)
+    expected = set(zip(*np.nonzero(ball))) | set(zip(rows.tolist(), cols.tolist()))
+    cells, count, cold = first[0]
+    assert cold and count == len(cells) and cells == expected
+    _, cost_lp = dense_w2(g, a, b)
+    assert abs(plan.cost - cost_lp) <= 1e-10 * (1.0 + cost_lp)
+    plan.check(g)
+
+
 def test_warm_rounds_reuse_one_model(monkeypatch):
     # a solve over several shortlist rounds builds one HiGHS model; its later
     # rounds start from the last optimal basis, so together they take fewer
@@ -514,8 +558,10 @@ def test_warm_rounds_reuse_one_model(monkeypatch):
             return status
 
     monkeypatch.setattr(_core, "_Highs", Counted)
-    g = _generate(_parse("torus2d:20:20"))
-    a = np.random.default_rng(3).gamma(1.0, size=g.n)
+    # on circle:256 this pair's first support, the staircase and a ball of
+    # 15 cells a row, is certified after six warm rounds
+    g = _generate(_parse("circle:256"))
+    a = np.random.default_rng(1).gamma(1.0, size=g.n)
     a /= a.sum()
     _, plan = w2(g, a, np.full(g.n, 1.0 / g.n))
     plan.check(g)
@@ -546,8 +592,8 @@ def test_shortlist_solve_allocates_less_than_one_square_array(monkeypatch):
 
 
 def test_antipodal_point_masses_on_circle(circle64, monkeypatch):
-    # the nearest cells of the two mass-carrying rows cannot reach each
-    # other, so only the staircase seed makes the first restricted LP feasible
+    # the balls of the two mass-carrying rows cannot reach each other, so
+    # only the staircase seed makes the first restricted LP feasible
     a = np.zeros(64); a[0] = 1.0
     b = np.zeros(64); b[32] = 1.0
     sizes = _lp_cells(monkeypatch)
@@ -557,13 +603,10 @@ def test_antipodal_point_masses_on_circle(circle64, monkeypatch):
     assert _dense(plan, 64)[0, 32] == 1.0
     plan.check(circle64)
     monkeypatch.undo()
-    nearest = np.zeros((64, 64), dtype=bool)
     k = transport._NEAREST
-    nearest[np.arange(64).repeat(k),
-            np.argpartition(circle64.dist ** 2, k - 1, axis=1)[:, :k].ravel()] = True
-    nearest |= nearest.T
-    assert not nearest[0, 32]
-    status, x, _, _ = transport._TransportLP(circle64, a, b).solve(*np.nonzero(nearest), True)
+    ball = circle64.dist < np.sort(circle64.dist, axis=1)[:, k, None]
+    assert not ball[0, 32]
+    status, x, _, _ = transport._TransportLP(circle64, a, b).solve(*np.nonzero(ball), True)
     assert status == "Infeasible" and x is None
 
 

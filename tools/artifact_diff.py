@@ -10,7 +10,9 @@ Each command writes into its own output directory, named after the case.
 
 Every artifact is compared byte for byte.  ``run.json`` is compared as
 JSON without ``wall_time_s`` and the ``out_dir`` echo.  A JSON file that
-differs only in its ``space.id`` value is marked as such.  One line is
+differs only in its ``space.id`` value is marked as such, and so is one
+of the same structure whose every differing float is within 1e-12
+relative ("differs by rounding").  One line is
 printed per file that is not identical, then a summary.  The exit code is
 0 when every file is identical (and every command exits with the same
 code on both sides), else 1.  The work directory is a temporary one that
@@ -40,6 +42,10 @@ CHORDED = "chorded.json"
 # a ring and a path of 40 points, also written by prepare(), their points
 # numbered in shuffled order, so that neither runs in index order
 RING, PATH = "ring40.json", "path40.json"
+# the largest relative move of a float that counts as rounding
+ROUNDING = 1e-12
+# how main() names each verdict but "identical"
+SHOWN = {"space.id": "differs only in space.id", "rounding": "differs by rounding"}
 
 # (name, argv); a name is also the case's output directory
 CASES = [
@@ -149,8 +155,21 @@ def _load(path: str):
         return json.load(fh)
 
 
+def _rounding(x, y) -> bool:
+    """Whether two JSON values have one structure, with every pair of
+    floats within ROUNDING relative and everything else equal."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        return x.keys() == y.keys() and all(_rounding(x[k], y[k]) for k in x)
+    if isinstance(x, list) and isinstance(y, list):
+        return len(x) == len(y) and all(map(_rounding, x, y))
+    if isinstance(x, float) and isinstance(y, float):
+        return x == y or abs(x - y) <= ROUNDING * max(abs(x), abs(y))
+    return type(x) is type(y) and x == y
+
+
 def compare_file(a: str, b: str) -> str:
-    """'identical', 'space.id' (a JSON file that differs only there) or 'differs'."""
+    """'identical', 'rounding' (a JSON file whose floats moved by rounding),
+    'space.id' (a JSON file that differs only there) or 'differs'."""
     with open(a, "rb") as fa, open(b, "rb") as fb:
         if fa.read() == fb.read():
             return "identical"
@@ -163,6 +182,8 @@ def compare_file(a: str, b: str) -> str:
             doc.get("config", {}).pop("out_dir", None)
         if da == db:
             return "identical"
+    if da != db and _rounding(da, db):
+        return "rounding"
     for doc in (da, db):
         if isinstance(doc.get("space"), dict):
             doc["space"].pop("id", None)
@@ -212,11 +233,11 @@ def main(argv=None) -> int:
     for rel, verdict in verdicts.items():
         if verdict != "identical":
             bad += 1
-            print(f"{rel}: {'differs only in space.id' if verdict == 'space.id' else verdict}")
-    same = sum(v == "identical" for v in verdicts.values())
-    only_id = sum(v == "space.id" for v in verdicts.values())
-    print(f"{len(CASES)} commands, {len(verdicts)} files: {same} identical, "
-          f"{only_id} differ only in space.id, {len(verdicts) - same - only_id} differ otherwise")
+            print(f"{rel}: {SHOWN.get(verdict, verdict)}")
+    count = {v: sum(w == v for w in verdicts.values()) for v in ("identical", *SHOWN)}
+    print(f"{len(CASES)} commands, {len(verdicts)} files: {count['identical']} identical, "
+          f"{count['space.id']} differ only in space.id, {count['rounding']} differ by "
+          f"rounding, {len(verdicts) - sum(count.values())} differ otherwise")
     return 1 if bad else 0
 
 
