@@ -13,7 +13,12 @@ That is what Dijkstra's algorithm computes in floats, since float
 addition is monotone and a positive weight never lowers a sum; so
 ``shortest_path`` gives every distance bit for bit as a float Dijkstra
 would, on either of its routes: two cumsums a row along one path or one
-cycle, a search in any order on every other graph.
+cycle, a search in any order on every other graph.  A circle, torus or
+complete graph whose unit translations map its edges onto themselves
+(_orbit_shape) has one row per orbit: a weight-preserving automorphism
+maps the paths from s to v onto the paths from its images with the same
+weights, so the least fold sums, and d(s, v) = d(0, v - s), are the same
+floats.  Only point 0's row is computed there, and translated.
 """
 
 from __future__ import annotations
@@ -51,7 +56,9 @@ class MeasuredSpace:
     which vanishes in the continuum limit of a length space.  It is
     computed on first read and cached, as is diameter.  Bounds from shortest
     paths in the graph settle most pairs in O(n m + n^2 log n) work; each
-    other pair costs O(n), so the worst case is still O(n^3).
+    other pair costs O(n), so the worst case is still O(n^3).  A space with
+    one row per orbit (see the module docstring) visits only the pairs
+    (0, y), in O(m + n log n) and at worst O(n^2).
     """
 
     n: int
@@ -149,9 +156,10 @@ def _line_order(n: int, dst, weight, starts):
     return np.array(order[:n]), np.array(step if ring else step + [np.inf])
 
 
-def _line(n: int, order, step) -> np.ndarray:
+def _line(n: int, order, step, count: int) -> np.ndarray:
     """Shortest-path distances along one path or cycle (_line_order), in
-    blocks of sources.
+    blocks of sources: the rows of the walk's first count points, which
+    must be points 0..count - 1 (count = n, or 1 when the walk starts at 0).
 
     From the point at walk position i the walk goes on forward through
     weights step[i], step[i + 1], ... and back through step[i - 1],
@@ -166,9 +174,9 @@ def _line(n: int, order, step) -> np.ndarray:
     at = np.empty(n, dtype=np.intp)  # each point's walk position
     at[order] = np.arange(n)
     rows = max(1, _BLOCK_CELLS // n)
-    dist = np.empty((n, n))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
+    dist = np.empty((count, n))
+    for lo in range(0, count, rows):
+        hi = min(lo + rows, count)
         # near[r, k] = near[r, n + k]: the distance from position i = lo + r
         # to position i + k mod n
         near = np.zeros((hi - lo, 2 * n))
@@ -183,9 +191,9 @@ def _line(n: int, order, step) -> np.ndarray:
     return dist
 
 
-def _search(n: int, src, dst, weight, starts) -> np.ndarray:
+def _search(n: int, src, dst, weight, starts, count: int) -> np.ndarray:
     """Shortest-path distances of any graph by a label-correcting search
-    from all sources at once, in blocks of sources.
+    from sources 0..count - 1 at once, in blocks of sources.
 
     Each round, every (source, vertex) pair whose label fell in the last
     round relaxes its edges, in chunks of about as many candidates as a
@@ -208,10 +216,10 @@ def _search(n: int, src, dst, weight, starts) -> np.ndarray:
     out_w[slot, src] = weight
     chunk = max(1, budget // max(1, len(step)))
     stamp = np.empty(budget, dtype=np.intp)
-    dist = np.empty((n, n))
+    dist = np.empty((count, n))
     take = np.take
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
+    for lo in range(0, count, rows):
+        hi = min(lo + rows, count)
         work = np.full((hi - lo, mask + 1), np.inf)
         label = work.reshape(-1)
         front = (np.arange(hi - lo) << shift) + np.arange(lo, hi)
@@ -237,7 +245,34 @@ def _search(n: int, src, dst, weight, starts) -> np.ndarray:
     return dist
 
 
-def shortest_path(n: int, src, dst, weight, starts) -> np.ndarray:
+def _orbit_shape(n: int, kind: str, params: dict, src, dst, weight):
+    """The grid shape, points numbered row-major over it, of a circle or
+    complete graph, (n,), or a torus, (params n, params m), whose unit
+    translation along each axis maps the edge table onto itself; else None.
+
+    The translations then act on the points transitively and preserve the
+    weights, so every row of dist is a translate of point 0's row (see the
+    module docstring).  The kind and params only name the candidate: a
+    shape of ints whose product is not n, or an edge table that any unit
+    translation moves, gives None.  O(m log m) work.
+    """
+    shape = {"circle": (n,), "complete": (n,),
+             "torus2d": (params.get("n"), params.get("m"))}.get(kind)
+    if shape is None or not all(type(k) is int for k in shape) or math.prod(shape) != n:
+        return None
+    grid = np.arange(n).reshape(shape)
+    for axis in range(len(shape)):
+        move = np.roll(grid, -1, axis=axis).ravel()  # each point's translate
+        key = move[src] * n + move[dst]
+        order = np.argsort(key)
+        # the table is sorted by (src, dst): its keys src * n + dst ascend
+        if not (np.array_equal(key[order], src * n + dst)
+                and np.array_equal(weight[order], weight)):
+            return None
+    return shape
+
+
+def shortest_path(n: int, src, dst, weight, starts, shape=None) -> np.ndarray:
     """All-pairs shortest-path distances, min(d, d.T), of the graph held as
     directed edge arrays (src, dst, weight, starts) as in MeasuredSpace.edges.
 
@@ -246,9 +281,25 @@ def shortest_path(n: int, src, dst, weight, starts) -> np.ndarray:
     (_search).  Each row is then the least left-fold sum over the paths
     from its source, bit for bit what float Dijkstra gives (see the module
     docstring), and the two directions are merged by min(d, d.T) in tiles.
+    Given the grid shape of _orbit_shape, the route computes point 0's row
+    r alone, and d(s, v) = min(r(v - s), r(s - v)) is one strided copy.
     """
     line = _line_order(n, dst, weight, starts)
-    dist = _search(n, src, dst, weight, starts) if line is None else _line(n, *line)
+    # a graph with a translation grid that is a path or cycle is a cycle, or
+    # a path of two points: either walk starts at point 0
+    count = n if shape is None else 1
+    dist = (_search(n, src, dst, weight, starts, count) if line is None
+            else _line(n, *line, count))
+    if shape is not None:
+        row = dist[0].reshape(shape)
+        axes = tuple(range(len(shape)))
+        row = np.minimum(row, np.roll(np.flip(row), 1, axis=axes))  # r(-u) at u
+        # wrapped[a - s + v] = row[v - s] on each axis
+        wrapped = np.tile(row, (2,) * len(shape))
+        dist = np.empty((n, n))
+        dist.reshape(shape + shape)[...] = sliding_window_view(wrapped, shape)[
+            tuple(slice(k, 0, -1) for k in shape)]
+        return dist
     # the smaller of the two directions, in square tiles of a quarter block
     tile = max(1, math.isqrt(_BLOCK_CELLS // 4))
     for i in range(0, n, tile):
@@ -267,20 +318,22 @@ def _max_midpoint_defect(space: MeasuredSpace) -> float:
     whose bound is at most the running max cannot raise it; only the
     other pairs are minimized over all z, largest bound first.  Each
     bound takes the two points of a shortest path from x to y on either
-    side of its middle (_midpoint_bounds).  Each value is the same float
-    expression the full loop evaluates, so the result is bitwise the full
-    loop's.
+    side of its middle (_midpoint_bounds).  With one row per orbit
+    (_orbit_shape) the pair (x, y) has the value of (0, y - x), so only
+    x = 0 is visited.  Each value is the same float expression the full
+    loop evaluates, so the result is bitwise the full loop's.
     """
     dist, n = space.dist, space.n
     if n < 2:
         return 0.0
     src, dst, weight, _, starts = space.edges
+    count = n if _orbit_shape(n, space.kind, space.params, src, dst, weight) is None else 1
     # a row takes its 2m edge cells and n per binary-lifting level
     rows = max(1, _BLOCK_CELLS // (len(src) + n * (n - 1).bit_length()))
     chunk = max(1, _BLOCK_CELLS // n)  # pairs minimized at once
     worst = 0.0
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
+    for lo in range(0, count, rows):
+        hi = min(lo + rows, count)
         bound = _midpoint_bounds(dist, lo, hi, src, dst, weight, starts)
         # pair (x, y) sits at bound[x - lo, y - lo]; drop y < x
         bound = np.triu(bound).ravel()
@@ -394,8 +447,10 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
     order = np.lexsort((dst, src))
     src, dst, weight = src[order], dst[order], np.concatenate([vals, vals])[order]
     starts = np.searchsorted(src, np.arange(n))
+    params = dict(params or {})
+    shape = _orbit_shape(n, kind, params, src, dst, weight)
     with np.errstate(over="ignore"):  # an overflowed sum is inf, as the scale check says
-        dist = shortest_path(n, src, dst, weight, starts)
+        dist = shortest_path(n, src, dst, weight, starts, shape)
     if np.isinf(dist).any():
         # a missing path or an overflowed sum: the edges from point 0 tell which
         reached = np.arange(n) == 0
@@ -423,7 +478,6 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
         if not np.all(np.isfinite(coords)):
             raise ValueError("coords must be finite")
         coords.flags.writeable = False
-    params = dict(params or {})
 
     digest = hashlib.sha256()
     digest.update(np.int64(n).tobytes())

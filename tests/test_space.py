@@ -444,12 +444,14 @@ def test_metric_checks_allocate_no_square_array():
     g = _generate(_parse("circle:1024"))
     peaks = [_peak_bytes(run) for run in (lambda: validate_metric(g), lambda: g.midpoint_defect)]
     assert max(peaks) < g.n * g.n * 8 / 4, peaks
-    # shortest_path, on either route, allocates its result and blocks of rows
+    # shortest_path, on either route and by orbit, allocates its result and
+    # blocks of rows
     from lenspace.space import shortest_path
-    for h in (g, _generate(_parse("torus2d:32:32"))):
+    for h, shape in ((g, (1024,)), (_generate(_parse("torus2d:32:32")), (32, 32))):
         src, dst, weight, _, starts = h.edges
-        peak = _peak_bytes(lambda: shortest_path(h.n, src, dst, weight, starts))
-        assert peak < h.n * h.n * 8 + (4 << 20), peak
+        for grid in (None, shape):
+            peak = _peak_bytes(lambda: shortest_path(h.n, src, dst, weight, starts, grid))
+            assert peak < h.n * h.n * 8 + (4 << 20), peak
 
 
 @given(_connected_graphs())
@@ -593,6 +595,12 @@ def test_disconnected_graph_message_names_first_unreached_pair(a, b):
     assert str(err.value) == f"graph is disconnected: points {i} and {j} are not connected"
 
 
+def _assert_dijkstra_bitwise(g):
+    from oracles import csgraph_dist
+    src, dst, weight = (arr[g.edges[0] < g.edges[1]] for arr in g.edges[:3])
+    assert np.array_equal(g.dist, csgraph_dist(g.n, zip(src.tolist(), dst.tolist(), weight)))
+
+
 # space ids computed with scipy's Dijkstra: the metric, and every artifact
 # keyed by it, is unchanged
 @pytest.mark.parametrize("spec, space_id", [
@@ -600,10 +608,133 @@ def test_disconnected_graph_message_names_first_unreached_pair(a, b):
     ("torus2d:24:24", "0231c92b35b6d16e"),
     ("torus2d:20:30:1:6.283", "130eaab11dcb3f5e"),
     ("gaussian_interval:201:1:4", "313eca076fa257d7"),
+    ("circle:2", "fd787200e6563689"),
+    ("circle:3", "c66c9f31cdd7eaed"),
+    ("torus2d:2:7", "a63693a73890c8e7"),
+    ("torus2d:3:5:0.7:2.9", "aeada70bdcdbf41c"),
+    ("complete:9", "790d5c9455d71d5f"),
 ])
 def test_space_id_pinned_on_generator_spaces(spec, space_id):
-    from oracles import csgraph_dist
     g = _generate(_parse(spec))
     assert g.space_id == space_id
-    src, dst, weight = (arr[g.edges[0] < g.edges[1]] for arr in g.edges[:3])
-    assert np.array_equal(g.dist, csgraph_dist(g.n, zip(src.tolist(), dst.tolist(), weight)))
+    _assert_dijkstra_bitwise(g)
+
+
+def _counting_rows(patch):
+    """Wrap both shortest-path routes with patch(name, new); returns the list
+    that collects the number of rows each call computes."""
+    import lenspace.space
+    rows = []
+    for name in ("_search", "_line"):
+        def counted(*args, route=getattr(lenspace.space, name)):
+            dist = route(*args)
+            rows.append(len(dist))
+            return dist
+        patch(name, counted)
+    return rows
+
+
+@pytest.mark.parametrize("spec", [
+    "circle:2", "circle:3", "circle:7:3.3", "circle:257", "torus2d:2:2", "torus2d:2:7",
+    "torus2d:7:2", "torus2d:3:5:0.7:2.9", "torus2d:20:30:1:6.283", "complete:2", "complete:9",
+])
+def test_grid_spaces_build_one_row_bitwise_as_dijkstra(spec, monkeypatch):
+    import lenspace.space
+    rows = _counting_rows(lambda name, new: monkeypatch.setattr(lenspace.space, name, new))
+    g = _generate(_parse(spec))
+    assert rows == [1]
+    _assert_dijkstra_bitwise(g)
+
+
+@given(st.one_of(
+    st.tuples(st.just("circle"), st.integers(2, 80), st.floats(1e-3, 1e3)),
+    st.tuples(st.just("torus2d"), st.integers(2, 9), st.integers(2, 9),
+              st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+))
+@settings(max_examples=100, deadline=None)
+def test_orbit_route_exact_on_circle_and_torus_sizes(fields):
+    # the metric bitwise as Dijkstra, and the midpoint defect as the full loop
+    import lenspace.space
+    spec = ":".join(map(str, fields))
+    with mock.patch.object(lenspace.space, "_search", lenspace.space._search), \
+            mock.patch.object(lenspace.space, "_line", lenspace.space._line):
+        rows = _counting_rows(lambda name, new: setattr(lenspace.space, name, new))
+        g = _generate(_parse(spec))
+    assert rows == [1]
+    _assert_dijkstra_bitwise(g)
+    assert g.midpoint_defect == _full_midpoint_defect(g.dist)
+
+
+def test_saved_torus_reloads_by_orbit(tmp_path, monkeypatch):
+    import lenspace.space
+    from lenspace.generators import load_space, save_space
+    g = _generate(_parse("torus2d:3:5:0.7:2.9"))
+    save_space(g, str(tmp_path / "t.json"))
+    rows = _counting_rows(lambda name, new: monkeypatch.setattr(lenspace.space, name, new))
+    back = load_space(str(tmp_path / "t.json"))
+    assert rows == [1]
+    assert back.space_id == g.space_id
+    assert back.dist.tobytes() == g.dist.tobytes()
+
+
+def _ring(weights):
+    return [(i, (i + 1) % len(weights), w) for i, w in enumerate(weights)]
+
+
+def _torus_file(tmp_path, **params):
+    from lenspace.generators import save_space
+    path = str(tmp_path / "t.json")
+    save_space(_generate(_parse("torus2d:3:5:0.7:2.9")), path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["params"].update(params)
+    return doc
+
+
+@pytest.mark.parametrize("case", ["ulp", "chord", "swapped", "float-params"])
+def test_mislabelled_grids_take_the_full_routes(case, tmp_path, monkeypatch):
+    # a label alone does not give the orbit route: the edge table must be
+    # invariant under the unit translations of a shape of ints
+    import lenspace.space
+    from lenspace.generators import load_space
+    if case in ("ulp", "chord"):
+        weights = [1.0] * 12
+        if case == "ulp":
+            weights[5] = np.nextafter(1.0, 2.0)
+        edges = _ring(weights) + ([(0, 6, 2.5)] if case == "chord" else [])
+        n, measure, kind, params = 12, np.ones(12), "circle", {"length": 12.0}
+    else:
+        doc = _torus_file(tmp_path, **({"n": 5, "m": 3} if case == "swapped"
+                                       else {"n": 3.0, "m": 5.0}))
+        edges, measure, n, kind, params = doc["edges"], doc["measure"], doc["n"], \
+            doc["kind"], doc["params"]
+        with open(tmp_path / "t.json", "w") as fh:
+            json.dump(doc, fh)
+    plain = build_from_graph(edges, measure, n)
+    rows = _counting_rows(lambda name, new: monkeypatch.setattr(lenspace.space, name, new))
+    if case in ("ulp", "chord"):
+        g = build_from_graph(edges, measure, n, kind=kind, params=params)
+    else:
+        g = load_space(str(tmp_path / "t.json"))
+    assert rows == [n]
+    assert g.kind == kind and g.params == params
+    assert g.dist.tobytes() == plain.dist.tobytes()
+    assert g.midpoint_defect == plain.midpoint_defect
+
+
+@pytest.mark.parametrize("spec", ["circle:64", "circle:257", "torus2d:6:9",
+                                  "torus2d:3:5:0.7:2.9"])
+def test_orbit_midpoint_defect_is_bitwise_the_full_loop(spec, monkeypatch):
+    # only the pairs (0, y) are visited
+    import lenspace.space
+    blocks = []
+    bounds = lenspace.space._midpoint_bounds
+
+    def counted(dist, lo, hi, *edges):
+        blocks.append((lo, hi))
+        return bounds(dist, lo, hi, *edges)
+
+    monkeypatch.setattr(lenspace.space, "_midpoint_bounds", counted)
+    g = _generate(_parse(spec))
+    assert g.midpoint_defect == _full_midpoint_defect(g.dist)
+    assert blocks == [(0, 1)]

@@ -115,6 +115,22 @@ def test_artifact_diff_tells_rounding_from_other_moves(tmp_path, keys, value, ve
     assert artifact_diff.compare_file(parent, _write(tmp_path / "change.json", doc)) == verdict
 
 
+@pytest.mark.parametrize("name", ["report.json", "run.json"])
+@pytest.mark.parametrize("key, value", [("ok", 1), ("ok", 1.0), ("x", 1), ("x", True),
+                                        ("count", 3.0)])
+def test_artifact_diff_compares_json_types_strictly(tmp_path, name, key, value):
+    # Python's True == 1 == 1.0: neither the identical verdict (run.json) nor
+    # the space.id one may take a bool or an int for another type
+    doc = {"space": {"id": "0123456789abcdef"}, "ok": True, "x": 1.0, "count": 3}
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    parent = _write(tmp_path / "a" / name, doc)
+    for space_id in ("0123456789abcdef", "fedcba9876543210"):
+        change = dict(doc, space={"id": space_id}, **{key: value})
+        assert artifact_diff.compare_file(parent, _write(tmp_path / "b" / name, change)) == \
+            "differs"
+
+
 def test_artifact_diff_rounding_needs_the_same_space_id(tmp_path):
     doc = dict(_TRANSPORT, space={"id": "fedcba9876543210", "n": 3}, distance=0.5 * (1 + 1e-13))
     parent = _write(tmp_path / "parent.json", _TRANSPORT)

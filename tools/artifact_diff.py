@@ -9,7 +9,8 @@ and marginal files the later commands read) are the same on both sides.
 Each command writes into its own output directory, named after the case.
 
 Every artifact is compared byte for byte.  ``run.json`` is compared as
-JSON without ``wall_time_s`` and the ``out_dir`` echo.  A JSON file that
+JSON without ``wall_time_s`` and the ``out_dir`` echo.  JSON values are
+compared type for type: ``true`` is not ``1`` and ``1.0`` is not ``1``.  A JSON file that
 differs only in its ``space.id`` value is marked as such, and so is one
 of the same structure whose every differing float is within 1e-12
 relative ("differs by rounding").  One line is
@@ -155,15 +156,16 @@ def _load(path: str):
         return json.load(fh)
 
 
-def _rounding(x, y) -> bool:
+def _match(x, y, tol: float = 0.0) -> bool:
     """Whether two JSON values have one structure, with every pair of
-    floats within ROUNDING relative and everything else equal."""
+    floats within tol relative and everything else equal, type for type:
+    true is not 1 and 1.0 is not 1."""
     if isinstance(x, dict) and isinstance(y, dict):
-        return x.keys() == y.keys() and all(_rounding(x[k], y[k]) for k in x)
+        return x.keys() == y.keys() and all(_match(x[k], y[k], tol) for k in x)
     if isinstance(x, list) and isinstance(y, list):
-        return len(x) == len(y) and all(map(_rounding, x, y))
+        return len(x) == len(y) and all(_match(a, b, tol) for a, b in zip(x, y))
     if isinstance(x, float) and isinstance(y, float):
-        return x == y or abs(x - y) <= ROUNDING * max(abs(x), abs(y))
+        return x == y or abs(x - y) <= tol * max(abs(x), abs(y))
     return type(x) is type(y) and x == y
 
 
@@ -180,14 +182,14 @@ def compare_file(a: str, b: str) -> str:
         for doc in (da, db):
             doc.pop("wall_time_s", None)
             doc.get("config", {}).pop("out_dir", None)
-        if da == db:
+        if _match(da, db):
             return "identical"
-    if da != db and _rounding(da, db):
+    if not _match(da, db) and _match(da, db, ROUNDING):
         return "rounding"
     for doc in (da, db):
         if isinstance(doc.get("space"), dict):
             doc["space"].pop("id", None)
-    return "space.id" if da == db else "differs"
+    return "space.id" if _match(da, db) else "differs"
 
 
 def compare(parent_work: str, change_work: str) -> dict:
