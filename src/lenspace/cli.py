@@ -26,12 +26,12 @@ from . import __version__
 from .fields import coordinate_field, load_field_csv, random_smoothed_field, \
     resolve_field, save_field_csv
 from .generators import _parse_fields, generate, parse_space_spec, refine, save_space
-from .hopflax import _check_time, _residual, _time_grid, apply, make_trace, \
+from .hopflax import _check_time, _evolve, _residual, _time_grid, make_trace, \
     semigroup_defect
 from .inequalities import _RATIOS, _canon, _check_count, _check_K, _check_tau, _score, \
     default_witness_family, estimate_constant, phi_trace, psi_trace, verify_chain
 from .space import _check_scales, _check_sweep, doubling_constant, local_poincare_constant, \
-    validate_metric
+    make_field, validate_metric
 from .transport import w2
 
 
@@ -150,19 +150,21 @@ def _cmd_semigroup(args: argparse.Namespace):
         if lip > bound + 1e-12 * (1.0 + bound):
             failed.append(f"Lip(Q_t f) = {lip} above diam/t = {bound} at t = {t}")
 
-    if study:
-        here = apply(space, f, t0)
-    else:
+    if not study:
         mid = len(times) // 2
         t0 = float(times[mid])
         s_max = min(t0 / 2.0, float(trace.steps[mid]))
         levels = 3
-        here = trace.fields[mid]
-    # every level shares Q_{t0} f; each step s needs only Q_{t0+s} f
+    # every level shares Q_{t0} f, the trace's middle field by default; each
+    # step s needs only Q_{t0+s} f, and one kernel pass gives them all
+    steps = [_check_time(math.ldexp(s_max, -j), positive=True) for j in range(levels)]
+    ends = [_check_time(t0 + s, positive=True) for s in steps]
+    base = [t0] if study else []
+    evolved = [make_field(space, q) for q in _evolve(space, f.values, base + ends)]
+    here = evolved.pop(0) if study else trace.fields[mid]
     rows = []
-    for j in range(levels):
-        s = _check_time(math.ldexp(s_max, -j), positive=True)
-        r = _residual(space, here, apply(space, f, t0 + s), s)
+    for s, there in zip(steps, evolved):
+        r = _residual(space, here, there, s)
         rows.append((s, float(np.abs(r.values) @ space.measure)))
 
     defect_rows = None

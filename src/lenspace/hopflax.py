@@ -10,7 +10,9 @@ Q_t f solves the Hamilton-Jacobi equation  du/dt = -|grad^- u|^2 / 2  in
 the same approximate sense.  This module computes the evolution, the
 graph gradient and descending-slope norms, and the associated defects
 and residuals.  Its one min-plus kernel, ``_minima`` (minimizers and minima),
-also runs the transport certificate: the c-transform for cost d^2 is Q_{1/2}.
+evaluates a whole time grid in one pass over dist, as the trace, the
+semigroup defect and the psi and phi traces need it, and also runs the
+transport certificate: the c-transform for cost d^2 is Q_{1/2}.
 """
 
 from __future__ import annotations
@@ -40,39 +42,57 @@ def _time_grid(times) -> np.ndarray:
     return grid
 
 
-def _minima(space: MeasuredSpace, g: np.ndarray, scale: float):
-    """For each x, the first y that minimizes g(y) + scale * d(x, y)^2, and
-    that minimum, read from the block buffer just minimized.
+def _minima(space: MeasuredSpace, g: np.ndarray, scales):
+    """For each scale a of scales and each x, the first y that minimizes
+    g(y) + a * d(x, y)^2, and that minimum: (arg, low), one row per scale,
+    each minimum read from the block buffer just minimized.
 
-    Squares dist a block of rows at a time into one buffer: no n x n temporary.
-    A cell that overflows is inf, which is exact, and never a row's minimum:
-    the row's own cell costs g(x).
+    One pass over dist serves every scale: each block of rows is squared
+    once into one buffer, and each scale scales it into a second one (in
+    place when there is one scale), adds g and minimizes, so a cell costs
+    the float operations of a pass for that scale alone, and there is no
+    n x n temporary.  A cell that overflows is inf, which is exact, and
+    never a row's minimum: the row's own cell costs g(x), finite.  An
+    infinite scale (t = 0, or a 1/2t that overflows) prices every y != x at
+    inf: x is the minimizer, g(x) the minimum.
     """
     n = space.n
+    arg, low = np.empty((len(scales), n), dtype=np.intp), np.empty((len(scales), n))
+    finite = []
+    for k, scale in enumerate(scales):
+        if scale < np.inf:
+            finite.append((k, scale))
+        else:
+            arg[k], low[k] = np.arange(n), g
     rows = max(1, _BLOCK_CELLS // n)
-    buf = np.empty((min(rows, n), n))
-    arg, low = np.empty(n, dtype=np.intp), np.empty(n)
-    for lo in range(0, n, rows):
-        d = space.dist[lo:lo + rows]
-        b = buf[:len(d)]
-        np.multiply(d, d, out=b)
-        with np.errstate(over="ignore"):
-            b *= scale
-        b += g
-        y = b.argmin(axis=1, out=arg[lo:lo + len(d)])
-        low[lo:lo + len(d)] = b[np.arange(len(d)), y]
+    square = np.empty((min(rows, n), n))
+    buf = np.empty_like(square) if len(finite) > 1 else square  # one scale: in place
+    with np.errstate(over="ignore"):
+        for lo in range(0, n, rows):
+            d = space.dist[lo:lo + rows]
+            sq, b = square[:len(d)], buf[:len(d)]
+            np.multiply(d, d, out=sq)
+            for k, scale in finite:
+                np.multiply(sq, scale, out=b)
+                b += g
+                y = b.argmin(axis=1, out=arg[k, lo:lo + len(d)])
+                low[k, lo:lo + len(d)] = b[np.arange(len(d)), y]
     return arg, low
+
+
+def _evolve(space: MeasuredSpace, vals: np.ndarray, times) -> np.ndarray:
+    """Q_t of the values vals at each time t >= 0 of times, one row each,
+    from one kernel pass; 1/(2t) is inf at t = 0 and wherever it overflows,
+    and there Q_t f = f."""
+    scales = [1.0 / (2.0 * t) if t > 0 else np.inf for t in map(float, times)]
+    return _minima(space, vals, scales)[1]
 
 
 def apply(space: MeasuredSpace, f: ScalarField, t: float) -> ScalarField:
     """Evolve f for time t >= 0 by exact minimization over all points."""
     vals = check_binding(space, f)
     t = _check_time(t, positive=False)
-    # Q_0 f = f, and so is Q_t f once 1/(2t) overflows: every y != x costs inf
-    inv2t = 1.0 / (2.0 * t) if t > 0 else np.inf
-    if not np.isfinite(inv2t):
-        return make_field(space, vals)
-    return make_field(space, _minima(space, vals, inv2t)[1])
+    return make_field(space, _evolve(space, vals, [t])[0])
 
 
 def grad_norm_field(space: MeasuredSpace, f: ScalarField) -> np.ndarray:
@@ -117,11 +137,12 @@ def semigroup_defect(space: MeasuredSpace, f: ScalarField, t: float, s: float) -
     inequality, so the defect is nonnegative and measures how far the
     space is from having true midpoints at the relevant scale.
     """
-    _check_time(t, positive=True)
-    _check_time(s, positive=True)
-    two_step = apply(space, apply(space, f, s), t)
-    one_step = apply(space, f, t + s)
-    return float((two_step.values - one_step.values).max())
+    t = _check_time(t, positive=True)
+    s = _check_time(s, positive=True)
+    vals = check_binding(space, f)
+    q_s, one_step = _evolve(space, vals, [s, _check_time(t + s, positive=True)])
+    two_step = _evolve(space, q_s, [t])[0]
+    return float((two_step - one_step).max())
 
 
 def _residual(space: MeasuredSpace, here: ScalarField, there: ScalarField,
@@ -177,22 +198,20 @@ def make_trace(space: MeasuredSpace, f: ScalarField, times) -> SemigroupTrace:
     vals = check_binding(space, f)
     times = _time_grid(times)
 
-    fields = [apply(space, f, t) for t in times]
-    lips = np.array([lipschitz_constant(space, fld) for fld in fields])
-
     if times.size > 1:
         gaps = np.diff(times)
         steps = np.append(gaps, gaps[-1])
     else:
         steps = np.array([0.5 * times[0]])
-    # Q_{t+s} f is the next grid field whenever t + s lands on the next time
-    residuals = []
-    for i, (t, s) in enumerate(zip(times, steps)):
-        if i + 1 < times.size and t + s == times[i + 1]:
-            there = fields[i + 1]
-        else:
-            there = apply(space, f, t + s)
-        residuals.append(_residual(space, fields[i], there, s))
+    # one kernel pass for the grid and each residual's Q_{t+s} f, every time
+    # once: a t + s that lands on the next grid time is that time's field
+    ends = [_check_time(t, positive=True) for t in times + steps]
+    needed, at = np.unique(np.concatenate([times, ends]), return_inverse=True)
+    evolved = [make_field(space, q) for q in _evolve(space, vals, needed)]
+    fields = [evolved[k] for k in at[:times.size]]
+    lips = np.array([lipschitz_constant(space, fld) for fld in fields])
+    residuals = [_residual(space, here, evolved[k], s)
+                 for here, k, s in zip(fields, at[times.size:], steps)]
     mean_abs = np.array([
         float(np.abs(r.values) @ space.measure) for r in residuals
     ])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import random_smoothed_field, tilt_field
-from .hopflax import _time_grid, apply, subgrad_norm_field
+from .hopflax import _evolve, _time_grid, apply, subgrad_norm_field
 from .space import MeasuredSpace, ScalarField, check_binding, make_field
 from .transport import w2
 
@@ -300,9 +300,12 @@ def dual_talagrand_defect(space: MeasuredSpace, g: ScalarField, K: float) -> flo
     """
     vals = check_binding(space, g)
     K = _check_K(K)
-    q1 = apply(space, g, 1.0)
-    lhs = _logsumexp(K * q1.values, space.measure)
-    return lhs - K * float(vals @ space.measure)
+    return _dual_defect(space, vals, apply(space, g, 1.0).values, K)
+
+
+def _dual_defect(space: MeasuredSpace, vals: np.ndarray, q1: np.ndarray, K: float) -> float:
+    """dual_talagrand_defect of the field with values vals, given Q_1 of them."""
+    return _logsumexp(K * q1, space.measure) - K * float(vals @ space.measure)
 
 
 @dataclass(frozen=True)
@@ -333,11 +336,10 @@ def psi_trace(space: MeasuredSpace, h: ScalarField, K: float, times) -> PsiTrace
     K = _check_K(K)
     grid = _time_grid(times)
     centered = make_field(space, vals - float(vals @ space.measure))
-    out = np.empty(grid.size)
-    for i, t in enumerate(grid):
-        evolved = apply(space, centered, t)
-        with np.errstate(over="ignore"):  # psi saturates to inf for absurd K
-            out[i] = float(np.exp(K * t * evolved.values) @ space.measure)
+    evolved = _evolve(space, centered.values, grid)
+    with np.errstate(over="ignore"):  # psi saturates to inf for absurd K
+        out = np.array([float(np.exp(K * t * q) @ space.measure)
+                        for t, q in zip(grid, evolved)])
     return PsiTrace(K=K, times=grid, values=out,
                     max_excess=float(out.max() - 1.0))
 
@@ -347,16 +349,16 @@ def phi_trace(space: MeasuredSpace, g: ScalarField, K: float, times) -> PhiTrace
     K = _check_K(K)
     grid = _time_grid(times)
     mean_g = float(vals @ space.measure)
-
-    def phi_at(t: float) -> float:
-        evolved = apply(space, g, t)
-        return _logsumexp(K * t * evolved.values, space.measure) / (K * t)
-
-    out = np.array([phi_at(t) for t in grid])
+    # one kernel pass for the grid and Q_1 g, which the endpoint identity reads
+    ts = grid if 1.0 in grid else np.append(grid, 1.0)
+    evolved = _evolve(space, vals, ts)
+    phi = np.array([_logsumexp(K * t * q, space.measure) / (K * t)
+                    for t, q in zip(ts, evolved)])
+    one = int(np.flatnonzero(ts == 1.0)[0])
+    out = phi[:grid.size]
     steps = np.diff(out)
     max_up = float(steps.max()) if steps.size else 0.0
-    phi_1 = out[grid == 1.0][0] if 1.0 in grid else phi_at(1.0)  # no second Q_1 g
-    gap = abs(K * (phi_1 - mean_g) - dual_talagrand_defect(space, g, K))
+    gap = abs(K * (phi[one] - mean_g) - _dual_defect(space, vals, evolved[one], K))
     return PhiTrace(K=K, times=grid, values=out,
                     max_upward_step=max(max_up, 0.0),
                     small_t_defect=abs(float(out[0]) - mean_g),

@@ -47,9 +47,11 @@ class MeasuredSpace:
     graph is symmetric, so they are also the edges into x with the roles
     swapped.  mesh_h is the largest distance from a point to its nearest
     distinct point.  kind, params and coords describe the generator
-    geometry that fields and witness families read.  space_id hashes n, dist, measure,
-    edges, kind, params and coords, so equal ids mean equal inputs to
-    every computation.  midpoint_defect is
+    geometry that fields and witness families read.  space_id hashes n,
+    measure, the collapsed edge table (each pair i < j once, sorted, with its
+    shortest weight), kind, params and coords.  n and the edges fix dist bit
+    for bit, so equal ids mean equal inputs to every computation.
+    midpoint_defect is
 
         max_{x,y} min_z | max(d(x,z), d(z,y)) - d(x,y)/2 |
 
@@ -394,6 +396,42 @@ def _midpoint_bounds(dist, lo, hi, src, dst, weight, starts):
     return bound
 
 
+def _collapse_edges(edges, n: int):
+    """The undirected graph as (rows, cols, vals): each pair i < j joined by
+    an edge once, sorted, with the shortest of its parallel lengths.
+
+    The first bad edge in input order raises for the first rule it breaks:
+    endpoints in 0..n - 1 (read as int() reads them), distinct, 0 < length < inf.
+    """
+    edges = list(edges)
+    try:
+        table = np.array(edges, dtype=float).reshape(len(edges), 3)
+    except OverflowError:  # an endpoint beyond the floats is outside 0..n - 1, clamped too
+        table = np.array([(min(max(int(i), -1), n), min(max(int(j), -1), n), float(length))
+                          for i, j, length in edges]).reshape(len(edges), 3)
+    ends, length = np.trunc(table[:, :2]), table[:, 2]
+    outside = ~((ends >= 0) & (ends < n)).all(axis=1)  # NaN too
+    loop = ends[:, 0] == ends[:, 1]
+    bad = outside | loop | ~((length > 0) & (length < np.inf))
+    if bad.any():
+        k = int(np.argmax(bad))
+        i, j, w = edges[k]
+        i, j = int(i), int(j)
+        if outside[k]:
+            raise ValueError(f"edge ({i}, {j}) references a point outside 0..{n - 1}")
+        if loop[k]:
+            raise ValueError(f"self-loop at point {i}")
+        raise ValueError(f"edge ({i}, {j}) has nonpositive length {float(w)}")
+    ends = ends.astype(np.int64)
+    key = ends.min(axis=1) * n + ends.max(axis=1)
+    # each pair's run of parallel edges, shortest first
+    order = np.lexsort((length, key))
+    key, length = key[order], length[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    rows, cols = np.divmod(key[first], n)
+    return rows, cols, length[first]
+
+
 def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
                      params: dict | None = None, coords=None) -> MeasuredSpace:
     """Construct a space from an undirected weighted graph.
@@ -424,24 +462,7 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
         # reloading a space reproduces the measure bit for bit
         w = w / total
 
-    shortest_edge = {}
-    for i, j, length in edges:
-        i, j = int(i), int(j)
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) references a point outside 0..{n - 1}")
-        if i == j:
-            raise ValueError(f"self-loop at point {i}")
-        length = float(length)
-        if not (length > 0) or not np.isfinite(length):
-            raise ValueError(f"edge ({i}, {j}) has nonpositive length {length}")
-        key = (min(i, j), max(i, j))
-        if key not in shortest_edge or length < shortest_edge[key]:
-            shortest_edge[key] = length
-
-    keys = sorted(shortest_edge)
-    rows = np.array([k[0] for k in keys], dtype=np.int64)
-    cols = np.array([k[1] for k in keys], dtype=np.int64)
-    vals = np.array([shortest_edge[k] for k in keys], dtype=float)
+    rows, cols, vals = _collapse_edges(edges, n)
     # the stored graph: both orientations of each edge, sorted by (src, dst)
     src, dst = np.concatenate([rows, cols]), np.concatenate([cols, rows])
     order = np.lexsort((dst, src))
@@ -479,11 +500,11 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
             raise ValueError("coords must be finite")
         coords.flags.writeable = False
 
+    # the graph, which gradients and slopes read, and not its n^2 distances:
+    # n and the collapsed edge table fix dist bit for bit (shortest_path)
     digest = hashlib.sha256()
     digest.update(np.int64(n).tobytes())
-    digest.update(np.ascontiguousarray(dist))
     digest.update(np.ascontiguousarray(w))
-    # the edges too: gradients and slopes read the graph, not just the metric
     for arr in (rows, cols, vals):
         digest.update(arr.tobytes())
     # and kind, params and coords: witness families and the cos, coordinate

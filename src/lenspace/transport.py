@@ -198,10 +198,10 @@ def _certified_plan(space: MeasuredSpace, a, b, src, dst, mass, u, v):
     """
     idx = np.arange(space.n)
     floor = -1e-10 * (1.0 + space.diameter ** 2)
-    jmin, row_min = _minima(space, -v, 1.0)  # row i's least cell is (i, jmin[i])
+    (jmin,), (row_min,) = _minima(space, -v, [1.0])  # row i's least cell is (i, jmin[i])
     bad_rows = row_min - u < floor
     if bad_rows.any():
-        imin, col_min = _minima(space, -u, 1.0)  # column j's least cell is (imin[j], j)
+        (imin,), (col_min,) = _minima(space, -u, [1.0])  # column j's least cell is (imin[j], j)
         bad_cols = col_min - v < floor
         return None, (np.concatenate([idx[bad_rows], imin[bad_cols]]),
                       np.concatenate([jmin[bad_rows], idx[bad_cols]]))

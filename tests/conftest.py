@@ -1,7 +1,9 @@
+import contextlib
+
 import numpy as np
 import pytest
 
-from lenspace import build_from_graph, generate, parse_space_spec
+from lenspace import build_from_graph, generate, hopflax, parse_space_spec
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +40,25 @@ def gauss201():
 @pytest.fixture(scope="session")
 def torus8():
     return generate(parse_space_spec("torus2d:8:8"))
+
+
+@contextlib.contextmanager
+def kernel_scales():
+    """Record the scales 1/(2t) of each call to the Hopf-Lax kernel made
+    inside the block: one list per call."""
+    calls, real = [], hopflax._minima
+
+    def recorded(space, g, scales):
+        calls.append(np.asarray(scales, dtype=float).tolist())
+        return real(space, g, scales)
+
+    hopflax._minima = recorded
+    try:
+        yield calls
+    finally:
+        hopflax._minima = real
+
+
+def scales_of(times) -> list:
+    """1/(2t) for each time, as the kernel receives it."""
+    return [1.0 / (2.0 * float(t)) for t in times]

@@ -1,6 +1,8 @@
 """Slow independent references that the tests check the package against.
 
-None of these shares code with the routes it checks: the all-pairs
+None of these shares code with the routes it checks: the edge table is
+collapsed by a loop over the edges with a dict, the space ids are hashed
+here from the documented fields, the all-pairs
 distances come from scipy's Dijkstra, the generalized eigenproblem from
 scipy's eigh, the dense Hopf-Lax
 minimum, the dense Lipschitz quotient, the nearest-distinct-point mesh
@@ -11,6 +13,8 @@ over all n^2 cells, and the brute force enumerates every vertex of the
 coupling polytope.
 """
 
+import hashlib
+import json
 from functools import lru_cache
 from itertools import combinations
 
@@ -37,6 +41,64 @@ def csgraph_dist(n: int, edges) -> np.ndarray:
     dist = np.minimum(dist, dist.T)
     np.fill_diagonal(dist, 0.0)
     return dist
+
+
+def collapse_edges_loop(edges, n: int):
+    """(rows, cols, vals) of an edge list: each pair i < j once, sorted, with
+    its shortest length, by a loop that keeps a dict of the best length per
+    pair; the first bad edge raises build_from_graph's message for it."""
+    shortest_edge = {}
+    for i, j, length in edges:
+        i, j = int(i), int(j)
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i}, {j}) references a point outside 0..{n - 1}")
+        if i == j:
+            raise ValueError(f"self-loop at point {i}")
+        length = float(length)
+        if not (length > 0) or not np.isfinite(length):
+            raise ValueError(f"edge ({i}, {j}) has nonpositive length {length}")
+        key = (min(i, j), max(i, j))
+        if key not in shortest_edge or length < shortest_edge[key]:
+            shortest_edge[key] = length
+    keys = sorted(shortest_edge)
+    return (np.array([k[0] for k in keys], dtype=np.int64),
+            np.array([k[1] for k in keys], dtype=np.int64),
+            np.array([shortest_edge[k] for k in keys], dtype=float))
+
+
+def _space_digest(space, dist) -> str:
+    """sha256 over n, dist if given, the measure, the i < j half of the edge
+    table (endpoints as int64, raw weights), kind, params and coords."""
+    src, dst, weight = space.edges[:3]
+    half = src < dst
+    digest = hashlib.sha256()
+    digest.update(np.int64(space.n).tobytes())
+    if dist is not None:
+        digest.update(np.ascontiguousarray(dist))
+    digest.update(np.ascontiguousarray(space.measure))
+    for arr in (src[half].astype(np.int64), dst[half].astype(np.int64),
+                weight[half].astype(float)):
+        digest.update(arr.tobytes())
+    digest.update(space.kind.encode() + b"\0")
+    digest.update(json.dumps(space.params, sort_keys=True).encode() + b"\0")
+    if space.coords is None:
+        digest.update(b"no coords")
+    else:
+        digest.update(np.array(space.coords.shape, dtype=np.int64).tobytes())
+        digest.update(space.coords.tobytes())
+    return digest.hexdigest()[:16]
+
+
+def graph_space_id(space) -> str:
+    """The documented space id: the graph, measure and geometry, no dist."""
+    return _space_digest(space, None)
+
+
+def legacy_space_id(space) -> str:
+    """The space id as it was once computed, with all n^2 bytes of dist
+    hashed after n: equal to an old pin exactly when the metric, the
+    measure, the edges and the geometry are bitwise the old ones."""
+    return _space_digest(space, space.dist)
 
 
 def laplacian_pencil(space):

@@ -16,6 +16,7 @@ import hypothesis.strategies as st
 
 from lenspace import generate, load_space, parse_space_spec
 from lenspace.cli import _build_parser, main
+from conftest import kernel_scales, scales_of
 
 
 def _read(path):
@@ -431,32 +432,28 @@ def test_defect_ladder_starts_from_the_built_space(tmp_path, monkeypatch):
     assert [h for h, _ in rows] == pytest.approx([2 * math.pi / n for n in built])
 
 
-def test_default_residual_study_reuses_the_trace_field(tmp_path, monkeypatch):
-    # Q_{t0} f is the trace's middle field; only each Q_{t0+s} f is new
-    import lenspace.cli
-    calls = []
-    real = lenspace.cli.apply
-    monkeypatch.setattr(lenspace.cli, "apply",
-                        lambda space, f, t: calls.append(t) or real(space, f, t))
-    code = main(["--out-dir", str(tmp_path), "semigroup", "--space", "circle:32",
-                 "--field", "cos", "--times", "0.2,0.4,0.8"])
+def test_default_residual_study_reuses_the_trace_field(tmp_path):
+    # Q_{t0} f is the trace's middle field; only each Q_{t0+s} f is new, and
+    # the levels take one kernel pass after the trace's
+    with kernel_scales() as calls:
+        code = main(["--out-dir", str(tmp_path), "semigroup", "--space", "circle:32",
+                     "--field", "cos", "--times", "0.2,0.4,0.8"])
     assert code == 0
-    assert calls == [0.4 + 0.2 / 2 ** j for j in range(3)]
+    assert calls == [scales_of([0.2, 0.4, 0.8, 0.8 + 0.4]),
+                     scales_of([0.4 + 0.2 / 2 ** j for j in range(3)])]
 
 
-def test_residual_study_computes_base_field_once(tmp_path, monkeypatch):
-    import lenspace.cli
-    from lenspace import apply, generate, parse_space_spec
+def test_residual_study_computes_base_field_once(tmp_path):
+    from lenspace import apply
     from lenspace.fields import cosine_field
     from lenspace.hopflax import _residual
-    calls = []
-    real = lenspace.cli.apply
-    monkeypatch.setattr(lenspace.cli, "apply",
-                        lambda space, f, t: calls.append(t) or real(space, f, t))
-    code = main(["--out-dir", str(tmp_path), "semigroup", "--space", "circle:32",
-                 "--field", "cos", "--times", "0.5", "--residual-study", "0.3:0.1:4"])
+    with kernel_scales() as calls:
+        code = main(["--out-dir", str(tmp_path), "semigroup", "--space", "circle:32",
+                     "--field", "cos", "--times", "0.5", "--residual-study", "0.3:0.1:4"])
     assert code == 0
-    assert calls == [0.3] + [0.3 + 0.1 / 2 ** j for j in range(4)]
+    # the trace's pass, then one pass for Q_{t0} f and every Q_{t0+s} f
+    assert calls == [scales_of([0.5, 0.75]),
+                     scales_of([0.3] + [0.3 + 0.1 / 2 ** j for j in range(4)])]
     space = generate(parse_space_spec("circle:32"))
     f = cosine_field(space)
     rows = _read(tmp_path / "semigroup.json")["residual_vs_s"]
@@ -1269,10 +1266,14 @@ def test_nonfinite_coords_exit2_one_line(tmp_path, capsys, bad):
         assert main(["--out-dir", str(out)] + argv) == 2
         assert capsys.readouterr().err == "error: coords must be finite\n"
         assert not list(out.iterdir())
-    # finite coords load as before, with the same id
+    # finite coords load as before: the same metric and fields as when the
+    # id hashed dist (its old value), and the id of the documented fields
+    from oracles import graph_space_id, legacy_space_id
     doc["coords"][0] = [0.0]
     path.write_text(json.dumps(doc))
-    assert load_space(str(path)).space_id == "68c91905d91c21b3"
+    space = load_space(str(path))
+    assert legacy_space_id(space) == "68c91905d91c21b3"
+    assert space.space_id == graph_space_id(space) == "cfb4c172bc6f2a10"
 
 
 @pytest.mark.parametrize("text", ["[1]", "3", "null"], ids=["list", "number", "null"])

@@ -12,6 +12,7 @@ from lenspace import generate as _generate, parse_space_spec as _parse
 from lenspace import hopflax
 from lenspace.fields import random_smoothed_field
 from lenspace.hopflax import _residual, grad_norm_field, subgrad_norm_field
+from conftest import kernel_scales, scales_of
 from oracles import dense_hopf_lax, dense_lipschitz
 
 _PATH8 = _generate(_parse("path:8"))
@@ -65,6 +66,16 @@ def test_semigroup_defect_two_point(two_point):
     # Q_{1/2}f = f, so the two-step value at B stays 1 while Q_1f(B) = 1/2
     f = _f01(two_point)
     assert semigroup_defect(two_point, f, 0.5, 0.5) == pytest.approx(0.5, rel=1e-15)
+
+
+def test_semigroup_defect_evolves_f_in_one_pass(circle64):
+    # Q_s f and Q_{t+s} f share one kernel pass; Q_t Q_s f takes a second
+    f = random_smoothed_field(circle64, np.random.default_rng(5))
+    with kernel_scales() as calls:
+        defect = semigroup_defect(circle64, f, 0.3, 0.2)
+    assert calls == [scales_of([0.2, 0.3 + 0.2]), scales_of([0.3])]
+    two = apply(circle64, apply(circle64, f, 0.2), 0.3).values
+    assert defect == float((two - apply(circle64, f, 0.3 + 0.2).values).max())
 
 
 def test_semigroup_inequality_direction(two_point):
@@ -236,21 +247,22 @@ def test_trace_json_dict_shape(two_point):
     assert len(doc["fields"]) == 2
 
 
-@pytest.mark.parametrize("times, n_apply", [
+@pytest.mark.parametrize("times, n_times", [
     # len(times) grid fields plus the last step, which leaves the grid
     (np.geomspace(0.01, 1.0, 8), 9),
     # 0.001 + (0.01 - 0.001) != 0.01 and 0.2 + (0.82 - 0.2) != 0.82 in
-    # floating point, so those two steps are recomputed
+    # floating point, so those two steps are times of their own
     (np.array([0.001, 0.01, 0.2, 0.82, 1.5]), 8),
 ])
-def test_trace_reuses_grid_fields(monkeypatch, circle64, times, n_apply):
+def test_trace_reuses_grid_fields(circle64, times, n_times):
     f = random_smoothed_field(circle64, np.random.default_rng(11))
-    calls = []
-    real = hopflax.apply
-    monkeypatch.setattr(hopflax, "apply",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
-    tr = make_trace(circle64, f, times)
-    assert len(calls) == n_apply
+    with kernel_scales() as calls:
+        tr = make_trace(circle64, f, times)
+    # one kernel pass, in which each grid time and each t + s is evaluated once
+    grid = tr.times.tolist()
+    needed = sorted(set(grid) | {t + s for t, s in zip(grid, tr.steps.tolist())})
+    assert len(needed) == n_times
+    assert calls == [scales_of(needed)]
     for t, s, r in zip(tr.times, tr.steps, tr.residuals):
         ref = _residual(circle64, apply(circle64, f, t), apply(circle64, f, t + s), s)
         assert np.array_equal(r.values, ref.values)
@@ -267,6 +279,26 @@ def test_blocked_apply_is_bitwise_the_dense_minimum(spec, block_cells, monkeypat
     f = random_smoothed_field(g, np.random.default_rng(21))
     for t in (0.01, 0.3, 0.5, 1.0):
         assert apply(g, f, t).values.tobytes() == dense_hopf_lax(g, f, t).tobytes()
+    # a grid in one pass is each scale's own pass, minimizers included: t = 0
+    # and t = 1e-310 give an infinite scale, t = 1e-308 overflows every cell
+    # but a row's own, and t = 1e308 gives scale 0
+    times = (0.3, 0.0, 1e-310, 0.01, 1e-308, 1.0, 0.5, 1e308)
+    with np.errstate(divide="ignore", over="ignore"):
+        scales = 1.0 / (2.0 * np.array(times))
+    arg, low = hopflax._minima(g, f.values, scales)
+    assert arg.shape == low.shape == (len(times), g.n)
+    for k, a in enumerate(scales):
+        (one_arg,), (one_low,) = hopflax._minima(g, f.values, [a])
+        assert arg[k].tobytes() == one_arg.tobytes()
+        assert low[k].tobytes() == one_low.tobytes()
+        if np.isinf(a):  # Q_0 f = f: each point is its own minimizer
+            assert np.array_equal(arg[k], np.arange(g.n))
+            assert low[k].tobytes() == f.values.tobytes()
+        else:  # the first minimizer of the dense row, and its value
+            with np.errstate(over="ignore"):
+                dense = f.values[None, :] + g.dist ** 2 * a
+            assert np.array_equal(arg[k], dense.argmin(axis=1))
+            assert low[k].tobytes() == dense.min(axis=1).tobytes()
 
 
 @pytest.mark.parametrize("n", [255, 256, 257])
@@ -280,14 +312,15 @@ def test_blocked_apply_across_a_block_boundary(n):
 
 
 def test_kernel_callers_allocate_no_square_array():
-    # apply and a failing transport certificate each peak below a quarter of
-    # one n x n float array
+    # apply, a trace and a failing transport certificate each peak below a
+    # quarter of one n x n float array
     g = _generate(_parse("circle:1024"))
     n = g.n
     f = random_smoothed_field(g, np.random.default_rng(22))
     idx, u, v = np.arange(n), np.zeros(n), np.ones(n)
     peaks = []
     for run in (lambda: apply(g, f, 0.3),
+                lambda: make_trace(g, f, np.geomspace(0.01, 1.0, 8)),
                 lambda: transport._certified_plan(g, g.measure, g.measure, idx, idx,
                                                   g.measure, u, v)):
         tracemalloc.start()

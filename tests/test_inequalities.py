@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from lenspace import (build_from_graph, dual_talagrand_defect, entropy_functional,
+from lenspace import (apply, build_from_graph, dual_talagrand_defect, entropy_functional,
                       estimate_constant, lsi_ratio, make_field, phi_trace,
                       poincare_ratio, psi_trace, talagrand_ratio, verify_chain)
 from lenspace import generate as _generate, parse_space_spec as _parse
@@ -14,6 +14,7 @@ from lenspace import inequalities
 from lenspace.inequalities import (DegenerateWitnessError,
                                    default_witness_family,
                                    laplacian_eigenfields)
+from conftest import kernel_scales, scales_of
 
 _PATH8 = _generate(_parse("path:8"))
 
@@ -340,22 +341,35 @@ def test_psi_phi_sign_agreement(gauss101):
             assert (pv > 1.0) == (fv > 0.0)
 
 
-def test_phi_trace_reads_phi_1_off_its_grid(gauss101, monkeypatch):
-    # Q_1 g is computed once on a grid that holds t = 1, and once more by
-    # the dual defect that the endpoint identity compares against
-    calls = []
-    real = inequalities.apply
-    monkeypatch.setattr(inequalities, "apply",
-                        lambda space, f, t: calls.append(t) or real(space, f, t))
+def test_phi_trace_reads_phi_1_off_its_grid(gauss101):
+    # one kernel pass gives the grid and Q_1 g, which the endpoint identity's
+    # dual defect reads too: t = 1 is added only when the grid lacks it
     g = random_smoothed_field(gauss101, np.random.default_rng(18))
     grid = np.geomspace(0.01, 1.0, 12)
-    tr = phi_trace(gauss101, g, 0.9, grid)
-    assert calls == list(grid) + [1.0]
+    with kernel_scales() as calls:
+        tr = phi_trace(gauss101, g, 0.9, grid)
+    assert calls == [scales_of(grid)]
     assert tr.endpoint_identity_gap <= 1e-12
-    calls.clear()
-    tr = phi_trace(gauss101, g, 0.9, [0.5])
-    assert calls == [0.5, 1.0, 1.0]
+    with kernel_scales() as calls:
+        tr = phi_trace(gauss101, g, 0.9, [0.5])
+    assert calls == [scales_of([0.5, 1.0])]
     assert tr.endpoint_identity_gap <= 1e-12
+    # the gap compares against the public dual defect, bitwise
+    phi_1 = phi_trace(gauss101, g, 0.9, [1.0]).values[0]
+    assert tr.endpoint_identity_gap == abs(
+        0.9 * (phi_1 - tr.mean_g) - dual_talagrand_defect(gauss101, g, 0.9))
+
+
+def test_psi_trace_is_one_kernel_pass(gauss101):
+    h = random_smoothed_field(gauss101, np.random.default_rng(19))
+    grid = [0.1, 0.5, 1.0]
+    with kernel_scales() as calls:
+        tr = psi_trace(gauss101, h, 0.9, grid)
+    assert calls == [scales_of(grid)]
+    centered = make_field(gauss101, h.values - float(h.values @ gauss101.measure))
+    for t, value in zip(grid, tr.values):
+        q = apply(gauss101, centered, t).values
+        assert value == float(np.exp(0.9 * t * q) @ gauss101.measure)
 
 
 def test_endpoint_identity_random_pairs(gauss101):

@@ -125,6 +125,58 @@ def test_space_id_covers_edges():
     assert again.space_id == path.space_id
 
 
+@st.composite
+def _edge_lists(draw):
+    """(n, edges): a ring through n points plus chords, each pair drawn in
+    either orientation, pairs repeated, and lengths from a set with ties."""
+    n = draw(st.integers(2, 12))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pairs = [(i, (i + 1) % n) for i in range(n)] + draw(st.lists(pair, max_size=30))
+    length = st.sampled_from([0.5, 1.0, 1.0 + 2.0 ** -52, 3.0])
+    edges = [(j, i, draw(length)) if draw(st.booleans()) else (i, j, draw(length))
+             for i, j in pairs]
+    return n, draw(st.permutations(edges))
+
+
+# edges inserted into a valid list: bad ones of every kind, some bad in two
+# ways at once, and float endpoints, which are read as int() reads them
+_ODD_EDGES = [
+    lambda n: (n, 0, 1.0), lambda n: (0, -1, 1.0), lambda n: (10 ** 400, 1, 1.0),
+    lambda n: (1, 1, 2.0), lambda n: (1.2, 1.9, 2.0), lambda n: (0, 1, 0.0),
+    lambda n: (1, 0, -2.0), lambda n: (0, 1, math.nan), lambda n: (1, 0, math.inf),
+    lambda n: (n, n, 1.0), lambda n: (-1, 0, 0.0), lambda n: (1, 1, -1.0),
+    lambda n: (0.5, 1.7, 0.25),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_lists(), st.lists(st.tuples(st.integers(0, 60), st.sampled_from(_ODD_EDGES)),
+                               max_size=3))
+def test_edge_collapse_is_the_reference_loop(case, odd):
+    from lenspace.space import _collapse_edges
+    from oracles import collapse_edges_loop, graph_space_id
+    n, edges = case
+    for at, make in odd:
+        edges.insert(at, make(n))
+    try:
+        expected = collapse_edges_loop(edges, n)
+    except ValueError as exc:  # the first bad edge in input order, one message
+        with pytest.raises(ValueError) as err:
+            build_from_graph(edges, np.ones(n), n)
+        assert str(err.value) == str(exc)
+        return
+    got = _collapse_edges(edges, n)
+    for ours, ref in zip(got, expected):
+        assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
+    g = build_from_graph(edges, np.ones(n), n)
+    src, dst, weight = g.edges[:3]
+    half = src < dst
+    assert src[half].tobytes() == expected[0].tobytes()
+    assert dst[half].tobytes() == expected[1].tobytes()
+    assert weight[half].tobytes() == expected[2].tobytes()
+    assert g.space_id == graph_space_id(g)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nonfinite_coords_rejected(bad):
     # like a non-finite measure or length; a NaN coordinate used to build a
@@ -601,8 +653,9 @@ def _assert_dijkstra_bitwise(g):
     assert np.array_equal(g.dist, csgraph_dist(g.n, zip(src.tolist(), dst.tolist(), weight)))
 
 
-# space ids computed with scipy's Dijkstra: the metric, and every artifact
-# keyed by it, is unchanged
+# space ids computed with scipy's Dijkstra, when the id hashed dist too:
+# legacy_space_id still gives them, so the metric, the measure, the edges and
+# every artifact keyed by them are unchanged
 @pytest.mark.parametrize("spec, space_id", [
     ("circle:1024", "c6d843f1676a324d"),
     ("torus2d:24:24", "0231c92b35b6d16e"),
@@ -615,9 +668,25 @@ def _assert_dijkstra_bitwise(g):
     ("complete:9", "790d5c9455d71d5f"),
 ])
 def test_space_id_pinned_on_generator_spaces(spec, space_id):
+    from oracles import graph_space_id, legacy_space_id
     g = _generate(_parse(spec))
-    assert g.space_id == space_id
+    assert legacy_space_id(g) == space_id
+    assert g.space_id == graph_space_id(g) == _GRAPH_IDS[spec]
     _assert_dijkstra_bitwise(g)
+
+
+# the ids of the same spaces now that they hash the graph, not dist
+_GRAPH_IDS = {
+    "circle:1024": "310029483e3063d7",
+    "torus2d:24:24": "8002e5b5b0a39348",
+    "torus2d:20:30:1:6.283": "e4823a89e113a5c9",
+    "gaussian_interval:201:1:4": "09318fa4d4634ac0",
+    "circle:2": "4a23b129e56ca818",
+    "circle:3": "433e07ae3b500fde",
+    "torus2d:2:7": "0eaec4778a489f45",
+    "torus2d:3:5:0.7:2.9": "629489965adbf4c7",
+    "complete:9": "4baf2396d71bbc3e",
+}
 
 
 def _counting_rows(patch):
