@@ -2,7 +2,9 @@
 constant estimation, chain verification, transport, and plot-data export.
 
 Every run writes its artifacts plus a run.json manifest (config echo,
-version, exit code, wall time) into the output directory.  Artifacts are
+version, exit code, wall time) into the output directory.  A command
+returns its JSON document and the side files it wrote; run() writes the
+document to --out, then the manifest.  Artifacts are
 byte-deterministic given the same config, seed included; the manifest is
 not (it records wall time).  Exit codes: 0 all checks pass, 1 a mathematical
 check failed (invariant violation, chain counterexample, refuted
@@ -107,18 +109,13 @@ def _resolve_marginal(space, text: str) -> np.ndarray:
     )
 
 
-def _out_path(args: argparse.Namespace, name: str) -> str:
-    return name if os.path.isabs(name) else os.path.join(args.out_dir, name)
-
-
-def _cmd_gen(args: argparse.Namespace):
+def _cmd_gen(args: argparse.Namespace, out: str):
     space = generate(parse_space_spec(args.spec))
-    out = _out_path(args, args.out)
     save_space(space, out)
-    return (0 if validate_metric(space).passed else 1), [out]
+    return (0 if validate_metric(space).passed else 1), None, []
 
 
-def _cmd_semigroup(args: argparse.Namespace):
+def _cmd_semigroup(args: argparse.Namespace, out: str):
     _check_count("--refinements", args.refinements, 0)
     for flag, t in (("--defect-t", args.defect_t), ("--defect-s", args.defect_s)):
         if not 0 < t < math.inf:  # written so NaN fails
@@ -179,7 +176,6 @@ def _cmd_semigroup(args: argparse.Namespace):
             defect_rows.append((level_space.mesh_h,
                                 semigroup_defect(level_space, level_field, dt, ds)))
 
-    out = _out_path(args, args.out)
     field_csv = os.path.splitext(out)[0] + "_source.csv"
     save_field_csv(f, field_csv)
     doc = {
@@ -190,15 +186,14 @@ def _cmd_semigroup(args: argparse.Namespace):
         "defect_vs_mesh": [list(r) for r in defect_rows] if defect_rows else None,
         "checks": {"lipschitz_bound_failures": failed},
     }
-    _write_json(doc, out)
-    return (1 if failed else 0), [out, field_csv]
+    return (1 if failed else 0), doc, [field_csv]
 
 
 # relative tolerance when a witness's ratio is recomputed from the saved field
 _REPRODUCIBILITY = 1e-9
 
 
-def _cmd_constants(args: argparse.Namespace):
+def _cmd_constants(args: argparse.Namespace, out: str):
     names = tuple(_RATIOS) if args.which == "all" else \
         tuple(dict.fromkeys(_canon(w.strip()) for w in args.which.split(",")))
     K = None if args.K is None else _check_K(args.K)
@@ -218,7 +213,7 @@ def _cmd_constants(args: argparse.Namespace):
     artifacts, witnesses, failures = [], [], []
     for name in names:
         est = estimates[name]
-        ref = _out_path(args, f"witness_{name}.csv")
+        ref = os.path.join(args.out_dir, f"witness_{name}.csv")
         save_field_csv(est.witness, ref)
         artifacts.append(ref)
         again = _score(space, name, load_field_csv(space, ref))
@@ -236,12 +231,10 @@ def _cmd_constants(args: argparse.Namespace):
         "tolerances": {"tau": args.tau, "ratio_reproducibility": _REPRODUCIBILITY},
         "checks": {"reproducibility_failures": failures},
     }
-    out = _out_path(args, args.out)
-    _write_json(doc, out)
-    return (1 if failures else 0), [out] + artifacts
+    return (1 if failures else 0), doc, artifacts
 
 
-def _cmd_chain(args: argparse.Namespace):
+def _cmd_chain(args: argparse.Namespace, out: str):
     _check_count("--trace-fields", args.trace_fields, 1)
     for flag, tol in (("--psi-tol", args.psi_tol), ("--phi-tol", args.phi_tol)):
         if not 0 <= tol < math.inf:  # written so NaN fails
@@ -287,12 +280,10 @@ def _cmd_chain(args: argparse.Namespace):
                     "tolerance": args.phi_tol},
         },
     }
-    out = _out_path(args, args.out)
-    _write_json(doc, out)
-    return code, [out]
+    return code, doc, []
 
 
-def _cmd_transport(args: argparse.Namespace):
+def _cmd_transport(args: argparse.Namespace, out: str):
     space = generate(parse_space_spec(args.space))
     mu0 = _resolve_marginal(space, args.mu0)
     mu1 = _resolve_marginal(space, args.mu1)
@@ -310,12 +301,10 @@ def _cmd_transport(args: argparse.Namespace):
         "mu0": args.mu0,
         "mu1": args.mu1,
     }
-    out = _out_path(args, args.out)
-    _write_json(doc, out)
-    return 0, [out]
+    return 0, doc, []
 
 
-def _cmd_doubling(args: argparse.Namespace):
+def _cmd_doubling(args: argparse.Namespace, out: str):
     _check_sweep(args.r_min, args.r_max, args.r_steps)
     if args.field:  # the local Poincare scales, read only with a field
         _check_scales(args.radius, args.dilation)
@@ -331,9 +320,7 @@ def _cmd_doubling(args: argparse.Namespace):
         "metric_check": asdict(metric),
         "local_poincare": local,
     }
-    out = _out_path(args, args.out)
-    _write_json(doc, out)
-    return (0 if metric.passed else 1), [out]
+    return (0 if metric.passed else 1), doc, []
 
 
 # plot kind -> CSV header; a chain report keeps psi and phi under "traces"
@@ -341,7 +328,7 @@ _PLOTS = {"psi": "t,psi,series", "phi": "t,phi,series",
           "residual_vs_s": "s,mean_abs_residual", "defect_vs_mesh": "mesh_h,defect"}
 
 
-def _cmd_plot_data(args: argparse.Namespace):
+def _cmd_plot_data(args: argparse.Namespace, out: str):
     try:
         with open(args.report) as fh:
             doc = json.load(fh)
@@ -360,16 +347,17 @@ def _cmd_plot_data(args: argparse.Namespace):
             isinstance(row, list) and len(row) == width
             and all(type(x) in (int, float, type(None)) for x in row) for row in rows):
         raise ValueError(f"report's {kind} data must be a list of rows of {width} numbers")
-    out = _out_path(args, args.out)
     with open(out, "w") as fh:
         fh.write(_PLOTS[kind] + "\n")
         for row in rows:
             # a report stores a non-finite value as null; a CSV cell says nan
             fh.write(",".join("nan" if x is None else f"{x:.17g}" if isinstance(x, float)
                               else str(x) for x in row) + "\n")
-    return 0, [out]
+    return 0, None, []
 
 
+# each command takes (args, out) and returns (exit code, its JSON document,
+# or None when it wrote out itself, the other files it wrote)
 _COMMANDS = {
     "gen": _cmd_gen,
     "semigroup": _cmd_semigroup,
@@ -382,17 +370,21 @@ _COMMANDS = {
 
 
 def run(args: argparse.Namespace) -> int:
-    """Execute one parsed command and write its artifacts plus the run manifest."""
+    """Execute one parsed command, write its JSON document (gen and plot-data
+    write their own file to out), then the run manifest."""
     os.makedirs(args.out_dir, exist_ok=True)
     start = time.monotonic()
-    code, artifacts = _COMMANDS[args.command](args)
+    out = os.path.join(args.out_dir, args.out)  # an absolute --out stands as given
+    code, doc, extra = _COMMANDS[args.command](args, out)
+    if doc is not None:
+        _write_json(doc, out)
     manifest = {
         "command": args.command,
         "config": vars(args),
         "version": __version__,
         "exit_code": code,
         "wall_time_s": time.monotonic() - start,
-        "artifacts": [os.path.basename(a) for a in artifacts],
+        "artifacts": [os.path.basename(a) for a in [out, *extra]],
     }
     _write_json(manifest, os.path.join(args.out_dir, "run.json"))
     return code

@@ -56,7 +56,8 @@ class MeasuredSpace:
         max_{x,y} min_z | max(d(x,z), d(z,y)) - d(x,y)/2 |
 
     which vanishes in the continuum limit of a length space.  It is
-    computed on first read and cached, as is diameter.  Bounds from shortest
+    computed on first read and cached.  diameter is the max of dist, taken
+    by the build's one scan of it and cached.  Bounds from shortest
     paths in the graph settle most pairs in O(n m + n^2 log n) work; each
     other pair costs O(n), so the worst case is still O(n^3).  A space with
     one row per orbit (see the module docstring) visits only the pairs
@@ -472,7 +473,8 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
     shape = _orbit_shape(n, kind, params, src, dst, weight)
     with np.errstate(over="ignore"):  # an overflowed sum is inf, as the scale check says
         dist = shortest_path(n, src, dst, weight, starts, shape)
-    if np.isinf(dist).any():
+    diameter = float(dist.max())  # the build's one scan of dist
+    if diameter == math.inf:
         # a missing path or an overflowed sum: the edges from point 0 tell which
         reached = np.arange(n) == 0
         while (grow := reached[src] & ~reached[dst]).any():
@@ -528,11 +530,12 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
         params=params,
         coords=coords,
     )
+    space.__dict__["diameter"] = diameter  # the cached property's value, scanned once above
     # the scales of the docstring: squared distances stay finite normal floats
     if not vals.min(initial=np.inf) >= 2.0 ** -400:
         raise ValueError(f"shortest edge {vals.min():g} is below 2^-400: squares would underflow")
-    if not space.diameter <= 2.0 ** 400:
-        raise ValueError(f"diameter {space.diameter:g} is above 2^400: squares would overflow")
+    if not diameter <= 2.0 ** 400:
+        raise ValueError(f"diameter {diameter:g} is above 2^400: squares would overflow")
     return space
 
 

@@ -77,6 +77,25 @@ def test_strict_space_spec_exit2(tmp_path, capsys, spec, words):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("spec, line", [
+    ("circle:8:-1", "circle length must be positive, got -1.0"),
+    ("torus2d:4:4:-1", "torus side lengths must be positive"),
+])
+def test_nonpositive_space_length_exit2(tmp_path, capsys, spec, line):
+    assert main(["--out-dir", str(tmp_path), "gen", "--spec", spec]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_space_file_holding_a_list_exit2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "gen", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: space file {path} must hold a JSON object\n"
+    assert not list(out.iterdir())
+
+
 def test_gen_byte_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):
@@ -542,6 +561,21 @@ def test_transport_identical_marginals_zero(tmp_path):
     assert _read(tmp_path / "transport.json")["distance"] == 0.0
 
 
+def test_transport_uniform_to_nu(tmp_path):
+    # the uniform marginal against the space's own measure, which is not
+    # uniform on a Gaussian interval: the coupling's sums are the two
+    code = main(["--out-dir", str(tmp_path), "transport", "--space", "gauss:21:1:4",
+                 "--mu0", "uniform", "--mu1", "nu"])
+    assert code == 0
+    doc = _read(tmp_path / "transport.json")
+    assert (doc["mu0"], doc["mu1"]) == ("uniform", "nu")
+    space = generate(parse_space_spec("gauss:21:1:4"))
+    rows, cols, mass = np.array(doc["coupling"]).T
+    assert np.abs(np.bincount(rows.astype(int), mass, 21) - 1.0 / 21).max() <= 1e-9
+    assert np.abs(np.bincount(cols.astype(int), mass, 21) - space.measure).max() <= 1e-9
+    assert doc["distance"] > 0.0
+
+
 def test_transport_lp_failure_exit2(tmp_path, capsys, monkeypatch):
     # an LP that always fails, even over all n^2 cells, is an error: exit 2,
     # one stderr line, no report
@@ -624,6 +658,41 @@ def test_overflowing_convergence_bound_is_null(tmp_path):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert _read(tmp_path / "semigroup.json")["trace"]["convergence_bound"] is None
+
+
+def _evolve_then(change):
+    """hopflax._evolve with change applied to the rows it returns."""
+    from lenspace import hopflax
+    real = hopflax._evolve
+    return lambda space, vals, times: change(real(space, vals, times))
+
+
+@pytest.mark.parametrize("change, line", [
+    (lambda rows: rows + 1.0, "evolution left the [min f, max f] band"),
+    # Q_t f in the band at every t, but the latest time's field first
+    (lambda rows: rows[::-1], "evolution is not monotone in t"),
+], ids=["band", "monotone"])
+def test_semigroup_invariant_violation_exit1(tmp_path, capsys, monkeypatch, change, line):
+    from lenspace import hopflax
+    monkeypatch.setattr(hopflax, "_evolve", _evolve_then(change))
+    code = main(["--out-dir", str(tmp_path), "semigroup", "--space", "circle:16",
+                 "--times", "0.1,0.5"])
+    assert code == 1
+    assert capsys.readouterr().err == f"invariant violated: {line}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_semigroup_lipschitz_bound_failure_exit1(tmp_path, monkeypatch):
+    # a slope above diam/t at every time is a failed check, listed per time
+    from lenspace import hopflax
+    monkeypatch.setattr(hopflax, "lipschitz_constant", lambda space, f: 100.0)
+    code = main(["--out-dir", str(tmp_path), "semigroup", "--space", "circle:16",
+                 "--times", "0.5,2"])
+    assert code == 1
+    diameter = generate(parse_space_spec("circle:16")).diameter
+    assert _read(tmp_path / "semigroup.json")["checks"]["lipschitz_bound_failures"] == [
+        f"Lip(Q_t f) = 100.0 above diam/t = {diameter / t} at t = {t}" for t in (0.5, 2.0)]
+    assert _read(tmp_path / "run.json")["exit_code"] == 1
 
 
 def test_constants_recomputes_witness_ratio_from_saved_csv(tmp_path, monkeypatch):

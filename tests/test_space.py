@@ -64,6 +64,31 @@ def test_zero_total_weight_rejected():
         build_from_graph([(0, 1, 1.0)], np.zeros(2), 2)
 
 
+@pytest.mark.parametrize("edges, measure, n, coords, message", [
+    ([], [], 0, None, "need at least one point, got n=0"),
+    ([(0, 1, 1.0)], [1.0, 1.0, 1.0], 2, None, "measure has 3 entries, expected n=2"),
+    ([(0, 1, 1.0)], [1.0, np.nan], 2, None, "measure weights must be finite"),
+    ([(0, 1, 1.0)], [1.0, 1.0], 2, [0.0, 1.0, 2.0], "coords have (3, 1) entries, expected n=2"),
+], ids=["no-points", "measure-length", "nan-weight", "coords-length"])
+def test_build_input_errors(edges, measure, n, coords, message):
+    with pytest.raises(ValueError) as err:
+        build_from_graph(edges, np.array(measure), n, coords=coords)
+    assert str(err.value) == message
+
+
+def test_field_shape_errors(circle64):
+    from lenspace.space import ScalarField, check_binding
+    with pytest.raises(ValueError) as err:
+        ScalarField(np.zeros((2, 2)), circle64.space_id)
+    assert str(err.value) == "field values must be a 1-d array"
+    with pytest.raises(ValueError) as err:
+        make_field(circle64, np.zeros(63))
+    assert str(err.value) == "field has (63,) values, space has 64 points"
+    with pytest.raises(ValueError) as err:
+        check_binding(circle64, ScalarField(np.zeros(63), circle64.space_id))
+    assert str(err.value) == "field length does not match space size"
+
+
 def test_disconnected_rejected_names_pair():
     with pytest.raises(ValueError, match="points 0 and 2 are not connected"):
         build_from_graph([(0, 1, 1.0), (2, 3, 1.0)], np.ones(4), 4)
@@ -392,6 +417,29 @@ def test_local_poincare_constant_zero_for_constant_field(circle64):
     assert local_poincare_constant(circle64, f, 1.0, 2.0) == 0.0
 
 
+def test_local_poincare_zero_ball_error():
+    # point 0 weighs nothing, and its ball of radius 0.5 holds only it
+    g = build_from_graph([(0, 1, 1.0), (1, 2, 1.0)], np.array([0.0, 1.0, 1.0]), 3)
+    f = make_field(g, np.array([0.0, 1.0, 2.0]))
+    with pytest.raises(ValueError) as err:
+        local_poincare_constant(g, f, 0.5, 2.0)
+    assert str(err.value) == "ball of radius 0.5 around point 0 has zero measure"
+
+
+def test_one_point_space_file_passes_the_metric_checks(tmp_path):
+    # a saved and reloaded point has no edge and no pair of distinct points
+    from lenspace import load_space, save_space
+    path = str(tmp_path / "one.json")
+    save_space(build_from_graph([], np.array([1.0]), 1), path)
+    g = load_space(path)
+    report = validate_metric(g)
+    assert report.passed
+    assert (report.relaxation_defect, report.realization_defect,
+            report.symmetry_defect) == (0.0, 0.0, 0.0)
+    assert g.midpoint_defect == 0.0
+    assert (g.mesh_h, g.diameter) == (0.0, 0.0)
+
+
 def test_local_poincare_two_point_hand_value(two_point):
     f = make_field(two_point, np.array([0.0, 1.0]))
     assert local_poincare_constant(two_point, f, 1.0, 1.0) == pytest.approx(0.5, rel=1e-12)
@@ -504,6 +552,17 @@ def test_metric_checks_allocate_no_square_array():
         for grid in (None, shape):
             peak = _peak_bytes(lambda: shortest_path(h.n, src, dst, weight, starts, grid))
             assert peak < h.n * h.n * 8 + (4 << 20), peak
+
+
+def test_build_holds_one_square_array():
+    # the build reads its diameter and connectivity from one dist.max(),
+    # with no n x n mask beside dist, and the space keeps that diameter
+    spec = _parse("circle:2048")
+    built = []
+    peak = _peak_bytes(lambda: built.append(_generate(spec)))
+    g = built[0]
+    assert peak < g.dist.nbytes + g.n * g.n / 2, peak
+    assert vars(g)["diameter"] == float(g.dist.max())
 
 
 @given(_connected_graphs())

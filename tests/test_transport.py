@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -111,6 +112,22 @@ def test_plan_check_raises_under_python_O():
                          text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
     layout = "cells are not distinct, in 0..n-1 and in row-major order"
     assert out.stdout.splitlines() == ["stored cost 5.0 vs recomputed 4.0", layout, layout]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(mass=np.array([0.0, 0.0, 1.0, -0.5, 0.5])), "coupling has negative mass"),
+    (dict(source_marginal=np.array([0.5, 0.5, 0.0])), "row sums off by 0.5"),
+    (dict(target_marginal=np.array([0.0, 0.5, 0.5])), "column sums off by 0.5"),
+    (dict(duality_gap=1e-3), "duality gap 0.001 too large"),
+], ids=["negative", "rows", "columns", "gap"])
+def test_plan_check_names_each_failure(path3, bad, message):
+    # one point mass moved along path:3; each change breaks one invariant,
+    # and the first broken one in check's order is the one named
+    _, plan = w2(path3, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+    plan.check(path3)
+    with pytest.raises(AssertionError) as err:
+        dataclasses.replace(plan, **bad).check(path3)
+    assert str(err.value) == message
 
 
 def _run_python(*blocks: str) -> str:
@@ -506,13 +523,21 @@ def _first_support_space(name: str):
     return _generate(_parse(name))
 
 
-@pytest.mark.parametrize("name", ["torus2d:12:12", "torus2d:10:15:1:6.283", "torus2d:4:4",
-                                  "circle:64", "circle:129", "star:40", "complete:30",
-                                  "shuffled ring:48"])
-def test_first_support_is_each_rows_ball_and_the_staircase(name, monkeypatch):
+_SUPPORT_SPACES = ["torus2d:12:12", "torus2d:10:15:1:6.283", "torus2d:4:4", "circle:64",
+                   "circle:129", "star:40", "complete:30", "shuffled ring:48"]
+
+
+# the module's block of 2^16 cells (one block on these spaces) is named by
+# the space alone, every other block size by space and size
+@pytest.mark.parametrize("name, block_cells", [
+    pytest.param(name, cells, id=name if cells == 1 << 16 else f"{name}-{cells}")
+    for cells in (1 << 16, 1, 7, 100, 250) for name in _SUPPORT_SPACES])
+def test_first_support_is_each_rows_ball_and_the_staircase(name, block_cells, monkeypatch):
     # the first LP holds, in each row, every cell strictly nearer than the
     # row's (_NEAREST + 1)-th smallest distance, ties and all, and the
-    # staircase cells; on 16 points or fewer it holds every cell
+    # staircase cells; on 16 points or fewer it holds every cell.  The ball
+    # is taken in blocks of rows of any size
+    monkeypatch.setattr(transport, "_BLOCK_CELLS", block_cells)
     g = _first_support_space(name)
     rng = np.random.default_rng(17)
     a, b = (transport._check_marginal(g, m / m.sum(), "mu")
