@@ -14,7 +14,6 @@ hypothesis, trace above tolerance), 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import json
 import locale  # noqa: F401  argparse imports it, through gettext, when main() builds the parser
 import math
 import os
@@ -27,7 +26,8 @@ import numpy as np
 from . import __version__
 from .fields import coordinate_field, load_field_csv, random_smoothed_field, \
     resolve_field, save_field_csv
-from .generators import _parse_fields, generate, parse_space_spec, refine, save_space
+from .generators import _parse_fields, _read_json, _write_json, generate, parse_space_spec, \
+    refine, save_space
 from .hopflax import _check_time, _evolve, _residual, _time_grid, make_trace, \
     semigroup_defect
 from .inequalities import _RATIOS, _canon, _check_count, _check_K, _check_tau, _score, \
@@ -35,28 +35,6 @@ from .inequalities import _RATIOS, _canon, _check_count, _check_K, _check_tau, _
 from .space import _check_scales, _check_sweep, doubling_constant, local_poincare_constant, \
     make_field, validate_metric
 from .transport import w2
-
-
-def _jsonable(obj):
-    if isinstance(obj, (bool, np.bool_)):  # before int: bool is an int subclass
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):  # JSON has no NaN or Infinity
-        return float(obj) if math.isfinite(obj) else None
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return obj
-
-
-def _write_json(doc: dict, path: str):
-    with open(path, "w") as fh:
-        json.dump(_jsonable(doc), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
 
 
 def _parse_times(text: str) -> np.ndarray:
@@ -101,9 +79,13 @@ def _resolve_marginal(space, text: str) -> np.ndarray:
             return dens / dens.sum()
     if text.endswith(".csv"):
         w = load_field_csv(space, text).values
-        if np.any(w < 0) or w.sum() <= 0:
+        with np.errstate(over="ignore"):
+            total = w.sum()
+        if np.any(w < 0) or total <= 0:
             raise ValueError(f"marginal weights in {text} must be nonnegative with positive sum")
-        return w / w.sum()
+        if total == math.inf:
+            raise ValueError(f"marginal weights in {text} sum past the largest float")
+        return w / total
     raise ValueError(
         f"unknown marginal spec {text!r}; use nu, uniform, point:I, tilt:A, or a .csv path"
     )
@@ -329,15 +311,8 @@ _PLOTS = {"psi": "t,psi,series", "phi": "t,phi,series",
 
 
 def _cmd_plot_data(args: argparse.Namespace, out: str):
-    try:
-        with open(args.report) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read report {args.report}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"report {args.report} must hold a JSON object")
     kind = args.kind
-    rows = doc
+    rows = _read_json(args.report, "report")
     for key in ("traces", kind, "rows") if kind in ("psi", "phi") else (kind,):
         rows = rows.get(key) if isinstance(rows, dict) else None
     if not rows:

@@ -1,4 +1,4 @@
-"""Generators for standard benchmark spaces and a JSON interchange format.
+"""Generators for standard spaces, the space file, and the one JSON writer and reader.
 
 Each generator produces a graph whose shortest-path metric discretizes a
 model geometry: a circle of given circumference, an interval with Gaussian
@@ -191,6 +191,37 @@ def refine(spec: SpaceSpec) -> SpaceSpec:
     return replace(spec, n=2 * spec.n)
 
 
+def _jsonable(obj):
+    if isinstance(obj, float):  # JSON has no NaN or Infinity
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(x) for x in obj]
+    return obj
+
+
+def _write_json(doc: dict, path: str):
+    """The package's one JSON writer: strict JSON, sorted keys, a non-finite float as null."""
+    with open(path, "w") as fh:
+        json.dump(_jsonable(doc), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
+def _read_json(path: str, what: str) -> dict:
+    """The package's one JSON reader: the object in path, or a one-line error naming what."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {what} {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} {path} must hold a JSON object")
+    return doc
+
+
 def save_space(space: MeasuredSpace, path: str):
     """Write a space to JSON; loading the file reproduces it bit for bit."""
     src, dst, weight, _, _ = space.edges
@@ -206,9 +237,7 @@ def save_space(space: MeasuredSpace, path: str):
         doc["kind"] = space.kind
     if space.kind != "custom" or space.params:
         doc["params"] = space.params
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def load_space(path: str) -> MeasuredSpace:
@@ -218,15 +247,7 @@ def load_space(path: str) -> MeasuredSpace:
     coords, kind, params; null counts as left out.  Any other key (such
     as the labels older files carry) is ignored.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read space file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"space file {path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"space file {path} must hold a JSON object")
+    doc = _read_json(path, "space file")
     for key in ("n", "edges", "measure"):
         if key not in doc:
             raise ValueError(f"space file {path} is missing key {key!r}")

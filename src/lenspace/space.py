@@ -439,7 +439,7 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
 
     edges is an iterable of (i, j, length) with 0 <= i, j < n, i != j and
     length > 0; parallel edges collapse to the shortest.  measure is a
-    nonnegative weight vector with positive total, normalized here.  The
+    nonnegative weight vector with positive, finite total, normalized here.  The
     graph must connect all points.  With two or more points, the shortest
     edge must be at least 2^-400 and the diameter at most 2^400: the
     package squares distances everywhere, and on these scales their
@@ -455,9 +455,12 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
     if np.any(w < 0):
         bad = int(np.argmin(w))
         raise ValueError(f"measure weight at point {bad} is negative ({w[bad]})")
-    total = w.sum()
+    with np.errstate(over="ignore"):
+        total = w.sum()
     if total <= 0:
         raise ValueError("measure weights sum to zero")
+    if total == math.inf:
+        raise ValueError("measure weights sum past the largest float")
     if abs(total - 1.0) > 1e-12:
         # skip the divide for already-normalized input so that saving and
         # reloading a space reproduces the measure bit for bit
@@ -512,7 +515,10 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
     # and kind, params and coords: witness families and the cos, coordinate
     # and tilt fields read them
     digest.update(kind.encode() + b"\0")
-    digest.update(json.dumps(params, sort_keys=True).encode() + b"\0")
+    try:  # a NaN or an infinity would be saved as null, and reload with another id
+        digest.update(json.dumps(params, sort_keys=True, allow_nan=False).encode() + b"\0")
+    except ValueError:
+        raise ValueError(f"params must hold finite numbers only, got {params!r}") from None
     if coords is None:
         digest.update(b"no coords")
     else:

@@ -42,7 +42,7 @@ def _check_marginal(space: MeasuredSpace, mu, name: str) -> np.ndarray:
     if np.any(v < 0):
         bad = int(np.argmin(v))
         raise ValueError(f"{name} has a negative entry at point {bad} ({v[bad]})")
-    total = v.sum()
+    total = float(v.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"{name} sums to {total!r}, off from 1 by {total - 1.0!r}")
     # tiny rescale so the two marginals have exactly equal LP supply

@@ -1355,3 +1355,86 @@ def test_plot_data_report_not_an_object_exit2(tmp_path, capsys, text):
                  "--kind", "psi"]) == 2
     assert capsys.readouterr().err == f"error: report {report} must hold a JSON object\n"
     assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("text, line", [
+    (None, "cannot read report {report}: [Errno 2] No such file or directory: '{report}'"),
+    ("{not json", "report {report} is not valid JSON: "
+                  "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+], ids=["missing", "not-json"])
+def test_plot_data_unreadable_report_exit2_one_line(tmp_path, capsys, text, line):
+    # the report is read as a space file is, and names itself the same way
+    report = tmp_path / "r.json"
+    if text is not None:
+        report.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "plot-data", "--report", str(report),
+                 "--kind", "psi"]) == 2
+    assert capsys.readouterr().err == "error: " + line.format(report=report) + "\n"
+    assert not list(out.iterdir())
+
+
+def test_every_written_json_file_is_strict(tmp_path):
+    # documents, run.json and space files share one writer, which stores a
+    # non-finite float as null; the chain's psi overflows, the tilt's
+    # convergence bound overflows, and doubling echoes an unread --radius nan
+    def refuse(token):
+        raise AssertionError(f"{token} token in a written file")
+
+    runs = {
+        "gen": ["gen", "--spec", "torus2d:4:5"],
+        "gen-file": ["gen", "--spec", str(tmp_path / "gen" / "space.json")],
+        "semigroup": ["semigroup", "--space", "circle:16", "--refinements", "1"],
+        "bound": ["semigroup", "--space", "path:1421", "--field", "tilt:0.9"],
+        "constants": ["constants", "--space", "circle:16", "--budget", "1"],
+        "chain": ["chain", "--space", "path:8", "--K", "1e308", "--trace-fields", "1"],
+        "transport": ["transport", "--space", "path:8", "--mu0", "uniform", "--mu1", "point:3"],
+        "doubling": ["doubling", "--space", "circle:16", "--r-min", "0.5", "--r-max", "1",
+                     "--radius", "nan"],
+        "plot-data": ["plot-data", "--report", str(tmp_path / "chain" / "chain.json"),
+                      "--kind", "psi"],
+    }
+    for name, argv in runs.items():
+        assert main(["--out-dir", str(tmp_path / name)] + argv) == (name == "chain")
+    docs = {path.relative_to(tmp_path).as_posix(): json.loads(path.read_text(),
+                                                              parse_constant=refuse)
+            for path in tmp_path.glob("*/*.json")}
+    # a run.json per run, and a document per run but plot-data's CSV
+    assert len(docs) == 2 * len(runs) - 1
+    assert docs["gen-file/space.json"] == docs["gen/space.json"]
+    assert docs["chain/chain.json"]["traces"]["psi"]["max_excess"] is None
+    assert docs["bound/semigroup.json"]["trace"]["convergence_bound"] is None
+    assert docs["doubling/run.json"]["config"]["radius"] is None
+
+
+def test_nonfinite_space_params_exit2_one_line(tmp_path, capsys):
+    # Python's JSON reader takes NaN and Infinity tokens; gen used to write
+    # them back into space.json, which a strict reader refuses
+    path = tmp_path / "s.json"
+    path.write_text('{"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]], "measure": [1, 1, 1], '
+                    '"params": {"length": NaN, "x": Infinity}}')
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "gen", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err == ("error: params must hold finite numbers only, "
+                                       "got {'length': nan, 'x': inf}\n")
+    assert not list(out.iterdir())
+
+
+def test_overflowing_weight_totals_exit2_one_line(tmp_path):
+    # each total used to overflow with a numpy warning: the space's measure
+    # became all zero, and the CSV marginal was blamed for summing to 0
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]],
+                                "measure": [1e308, 1e308, 1]}))
+    for argv in (["doubling", "--space", str(path), "--r-min", "0.5", "--r-max", "1"],
+                 ["constants", "--space", str(path), "--budget", "1"]):
+        proc = _run_cli(tmp_path / argv[0], *argv)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: measure weights sum past the largest float\n"
+    mu0 = _marginal_csv(tmp_path / "big.csv", [1e308, 1e308, 1])
+    proc = _run_cli(tmp_path / "transport", "transport", "--space", "path:3", "--mu0", mu0,
+                    "--mu1", "nu")
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: marginal weights in {mu0} sum past the largest float\n"
+    assert not any(list((tmp_path / name).iterdir())
+                   for name in ("doubling", "constants", "transport"))

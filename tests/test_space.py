@@ -64,6 +64,24 @@ def test_zero_total_weight_rejected():
         build_from_graph([(0, 1, 1.0)], np.zeros(2), 2)
 
 
+def test_overflowing_total_weight_rejected():
+    # the total used to overflow to inf, with a warning, and the measure to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError) as err:
+            build_from_graph([(0, 1, 1.0), (1, 2, 1.0)], [1e308, 1e308, 1.0], 3)
+    assert str(err.value) == "measure weights sum past the largest float"
+
+
+@pytest.mark.parametrize("params", [{"length": math.nan}, {"a": {"b": [-math.inf]}}],
+                         ids=["nan", "nested-inf"])
+def test_nonfinite_params_rejected(params):
+    # a saved file would hold such a number as null, and reload with another id
+    with pytest.raises(ValueError) as err:
+        build_from_graph([(0, 1, 1.0)], np.ones(2), 2, params=params)
+    assert str(err.value) == f"params must hold finite numbers only, got {params!r}"
+
+
 @pytest.mark.parametrize("edges, measure, n, coords, message", [
     ([], [], 0, None, "need at least one point, got n=0"),
     ([(0, 1, 1.0)], [1.0, 1.0, 1.0], 2, None, "measure has 3 entries, expected n=2"),

@@ -195,6 +195,14 @@ def test_marginal_sum_mismatch_names_defect(two_point):
         w2(two_point, np.array([0.7, 0.7]), two_point.measure)
 
 
+def test_marginal_sum_mismatch_says_plain_floats():
+    # the total used to be shown as np.float64(0.9)
+    two = _generate(_parse("path:2"))
+    with pytest.raises(ValueError) as err:
+        w2(two, [0.45, 0.45], two.measure)
+    assert str(err.value) == "mu0 sums to 0.9, off from 1 by -0.09999999999999998"
+
+
 def test_negative_marginal_rejected(two_point):
     with pytest.raises(ValueError, match="negative"):
         w2(two_point, np.array([1.5, -0.5]), two_point.measure)
