@@ -191,21 +191,31 @@ def refine(spec: SpaceSpec) -> SpaceSpec:
     return replace(spec, n=2 * spec.n)
 
 
-def _jsonable(obj):
-    if isinstance(obj, float):  # JSON has no NaN or Infinity
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return obj
+def _encode(obj, pad: str = "") -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    writes it at indent pad, but a non-finite float as null.  A list that
+    holds only ints and floats goes through json's C encoder."""
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict) and obj:
+        body = sep.join(json.dumps(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items()))
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) <= {int, float}:  # json's C encoder: no words but NaN, Infinity
+            body = json.dumps(obj, separators=(sep, ": "))[1:-1].replace(
+                "-Infinity", "null").replace("Infinity", "null").replace("NaN", "null")
+        else:
+            body = sep.join(_encode(v, inner) for v in obj)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(obj, float) and not math.isfinite(obj):  # JSON has no NaN or Infinity
+        return "null"
+    return json.dumps(obj)
 
 
 def _write_json(doc: dict, path: str):
     """The package's one JSON writer: strict JSON, sorted keys, a non-finite float as null."""
     with open(path, "w") as fh:
-        json.dump(_jsonable(doc), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(_encode(doc) + "\n")
 
 
 def _read_json(path: str, what: str) -> dict:

@@ -10,9 +10,11 @@ Q_t f solves the Hamilton-Jacobi equation  du/dt = -|grad^- u|^2 / 2  in
 the same approximate sense.  This module computes the evolution, the
 graph gradient and descending-slope norms, and the associated defects
 and residuals.  Its one min-plus kernel, ``_minima`` (minimizers and minima),
-evaluates a whole time grid in one pass over dist, as the trace, the
-semigroup defect and the psi and phi traces need it, and also runs the
-transport certificate: the c-transform for cost d^2 is Q_{1/2}.
+evaluates a whole time grid in one pass over blocks of rows, as the
+trace, the semigroup defect and the psi and phi traces need it: on a circle,
+torus or complete graph the blocks are copied from point 0's squared row,
+and where blocks are small the columns that cannot win are skipped.  It
+also runs the transport certificate: the c-transform for cost d^2 is Q_{1/2}.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import _BLOCK_CELLS, MeasuredSpace, ScalarField, check_binding, make_field
+from .space import _BLOCK_CELLS, MeasuredSpace, ScalarField, _translates, check_binding, make_field
 
 
 def _check_time(t: float, *, positive: bool) -> float:
@@ -47,14 +49,20 @@ def _minima(space: MeasuredSpace, g: np.ndarray, scales):
     g(y) + a * d(x, y)^2, and that minimum: (arg, low), one row per scale,
     each minimum read from the block buffer just minimized.
 
-    One pass over dist serves every scale: each block of rows is squared
-    once into one buffer, and each scale scales it into a second one (in
-    place when there is one scale), adds g and minimizes, so a cell costs
-    the float operations of a pass for that scale alone, and there is no
-    n x n temporary.  A cell that overflows is inf, which is exact, and
-    never a row's minimum: the row's own cell costs g(x), finite.  An
-    infinite scale (t = 0, or a 1/2t that overflows) prices every y != x at
-    inf: x is the minimizer, g(x) the minimum.
+    One pass over blocks of rows serves every scale: each block's squares
+    are formed once into one buffer, and each scale scales it into a
+    second one (in place when there is one scale), adds g and minimizes,
+    so a cell costs the float operations of a pass for that scale alone,
+    and there is no n x n temporary.  On an orbit space a block is whole
+    grid rows of the first axis, copied from the translates of point 0's
+    squared row: the same floats fl(d * d), and dist is never read.  A
+    cell that overflows is inf, which is exact, and never a row's minimum:
+    the row's own cell costs g(x), finite.  An infinite scale (t = 0, or a
+    1/2t that overflows) prices every y != x at inf: x is the minimizer,
+    g(x) the minimum.  Where a block holds at most an eighth of the rows,
+    only the columns y with fl(fl(near(y) a) + g(y)) <= max g over the
+    block's rows are minimized, near(y) the block's least d^2 to y, in
+    index order: any other column costs more than each row's own cell.
     """
     n = space.n
     arg, low = np.empty((len(scales), n), dtype=np.intp), np.empty((len(scales), n))
@@ -64,19 +72,35 @@ def _minima(space: MeasuredSpace, g: np.ndarray, scales):
             finite.append((k, scale))
         else:
             arg[k], low[k] = np.arange(n), g
-    rows = max(1, _BLOCK_CELLS // n)
+    shape, row = space._metric  # on an orbit space, blocks of whole grid rows
+    per = 1 if shape is None else n // shape[0]
+    squares = None if shape is None else _translates(shape, row * row)
+    rows = max(1, _BLOCK_CELLS // n // per) * per
+    prune = n >= 8 * rows
     square = np.empty((min(rows, n), n))
     buf = np.empty_like(square) if len(finite) > 1 else square  # one scale: in place
     with np.errstate(over="ignore"):
         for lo in range(0, n, rows):
-            d = space.dist[lo:lo + rows]
-            sq, b = square[:len(d)], buf[:len(d)]
-            np.multiply(d, d, out=sq)
+            hi = min(lo + rows, n)
+            sq, b = square[:hi - lo], buf[:hi - lo]
+            if shape is None:
+                d = space.dist[lo:hi]
+                np.multiply(d, d, out=sq)
+            else:
+                view = squares[lo // per:hi // per]
+                sq.reshape(view.shape)[...] = view
+            if prune:
+                near, top = sq.min(axis=0), g[lo:hi].max()
             for k, scale in finite:
-                np.multiply(sq, scale, out=b)
-                b += g
-                y = b.argmin(axis=1, out=arg[k, lo:lo + len(d)])
-                low[k, lo:lo + len(d)] = b[np.arange(len(d)), y]
+                if prune:  # the columns that can win, in index order
+                    cols = np.flatnonzero(near * scale + g <= top)
+                    b = np.take(sq, cols, axis=1)
+                np.multiply(b if prune else sq, scale, out=b)
+                b += g[cols] if prune else g
+                y = b.argmin(axis=1, out=arg[k, lo:hi])
+                low[k, lo:hi] = b[np.arange(hi - lo), y]
+                if prune:
+                    arg[k, lo:hi] = cols[y]
     return arg, low
 
 

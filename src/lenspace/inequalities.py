@@ -95,7 +95,7 @@ def talagrand_ratio(space: MeasuredSpace, F: ScalarField) -> float:
     ent, mass = _entropy_and_mass(space, F)
     target = F.values ** 2 * space.measure / mass
     distance, _ = w2(space, target, space.measure)
-    if distance <= 1e-12:
+    if distance <= 1e-12 * space.diameter:
         raise DegenerateWitnessError(
             "witness carries no information: zero transport distance"
         )

@@ -38,7 +38,10 @@ class MeasuredSpace:
     """Immutable bundle of points, metric, and measure.
 
     dist[i, j] is the graph shortest-path distance, and the space's only
-    n x n array: no d^2 is cached.  measure is a probability vector.
+    n x n array: no d^2 is cached.  With one row per orbit (see the module
+    docstring) the build keeps point 0's row, and dist is filled from it on
+    first read; the Hopf-Lax kernel reads the row and never fills it.
+    measure is a probability vector.
     edges is the generating graph as read-only directed arrays
     (src, dst, weight, length, starts): each edge in both orientations,
     sorted by (src, dst).  weight is the raw edge weight; length is the
@@ -57,15 +60,14 @@ class MeasuredSpace:
 
     which vanishes in the continuum limit of a length space.  It is
     computed on first read and cached.  diameter is the max of dist, taken
-    by the build's one scan of it and cached.  Bounds from shortest
-    paths in the graph settle most pairs in O(n m + n^2 log n) work; each
-    other pair costs O(n), so the worst case is still O(n^3).  A space with
-    one row per orbit (see the module docstring) visits only the pairs
-    (0, y), in O(m + n log n) and at worst O(n^2).
+    by the build's one scan of it or of the row, and cached.  Bounds from
+    shortest paths in the graph settle most pairs in O(n m + n^2 log n)
+    work; each other pair costs O(n), so the worst case is still O(n^3).  A
+    space with one row per orbit (see the module docstring) visits only the
+    pairs (0, y), in O(m + n log n) and at worst O(n^2).
     """
 
     n: int
-    dist: np.ndarray
     measure: np.ndarray
     edges: tuple
     mesh_h: float
@@ -73,6 +75,17 @@ class MeasuredSpace:
     kind: str = "custom"
     params: dict = field(default_factory=dict)
     coords: np.ndarray | None = None
+    # (grid shape, point 0's row) with one row per orbit, else (None, dist)
+    _metric: tuple = field(default=(None, None), repr=False)
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        shape, d = self._metric
+        if shape is None:
+            return d
+        dist = np.ascontiguousarray(_translates(shape, d)).reshape(self.n, self.n)
+        dist.flags.writeable = False
+        return dist
 
     @cached_property
     def midpoint_defect(self) -> float:
@@ -275,6 +288,37 @@ def _orbit_shape(n: int, kind: str, params: dict, src, dst, weight):
     return shape
 
 
+def _translates(shape, row) -> np.ndarray:
+    """At [s, v] (each a grid index of shape), row(v - s): from point 0's
+    row r of _distances, d(s, v); a strided view of its tiles, no copy."""
+    wrapped = np.tile(row.reshape(shape), (2,) * len(shape))
+    # wrapped[a - s + v] = row[v - s] on each axis
+    return sliding_window_view(wrapped, shape)[tuple(slice(k, 0, -1) for k in shape)]
+
+
+def _distances(n: int, src, dst, weight, starts, shape=None) -> np.ndarray:
+    """shortest_path's matrix; given the grid shape, point 0's row r alone,
+    min(r(u), r(-u)) at u."""
+    line = _line_order(n, dst, weight, starts)
+    # a graph with a translation grid that is a path or cycle is a cycle, or
+    # a path of two points: either walk starts at point 0
+    count = n if shape is None else 1
+    dist = (_search(n, src, dst, weight, starts, count) if line is None
+            else _line(n, *line, count))
+    if shape is not None:
+        row = dist[0].reshape(shape)
+        axes = tuple(range(len(shape)))
+        return np.minimum(row, np.roll(np.flip(row), 1, axis=axes)).ravel()  # r(-u) at u
+    # the smaller of the two directions, in square tiles of a quarter block
+    tile = max(1, math.isqrt(_BLOCK_CELLS // 4))
+    for i in range(0, n, tile):
+        for j in range(i, n, tile):
+            low = np.minimum(dist[i:i + tile, j:j + tile], dist[j:j + tile, i:i + tile].T)
+            dist[i:i + tile, j:j + tile] = low
+            dist[j:j + tile, i:i + tile] = low.T
+    return dist
+
+
 def shortest_path(n: int, src, dst, weight, starts, shape=None) -> np.ndarray:
     """All-pairs shortest-path distances, min(d, d.T), of the graph held as
     directed edge arrays (src, dst, weight, starts) as in MeasuredSpace.edges.
@@ -287,30 +331,8 @@ def shortest_path(n: int, src, dst, weight, starts, shape=None) -> np.ndarray:
     Given the grid shape of _orbit_shape, the route computes point 0's row
     r alone, and d(s, v) = min(r(v - s), r(s - v)) is one strided copy.
     """
-    line = _line_order(n, dst, weight, starts)
-    # a graph with a translation grid that is a path or cycle is a cycle, or
-    # a path of two points: either walk starts at point 0
-    count = n if shape is None else 1
-    dist = (_search(n, src, dst, weight, starts, count) if line is None
-            else _line(n, *line, count))
-    if shape is not None:
-        row = dist[0].reshape(shape)
-        axes = tuple(range(len(shape)))
-        row = np.minimum(row, np.roll(np.flip(row), 1, axis=axes))  # r(-u) at u
-        # wrapped[a - s + v] = row[v - s] on each axis
-        wrapped = np.tile(row, (2,) * len(shape))
-        dist = np.empty((n, n))
-        dist.reshape(shape + shape)[...] = sliding_window_view(wrapped, shape)[
-            tuple(slice(k, 0, -1) for k in shape)]
-        return dist
-    # the smaller of the two directions, in square tiles of a quarter block
-    tile = max(1, math.isqrt(_BLOCK_CELLS // 4))
-    for i in range(0, n, tile):
-        for j in range(i, n, tile):
-            low = np.minimum(dist[i:i + tile, j:j + tile], dist[j:j + tile, i:i + tile].T)
-            dist[i:i + tile, j:j + tile] = low
-            dist[j:j + tile, i:i + tile] = low.T
-    return dist
+    dist = _distances(n, src, dst, weight, starts, shape)
+    return dist if shape is None else np.ascontiguousarray(_translates(shape, dist)).reshape(n, n)
 
 
 def _max_midpoint_defect(space: MeasuredSpace) -> float:
@@ -475,8 +497,12 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
     params = dict(params or {})
     shape = _orbit_shape(n, kind, params, src, dst, weight)
     with np.errstate(over="ignore"):  # an overflowed sum is inf, as the scale check says
-        dist = shortest_path(n, src, dst, weight, starts, shape)
-    diameter = float(dist.max())  # the build's one scan of dist
+        dist = (shortest_path(n, src, dst, weight, starts) if shape is None
+                else _distances(n, src, dst, weight, starts, shape))  # point 0's row alone
+    # each edge's metric length d(src, dst), on an orbit space r(dst - src)
+    length = (dist[src, dst] if shape is None else _translates(shape, dist)[
+        np.unravel_index(src, shape) + np.unravel_index(dst, shape)])
+    diameter = float(dist.max())  # the build's one scan of dist, or of the row: dist's entries
     if diameter == math.inf:
         # a missing path or an overflowed sum: the edges from point 0 tell which
         reached = np.arange(n) == 0
@@ -487,7 +513,7 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
             raise ValueError(f"graph is disconnected: points 0 and {j} are not connected")
 
     dist.flags.writeable = False
-    table = (src, dst, weight, dist[src, dst], starts)
+    table = (src, dst, weight, length, starts)
     for arr in table:
         arr.flags.writeable = False
     # a nearest distinct point is a graph neighbour: a shortest path into x
@@ -527,7 +553,6 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
 
     space = MeasuredSpace(
         n=n,
-        dist=dist,
         measure=w,
         edges=table,
         mesh_h=mesh_h,
@@ -535,6 +560,7 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
         kind=kind,
         params=params,
         coords=coords,
+        _metric=(shape, dist),
     )
     space.__dict__["diameter"] = diameter  # the cached property's value, scanned once above
     # the scales of the docstring: squared distances stay finite normal floats

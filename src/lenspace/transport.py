@@ -42,7 +42,10 @@ def _check_marginal(space: MeasuredSpace, mu, name: str) -> np.ndarray:
     if np.any(v < 0):
         bad = int(np.argmin(v))
         raise ValueError(f"{name} has a negative entry at point {bad} ({v[bad]})")
-    total = float(v.sum())
+    with np.errstate(over="ignore"):
+        total = float(v.sum())
+    if total == np.inf:
+        raise ValueError(f"{name} sums past the largest float")
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"{name} sums to {total!r}, off from 1 by {total - 1.0!r}")
     # tiny rescale so the two marginals have exactly equal LP supply
@@ -157,6 +160,7 @@ class _TransportLP:
         # HiGHS loads at the first LP, and _Highs is looked up on each model
         core = _highs_core()
         self.space, self.optimal, self.highs = space, core.HighsModelStatus.kOptimal, core._Highs()
+        self.scale = _cost_scale(space)
         for key, value in _LP_OPTIONS.items():
             self.highs.setOptionValue(key, value)
         supply = np.concatenate([a, b])
@@ -169,10 +173,10 @@ class _TransportLP:
         basis.  Otherwise the new columns enter nonbasic, so the last
         optimal basis stays primal feasible and the primal simplex goes on
         from it.  Returns (status, x, u, v): HiGHS's model status, and when
-        it is optimal the mass per column and the row potentials u, v.
+        it is optimal the mass per column and the row potentials u, v of d^2.
         """
         n, k, h = self.space.n, len(src), self.highs
-        h.addCols(k, self.space.dist[src, dst] ** 2, np.zeros(k), np.full(k, np.inf),
+        h.addCols(k, self.space.dist[src, dst] ** 2 * self.scale, np.zeros(k), np.full(k, np.inf),
                   2 * k, np.arange(0, 2 * k, 2, dtype=np.int32),
                   np.stack([src, n + dst], axis=1).ravel().astype(np.int32), np.ones(2 * k))
         if cold:
@@ -182,22 +186,31 @@ class _TransportLP:
         if h.getModelStatus() != self.optimal:
             return h.modelStatusToString(h.getModelStatus()), None, None, None
         solution = h.getSolution()
-        duals = np.array(solution.row_dual)
+        duals = np.array(solution.row_dual) / self.scale
         return "Optimal", np.array(solution.col_value), duals[:n], duals[n:]
+
+
+def _cost_scale(space: MeasuredSpace) -> float:
+    """The power of two s, exact on costs and potentials, that HiGHS's costs
+    d^2 are multiplied by: 1 for a squared diameter D^2 in [1/2, 2^20), else
+    s D^2 in [1/2, 1), as its tolerances are absolute and a cost >= 1e20 infinite."""
+    e = int(np.frexp(space.diameter ** 2)[1])
+    return 1.0 if 0 <= e <= 20 else float(np.ldexp(1.0, -e))
 
 
 def _certified_plan(space: MeasuredSpace, a, b, src, dst, mass, u, v):
     """The plan with mass on cells (src, dst), if potentials u, v prove it optimal.
 
     The proof is dual feasibility on the full LP: every reduced cost
-    d(i, j)^2 - u_i - v_j is at least -1e-10 (1 + max d^2), checked over all
+    d(i, j)^2 - u_i - v_j is at least -1e-10 (1/s + max d^2), s the LP's
+    _cost_scale (2e-10 to 3e-10 of max d^2 below diameter 1), checked over all
     n^2 cells as the Hopf-Lax kernel's minima on -v, less u.  Returns
     (plan, cells).  When the check fails, plan is None and cells holds
     (rows, cols): the least reduced-cost cell of each failing row, and of
     each failing column by the kernel on -u, as dist is exactly symmetric.
     """
     idx = np.arange(space.n)
-    floor = -1e-10 * (1.0 + space.diameter ** 2)
+    floor = -1e-10 * (1.0 / _cost_scale(space) + space.diameter ** 2)
     (jmin,), (row_min,) = _minima(space, -v, [1.0])  # row i's least cell is (i, jmin[i])
     bad_rows = row_min - u < floor
     if bad_rows.any():

@@ -6,7 +6,9 @@ here from the documented fields, the all-pairs
 distances come from scipy's Dijkstra, the generalized eigenproblem from
 scipy's eigh, the dense Hopf-Lax
 minimum, the dense Lipschitz quotient, the nearest-distinct-point mesh
-and the full triangle check run over all pairs, the slopes loop over the
+and the full triangle check run over all pairs, the dense Hopf-Lax minimizers
+take scipy's distances into one n x n cost array per scale, the JSON
+writer is json.dump's own indent path, the slopes loop over the
 raw edge list, the 1-d oracle merges two CDFs on point positions given
 by the test's own construction of a path, the dense W2 builds its own LP
 over all n^2 cells, and the brute force enumerates every vertex of the
@@ -126,6 +128,39 @@ def scipy_eigenpairs(space):
 def dense_hopf_lax(space, f, t) -> np.ndarray:
     """(Q_t f)(x) = min_y [f(y) + d(x, y)^2 / (2t)] over one n x n array."""
     return (f.values[None, :] + space.dist ** 2 * (1.0 / (2.0 * t))).min(axis=1)
+
+
+def dense_minima(space, g, scales):
+    """(arg, low) of the Hopf-Lax kernel: per scale a and point x, the first y
+    that minimizes fl(fl(fl(d(x, y) d(x, y)) a) + g(y)) over one n x n cost
+    array of scipy's distances, and that minimum.  An infinite scale prices
+    every y != x at inf, so x is the minimizer and g(x) the minimum."""
+    src, dst, weight = space.edges[:3]
+    sq = csgraph_dist(space.n, zip(src.tolist(), dst.tolist(), weight.tolist())) ** 2
+    arg, low = [], []
+    for a in scales:
+        if a == np.inf:
+            cost = np.where(np.eye(space.n, dtype=bool), g[None, :], np.inf)
+        else:
+            with np.errstate(over="ignore"):
+                cost = sq * a + g[None, :]
+        arg.append(cost.argmin(axis=1))
+        low.append(cost[np.arange(space.n), arg[-1]])
+    return np.array(arg), np.array(low)
+
+
+def legacy_json(doc) -> str:
+    """A document as json.dump wrote it once: every non-finite float replaced
+    by None in a copy, then indent 2, sorted keys, strict JSON, a newline."""
+    def jsonable(obj):
+        if isinstance(obj, float):
+            return obj if np.isfinite(obj) else None
+        if isinstance(obj, dict):
+            return {k: jsonable(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [jsonable(x) for x in obj]
+        return obj
+    return json.dumps(jsonable(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def dense_mesh_h(dist) -> float:

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -1374,14 +1375,11 @@ def test_plot_data_unreadable_report_exit2_one_line(tmp_path, capsys, text, line
     assert not list(out.iterdir())
 
 
-def test_every_written_json_file_is_strict(tmp_path):
-    # documents, run.json and space files share one writer, which stores a
-    # non-finite float as null; the chain's psi overflows, the tilt's
-    # convergence bound overflows, and doubling echoes an unread --radius nan
-    def refuse(token):
-        raise AssertionError(f"{token} token in a written file")
-
-    runs = {
+def _every_document_kind(tmp_path) -> dict:
+    """One run of each command, its name -> argv: every kind of JSON file the
+    package writes; the chain's psi overflows, the tilt's convergence bound
+    overflows, and doubling echoes an unread --radius nan."""
+    return {
         "gen": ["gen", "--spec", "torus2d:4:5"],
         "gen-file": ["gen", "--spec", str(tmp_path / "gen" / "space.json")],
         "semigroup": ["semigroup", "--space", "circle:16", "--refinements", "1"],
@@ -1394,6 +1392,15 @@ def test_every_written_json_file_is_strict(tmp_path):
         "plot-data": ["plot-data", "--report", str(tmp_path / "chain" / "chain.json"),
                       "--kind", "psi"],
     }
+
+
+def test_every_written_json_file_is_strict(tmp_path):
+    # documents, run.json and space files share one writer, which stores a
+    # non-finite float as null
+    def refuse(token):
+        raise AssertionError(f"{token} token in a written file")
+
+    runs = _every_document_kind(tmp_path)
     for name, argv in runs.items():
         assert main(["--out-dir", str(tmp_path / name)] + argv) == (name == "chain")
     docs = {path.relative_to(tmp_path).as_posix(): json.loads(path.read_text(),
@@ -1405,6 +1412,42 @@ def test_every_written_json_file_is_strict(tmp_path):
     assert docs["chain/chain.json"]["traces"]["psi"]["max_excess"] is None
     assert docs["bound/semigroup.json"]["trace"]["convergence_bound"] is None
     assert docs["doubling/run.json"]["config"]["radius"] is None
+
+
+def test_writer_is_bytewise_json_dump_of_the_nulled_copy(tmp_path, monkeypatch):
+    # every file the package writes is what json.dump once wrote from a copy
+    # with each non-finite float replaced by None
+    from lenspace import cli, generators
+    from oracles import legacy_json
+    written, real = [], generators._write_json
+
+    def recorded(doc, path):
+        written.append((doc, path))
+        real(doc, path)
+
+    monkeypatch.setattr(cli, "_write_json", recorded)
+    monkeypatch.setattr(generators, "_write_json", recorded)
+    runs = _every_document_kind(tmp_path)
+    for name, argv in runs.items():
+        assert main(["--out-dir", str(tmp_path / name)] + argv) == (name == "chain")
+    assert len(written) == 2 * len(runs) - 1
+    for doc, path in written:
+        with open(path) as fh:
+            assert fh.read() == legacy_json(doc), path
+
+
+def test_semigroup_on_an_orbit_space_allocates_no_square_array(tmp_path):
+    # the build keeps point 0's row and the kernel copies its translates
+    n = 2048
+    argv = ["--out-dir", str(tmp_path), "semigroup", "--space", f"circle:{n}"]
+    assert main(argv) == 0  # imports and first calls, outside the count
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n, peak
 
 
 def test_nonfinite_space_params_exit2_one_line(tmp_path, capsys):

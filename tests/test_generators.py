@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from lenspace import generate, load_space, parse_space_spec, refine, save_space
-from lenspace.generators import SpaceSpec
+from lenspace.generators import SpaceSpec, _encode
+from oracles import legacy_json
 
 
 def test_parse_all_generator_forms():
@@ -212,3 +213,22 @@ def test_load_bad_edge_shape(tmp_path):
     p.write_text(json.dumps({"n": 2, "edges": [[0, 1]], "measure": [0.5, 0.5]}))
     with pytest.raises(ValueError, match="edge"):
         load_space(str(p))
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70)
+                 | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6))
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS | st.lists(st.integers() | st.floats(), max_size=5),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=30)
+
+
+@given(st.dictionaries(st.text(max_size=4), _JSON_DOCS, max_size=5))
+@settings(max_examples=300, deadline=None)
+@example({"a": [1, 2.5, math.nan], "b": {}, "c": [], "d": [[], {}, [1, [-0.0, {"\u00e9\u2603": "\u00fc"}]]],
+          "e": True, "f": None, "g": [True, 1, 2.0], "h": [math.inf, -math.inf], "i": (1, 1e-320)})
+def test_encoder_is_bytewise_json_dump_of_the_nulled_copy(doc):
+    # NaN and infinities, ints, bools, None, nested empty lists and dicts,
+    # tuples and non-ASCII strings
+    assert _encode(doc) + "\n" == legacy_json(doc)

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from lenspace import hopflax
 from lenspace.fields import random_smoothed_field
 from lenspace.hopflax import _residual, grad_norm_field, subgrad_norm_field
 from conftest import kernel_scales, scales_of
-from oracles import dense_hopf_lax, dense_lipschitz
+from oracles import dense_hopf_lax, dense_lipschitz, dense_minima
 
 _PATH8 = _generate(_parse("path:8"))
 
@@ -332,3 +334,57 @@ def test_kernel_callers_allocate_no_square_array():
     assert max(peaks) < n * n * 8 / 4, peaks
     plan, (rows, cols) = result
     assert plan is None and len(rows) == len(cols) == 2 * n
+
+
+# circles, square and non-square tori and complete graphs (one row per
+# orbit) and line spaces; the last of each kind is large enough that a
+# block holds at most an eighth of the rows, so columns are pruned
+_KERNEL_SPECS = ("circle:3", "circle:17", "circle:64:1e-100", "circle:800",
+                 "circle:1030:1e100", "torus2d:4:4", "torus2d:5:7", "torus2d:30:27",
+                 "complete:5", "complete:760", "path:9", "gauss:41", "path:750")
+
+
+@lru_cache(maxsize=None)
+def _kernel_space(spec):
+    return _generate(_parse(spec))
+
+
+def _kernel_field(kind, n, rng):
+    if kind == "constant":
+        return np.full(n, rng.normal())
+    if kind == "symmetric":  # g(x) = g(-x) on circles: ties between mirror images
+        half = np.round(rng.normal(size=n) * 3)
+        return half[np.minimum(np.arange(n), (-np.arange(n)) % n)]
+    if kind == "integers":
+        return np.round(rng.normal(size=n) * 2)
+    return rng.normal(size=n) * 10.0 ** rng.uniform(-300, 300)
+
+
+@given(spec=st.sampled_from(_KERNEL_SPECS),
+       kind=st.sampled_from(["constant", "symmetric", "integers", "random"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       scales=st.lists(st.sampled_from([math.inf, 0.0, 5e-324, 1e-300, 1e-12, 0.01, 0.5,
+                                        1.0, 7.25, 1e10, 1e300])
+                       | st.floats(0.0, 1e6), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_kernel_is_bitwise_the_dense_reference(spec, kind, seed, scales):
+    # ties, t = 0 (an infinite scale), scale 0, tiny and huge scales, and
+    # cells that overflow; the pruned and unpruned paths agree too
+    g = _kernel_space(spec)
+    f = _kernel_field(kind, g.n, np.random.default_rng(seed))
+    arg, low = hopflax._minima(g, f, scales)
+    ref_arg, ref_low = dense_minima(g, f, scales)
+    assert arg.tobytes() == ref_arg.tobytes()
+    assert low.tobytes() == ref_low.tobytes()
+    with mock.patch.object(hopflax, "_BLOCK_CELLS", g.n * g.n):  # one block: no pruning
+        whole_arg, whole_low = hopflax._minima(g, f, scales)
+    assert whole_arg.tobytes() == arg.tobytes()
+    assert whole_low.tobytes() == low.tobytes()
+
+
+def test_orbit_kernel_never_reads_dist():
+    # the kernel copies translates of point 0's squared row
+    for spec in ("circle:800", "torus2d:30:27", "complete:760"):
+        g = _generate(_parse(spec))
+        make_trace(g, make_field(g, np.cos(np.arange(g.n))), np.geomspace(0.01, 1.0, 8))
+        assert "dist" not in vars(g), spec

@@ -475,3 +475,23 @@ def test_trace_grids_validated_like_make_trace(two_point, grid, words):
     for trace in (psi_trace, phi_trace):
         with pytest.raises(ValueError, match=words):
             trace(two_point, h, 1.0, grid)
+
+
+@pytest.mark.parametrize("kind", ["circle", "torus2d"])
+def test_constants_scale_by_four_to_the_minus_k(kind):
+    # every ratio is 1/length^2 times a scale-free one: T's degeneracy floor
+    # is relative to the diameter, and W2 is exact far from scale 1 (at
+    # length 6.2e-120 every T witness used to be refused as degenerate)
+    from lenspace.generators import SpaceSpec
+
+    def estimates(k):
+        side = math.ldexp(2 * math.pi, k)
+        spec = (SpaceSpec(kind="circle", n=16, length=side) if kind == "circle"
+                else SpaceSpec(kind="torus2d", n=4, m=4, side_x=side, side_y=side))
+        g = _generate(spec)
+        return [estimate_constant(g, which, budget=2).value * 4.0 ** k
+                for which in ("lsi", "talagrand", "poincare")]
+
+    base = estimates(0)
+    for k in (-190, -100, -20, -1, 1, 20, 100, 190):
+        assert estimates(k) == pytest.approx(base, rel=1e-9), k

@@ -387,7 +387,8 @@ def test_tampered_distance_fails_edge_certificate_and_triangle_oracle(circle64, 
     h = circle64.mesh_h
     dist = circle64.dist.copy()
     dist[0, 32] = dist[32, 0] = dist[0, 32] + shift * h
-    g = replace(circle64, dist=dist)
+    g = replace(circle64)
+    vars(g)["dist"] = dist  # seed the cached distances with the tampered ones
     rep = validate_metric(g)
     assert not rep.passed
     assert rep.symmetry_defect == 0.0
@@ -560,6 +561,7 @@ def test_metric_checks_allocate_no_square_array():
     # validate_metric and midpoint_defect each peak below a quarter of one
     # n x n float array
     g = _generate(_parse("circle:1024"))
+    g.dist  # the orbit space's distances are filled on first read, before the checks
     peaks = [_peak_bytes(run) for run in (lambda: validate_metric(g), lambda: g.midpoint_defect)]
     assert max(peaks) < g.n * g.n * 8 / 4, peaks
     # shortest_path, on either route and by orbit, allocates its result and
@@ -884,3 +886,27 @@ def test_orbit_midpoint_defect_is_bitwise_the_full_loop(spec, monkeypatch):
     g = _generate(_parse(spec))
     assert g.midpoint_defect == _full_midpoint_defect(g.dist)
     assert blocks == [(0, 1)]
+
+
+@pytest.mark.parametrize("spec", ["circle:3", "circle:17", "circle:1024", "torus2d:4:4",
+                                  "torus2d:7:9", "complete:3", "complete:30"])
+def test_orbit_dist_is_filled_on_first_read_bitwise(spec):
+    # the build keeps point 0's row; dist is the strided fill of its
+    # translates, bitwise every row's own shortest paths and scipy's Dijkstra
+    from lenspace.space import shortest_path
+    from oracles import csgraph_dist
+    g = _generate(_parse(spec))
+    shape = g._metric[0]
+    assert shape is not None and "dist" not in vars(g)
+    src, dst, weight, _, starts = g.edges
+    first = g.dist
+    assert first is g.dist and not first.flags.writeable
+    assert first.tobytes() == shortest_path(g.n, src, dst, weight, starts, shape).tobytes()
+    assert first.tobytes() == shortest_path(g.n, src, dst, weight, starts).tobytes()
+    ref = csgraph_dist(g.n, zip(src.tolist(), dst.tolist(), weight.tolist()))
+    assert first.tobytes() == ref.tobytes()
+    assert g.edges[3].tobytes() == first[src, dst].tobytes()
+    assert g.diameter == float(first.max())
+    from dataclasses import replace
+    for copy in (replace(g), replace(_generate(_parse("path:9")))):  # the row, or dist, comes along
+        assert copy.dist.tobytes() == shortest_path(copy.n, *copy.edges[:3], copy.edges[4]).tobytes()

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ import hypothesis.strategies as st
 from lenspace import build_from_graph, w2
 from lenspace import generate as _generate, parse_space_spec as _parse
 from lenspace import hopflax, transport
+from lenspace.generators import SpaceSpec
 from oracles import brute_force_w2, coupling_vertices, dense_w2, w2_oracle_1d
 
 
@@ -201,6 +203,46 @@ def test_marginal_sum_mismatch_says_plain_floats():
     with pytest.raises(ValueError) as err:
         w2(two, [0.45, 0.45], two.measure)
     assert str(err.value) == "mu0 sums to 0.9, off from 1 by -0.09999999999999998"
+
+
+def test_overflowing_marginal_total_is_one_error_and_no_warning(path3):
+    # numpy's overflow RuntimeWarning used to print before the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            w2(path3, [1e308, 1e308, 1], path3.measure)
+    assert str(err.value) == "mu0 sums past the largest float"
+
+
+def _scaled(kind, k):
+    # circle:16 or torus2d:4:4 with every length 2^k times the default
+    side = math.ldexp(2 * math.pi, k)
+    spec = (SpaceSpec(kind="circle", n=16, length=side) if kind == "circle"
+            else SpaceSpec(kind="torus2d", n=4, m=4, side_x=side, side_y=side))
+    return _generate(spec)
+
+
+_SCALES = (-190, -100, -40, -21, -1, 0, 1, 10, 11, 40, 100, 190)
+
+
+@pytest.mark.parametrize("kind", ["circle", "torus2d"])
+def test_w2_is_exact_at_every_scale(kind):
+    # the certificate's floor is relative below diameter 1, and HiGHS gets
+    # costs scaled by a power of two far from 1: at length 2^-20 the
+    # index-order staircase used to pass as certified (79% above the optimum
+    # on the circle), and from 2^40 HiGHS failed
+    rng = np.random.default_rng(0)
+    a, b = rng.gamma(1.0, size=16), rng.gamma(1.0, size=16)
+    a, b = a / a.sum(), b / b.sum()
+    cost = {}
+    for k in _SCALES:
+        g = _scaled(kind, k)
+        _, plan = w2(g, a, b)
+        plan.check(g)
+        cost[k] = plan.cost * 4.0 ** -k
+    for k in _SCALES:
+        assert cost[k] == pytest.approx(cost[0], rel=1e-12), k
+    assert cost[0] == pytest.approx(dense_w2(_scaled(kind, 0), a, b)[0] ** 2, rel=1e-9)
 
 
 def test_negative_marginal_rejected(two_point):
@@ -610,6 +652,7 @@ def test_shortlist_solve_allocates_less_than_one_square_array(monkeypatch):
     # torus2d:32:32 has as many points as circle:1024, whose solves take
     # about 30 rounds and several times as long
     g = _generate(_parse("torus2d:32:32"))
+    g.dist  # the orbit space's distances are filled on first read, before the solve
     sizes = _lp_cells(monkeypatch)
     a = np.random.default_rng(3).gamma(1.0, size=g.n)
     a /= a.sum()
