@@ -11,9 +11,9 @@ the same approximate sense.  This module computes the evolution, the
 graph gradient and descending-slope norms, and the associated defects
 and residuals.  Its one min-plus kernel, ``_minima`` (minimizers and minima),
 evaluates a whole time grid in one pass over blocks of rows, as the
-trace, the semigroup defect and the psi and phi traces need it: on a circle,
-torus or complete graph the blocks are copied from point 0's squared row,
-and where blocks are small the columns that cannot win are skipped.  It
+trace, the semigroup defect and the psi and phi traces need it: the space's
+row reader forms each block (from point 0's squared row on a circle, torus or
+complete graph), and small blocks skip the columns that cannot win.  It
 also runs the transport certificate: the c-transform for cost d^2 is Q_{1/2}.
 """
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import _BLOCK_CELLS, MeasuredSpace, ScalarField, _translates, check_binding, make_field
+from .space import _BLOCK_CELLS, MeasuredSpace, ScalarField, check_binding, make_field
 
 
 def _check_time(t: float, *, positive: bool) -> float:
@@ -53,9 +53,9 @@ def _minima(space: MeasuredSpace, g: np.ndarray, scales):
     are formed once into one buffer, and each scale scales it into a
     second one (in place when there is one scale), adds g and minimizes,
     so a cell costs the float operations of a pass for that scale alone,
-    and there is no n x n temporary.  On an orbit space a block is whole
-    grid rows of the first axis, copied from the translates of point 0's
-    squared row: the same floats fl(d * d), and dist is never read.  A
+    and there is no n x n temporary.  The space's row reader copies an orbit
+    space's blocks, whole grid rows of the first axis, from the translates of
+    point 0's squared row: the same floats fl(d * d), and no n x n metric.  A
     cell that overflows is inf, which is exact, and never a row's minimum:
     the row's own cell costs g(x), finite.  An infinite scale (t = 0, or a
     1/2t that overflows) prices every y != x at inf: x is the minimizer,
@@ -72,23 +72,14 @@ def _minima(space: MeasuredSpace, g: np.ndarray, scales):
             finite.append((k, scale))
         else:
             arg[k], low[k] = np.arange(n), g
-    shape, row = space._metric  # on an orbit space, blocks of whole grid rows
-    per = 1 if shape is None else n // shape[0]
-    squares = None if shape is None else _translates(shape, row * row)
-    rows = max(1, _BLOCK_CELLS // n // per) * per
+    rows = space._block_rows(_BLOCK_CELLS)  # on an orbit space, whole grid rows
     prune = n >= 8 * rows
     square = np.empty((min(rows, n), n))
     buf = np.empty_like(square) if len(finite) > 1 else square  # one scale: in place
     with np.errstate(over="ignore"):
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
-            sq, b = square[:hi - lo], buf[:hi - lo]
-            if shape is None:
-                d = space.dist[lo:hi]
-                np.multiply(d, d, out=sq)
-            else:
-                view = squares[lo // per:hi // per]
-                sq.reshape(view.shape)[...] = view
+            sq, b = space._rows(slice(lo, hi), np.square, square[:hi - lo]), buf[:hi - lo]
             if prune:
                 near, top = sq.min(axis=0), g[lo:hi].max()
             for k, scale in finite:

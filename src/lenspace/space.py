@@ -18,7 +18,8 @@ complete graph whose unit translations map its edges onto themselves
 (_orbit_shape) has one row per orbit: a weight-preserving automorphism
 maps the paths from s to v onto the paths from its images with the same
 weights, so the least fold sums, and d(s, v) = d(0, v - s), are the same
-floats.  Only point 0's row is computed there, and translated.
+floats.  Only point 0's row is computed there, and the space's two
+readers translate it.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 class MeasuredSpace:
     """Immutable bundle of points, metric, and measure.
 
-    dist[i, j] is the graph shortest-path distance, and the space's only
-    n x n array: no d^2 is cached.  With one row per orbit (see the module
-    docstring) the build keeps point 0's row, and dist is filled from it on
-    first read; the Hopf-Lax kernel reads the row and never fills it.
+    dist[i, j] is the graph shortest-path distance, kept whole or, with one
+    row per orbit (see the module docstring), as point 0's row.  Only the
+    readers _rows and _cells know which; the row fills dist only when it is
+    read, by doubling_constant, local_poincare_constant or a caller.
     measure is a probability vector.
     edges is the generating graph as read-only directed arrays
     (src, dst, weight, length, starts): each edge in both orientations,
@@ -80,10 +81,7 @@ class MeasuredSpace:
 
     @cached_property
     def dist(self) -> np.ndarray:
-        shape, d = self._metric
-        if shape is None:
-            return d
-        dist = np.ascontiguousarray(_translates(shape, d)).reshape(self.n, self.n)
+        dist = np.ascontiguousarray(self._rows(slice(None)))
         dist.flags.writeable = False
         return dist
 
@@ -93,7 +91,41 @@ class MeasuredSpace:
 
     @cached_property
     def diameter(self) -> float:
-        return float(self.dist.max())
+        k = self._block_rows(_BLOCK_CELLS)
+        return max(float(self._rows(slice(lo, lo + k)).max()) for lo in range(0, self.n, k))
+
+    def _block_rows(self, cells: int) -> int:
+        """Rows in a block of about `cells` cells: on an orbit space, whole grid rows."""
+        per = self.n // (self._metric[0] or (self.n,))[0]
+        return max(1, cells // self.n // per) * per
+
+    def _rows(self, rows, f=None, out=None) -> np.ndarray:
+        """f(dist[rows]), f a ufunc (None: dist[rows], a stored dist's view for a
+        slice), into a C-contiguous out if given with f, for rows a slice or an index
+        array.  An orbit space tiles f(row) once per f, copies whole grid rows as they are."""
+        shape, d = self._metric
+        if shape is None:
+            return d[rows] if f is None else f(d[rows], out=out)
+        tiles = self.__dict__.setdefault("_tiles", {})
+        if f not in tiles:  # r(v - s) at grid indices [s, v]: wrapped[a - s + v] on each axis
+            wrapped = np.tile((d if f is None else f(d)).reshape(shape), (2,) * len(shape))
+            tiles[f] = sliding_window_view(wrapped, shape)[tuple(slice(k, 0, -1) for k in shape)]
+        per = self.n // shape[0]
+        lo, hi, step = rows.indices(self.n) if isinstance(rows, slice) else (0, 0, 0)
+        whole = step == 1 and not (lo % per or hi % per)  # whole grid rows of the first axis
+        view = tiles[f][slice(lo // per, hi // per) if whole
+                        else np.unravel_index(np.arange(self.n)[rows], shape)]
+        if out is None:
+            return view.reshape(-1, self.n)
+        out.reshape(view.shape)[...] = view
+        return out
+
+    def _cells(self, i, j) -> np.ndarray:
+        """dist[i, j] for index arrays that broadcast; from point 0's row r,
+        r[((j//m - i//m) mod n/m) m + (j - i) mod m], m the last grid axis."""
+        shape, d = self._metric
+        m = shape[-1] if shape else None
+        return d[i, j] if m is None else d[(j // m - i // m) % (self.n // m) * m + (j - i) % m]
 
 
 @dataclass(frozen=True)
@@ -288,17 +320,18 @@ def _orbit_shape(n: int, kind: str, params: dict, src, dst, weight):
     return shape
 
 
-def _translates(shape, row) -> np.ndarray:
-    """At [s, v] (each a grid index of shape), row(v - s): from point 0's
-    row r of _distances, d(s, v); a strided view of its tiles, no copy."""
-    wrapped = np.tile(row.reshape(shape), (2,) * len(shape))
-    # wrapped[a - s + v] = row[v - s] on each axis
-    return sliding_window_view(wrapped, shape)[tuple(slice(k, 0, -1) for k in shape)]
+def shortest_path(n: int, src, dst, weight, starts, shape=None) -> np.ndarray:
+    """All-pairs shortest-path distances, min(d, d.T), of the graph held as
+    directed edge arrays (src, dst, weight, starts) as in MeasuredSpace.edges.
 
-
-def _distances(n: int, src, dst, weight, starts, shape=None) -> np.ndarray:
-    """shortest_path's matrix; given the grid shape, point 0's row r alone,
-    min(r(u), r(-u)) at u."""
+    A graph that is one path or one cycle (_line_order) takes the line route
+    (_line): two cumsums a row.  Every other graph takes the search route
+    (_search).  Each row is then the least left-fold sum over the paths
+    from its source, bit for bit what float Dijkstra gives (see the module
+    docstring), and the two directions are merged by min(d, d.T) in tiles.
+    Given the grid shape of _orbit_shape, the route computes point 0's row
+    r alone, and returns min(r(u), r(-u)) at u: d(s, v) is that at v - s.
+    """
     line = _line_order(n, dst, weight, starts)
     # a graph with a translation grid that is a path or cycle is a cycle, or
     # a path of two points: either walk starts at point 0
@@ -319,22 +352,6 @@ def _distances(n: int, src, dst, weight, starts, shape=None) -> np.ndarray:
     return dist
 
 
-def shortest_path(n: int, src, dst, weight, starts, shape=None) -> np.ndarray:
-    """All-pairs shortest-path distances, min(d, d.T), of the graph held as
-    directed edge arrays (src, dst, weight, starts) as in MeasuredSpace.edges.
-
-    A graph that is one path or one cycle (_line_order) takes the line route
-    (_line): two cumsums a row.  Every other graph takes the search route
-    (_search).  Each row is then the least left-fold sum over the paths
-    from its source, bit for bit what float Dijkstra gives (see the module
-    docstring), and the two directions are merged by min(d, d.T) in tiles.
-    Given the grid shape of _orbit_shape, the route computes point 0's row
-    r alone, and d(s, v) = min(r(v - s), r(s - v)) is one strided copy.
-    """
-    dist = _distances(n, src, dst, weight, starts, shape)
-    return dist if shape is None else np.ascontiguousarray(_translates(shape, dist)).reshape(n, n)
-
-
 def _max_midpoint_defect(space: MeasuredSpace) -> float:
     """max over pairs y >= x of min_z |max(d(x,z), d(z,y)) - d(x,y)/2|.
 
@@ -348,18 +365,17 @@ def _max_midpoint_defect(space: MeasuredSpace) -> float:
     x = 0 is visited.  Each value is the same float expression the full
     loop evaluates, so the result is bitwise the full loop's.
     """
-    dist, n = space.dist, space.n
+    n = space.n
     if n < 2:
         return 0.0
-    src, dst, weight, _, starts = space.edges
-    count = n if _orbit_shape(n, space.kind, space.params, src, dst, weight) is None else 1
+    count = n if space._metric[0] is None else 1
     # a row takes its 2m edge cells and n per binary-lifting level
-    rows = max(1, _BLOCK_CELLS // (len(src) + n * (n - 1).bit_length()))
+    rows = max(1, _BLOCK_CELLS // (len(space.edges[0]) + n * (n - 1).bit_length()))
     chunk = max(1, _BLOCK_CELLS // n)  # pairs minimized at once
     worst = 0.0
     for lo in range(0, count, rows):
         hi = min(lo + rows, count)
-        bound = _midpoint_bounds(dist, lo, hi, src, dst, weight, starts)
+        bound = _midpoint_bounds(space, lo, hi)
         # pair (x, y) sits at bound[x - lo, y - lo]; drop y < x
         bound = np.triu(bound).ravel()
         top = np.flatnonzero(bound > worst)
@@ -372,14 +388,14 @@ def _max_midpoint_defect(space: MeasuredSpace) -> float:
             xs, ys = np.divmod(part, n - lo)
             xs += lo
             ys += lo
-            gap = dist[xs]
-            np.maximum(gap, dist[ys], out=gap)
-            gap -= dist[xs, ys][:, None] / 2.0
+            gap = space._rows(xs)
+            np.maximum(gap, space._rows(ys), out=gap)
+            gap -= space._cells(xs, ys)[:, None] / 2.0
             worst = max(worst, float(np.abs(gap, out=gap).min(axis=1).max()))
     return worst
 
 
-def _midpoint_bounds(dist, lo, hi, src, dst, weight, starts):
+def _midpoint_bounds(space, lo, hi):
     """Upper bounds on the midpoint defect of the pairs x in [lo, hi),
     y >= lo, as a (hi - lo) x (n - lo) array.
 
@@ -389,7 +405,8 @@ def _midpoint_bounds(dist, lo, hi, src, dst, weight, starts):
     predecessor z0, and the bound is the pair's value at the better of
     the two.
     """
-    d = dist[lo:hi]
+    src, dst, weight, _, starts = space.edges
+    d = space._rows(slice(lo, hi))
     b, n = d.shape
     cand, through = _edge_relax(d, dst, weight, starts)
     pred = np.minimum.reduceat(np.where(cand == through[:, src], dst, n), starts, axis=1)
@@ -414,7 +431,7 @@ def _midpoint_bounds(dist, lo, hi, src, dst, weight, starts):
     y = np.arange(lo, n)[None, :]
     bound = None
     for z in (z1, np.take(pred, z1)):
-        gap = np.abs(np.maximum(np.take(dflat, z), dist[y, z - base]) - half)
+        gap = np.abs(np.maximum(np.take(dflat, z), space._cells(y, z - base)) - half)
         bound = gap if bound is None else np.minimum(bound, gap, out=bound)
     return bound
 
@@ -497,11 +514,8 @@ def build_from_graph(edges, measure, n: int, *, kind: str = "custom",
     params = dict(params or {})
     shape = _orbit_shape(n, kind, params, src, dst, weight)
     with np.errstate(over="ignore"):  # an overflowed sum is inf, as the scale check says
-        dist = (shortest_path(n, src, dst, weight, starts) if shape is None
-                else _distances(n, src, dst, weight, starts, shape))  # point 0's row alone
-    # each edge's metric length d(src, dst), on an orbit space r(dst - src)
-    length = (dist[src, dst] if shape is None else _translates(shape, dist)[
-        np.unravel_index(src, shape) + np.unravel_index(dst, shape)])
+        dist = shortest_path(n, src, dst, weight, starts, shape)  # with a shape, point 0's row
+    length = MeasuredSpace(n, w, (), 0.0, "", _metric=(shape, dist))._cells(src, dst)
     diameter = float(dist.max())  # the build's one scan of dist, or of the row: dist's entries
     if diameter == math.inf:
         # a missing path or an overflowed sum: the edges from point 0 tell which
@@ -599,14 +613,16 @@ def validate_metric(space: MeasuredSpace) -> MetricReport:
     make each row d(x, .) the fixed point of one Bellman-Ford step from
     x, so with positive weights dist is the shortest-path metric of the
     edges, which satisfies the triangle inequality.  O(n m) work, in
-    blocks of rows.
+    blocks of rows.  With one row per orbit the edge table is translation
+    invariant (_orbit_shape), so each row's values of the three defects are
+    a permutation of row 0's, which is read alone: O(m) work, the same floats.
     """
-    d, n = space.dist, space.n
+    n, stored = space.n, space._metric[0] is None
     _, dst, weight, _, starts = space.edges
     rows = max(1, _BLOCK_CELLS // max(1, len(dst)))
     relax = real = sym = 0.0
-    for lo in range(0, n, rows):
-        block = d[lo:lo + rows]
+    for lo in range(0, n if stored else 1, rows):
+        block = space._rows(slice(lo, lo + rows if stored else 1))
         if len(dst):
             through = _edge_relax(block, dst, weight, starts)[1]
         else:  # one point: no edge, and no y != x
@@ -616,7 +632,10 @@ def validate_metric(space: MeasuredSpace) -> MetricReport:
         # the empty path realizes d(x, x) = 0
         through[np.arange(len(block)), np.arange(lo, lo + len(block))] = -block.diagonal(lo)
         real = max(real, float(np.abs(through, out=through).max()))
-        sym = max(sym, float(np.abs(block - d[:, lo:lo + rows].T).max()))
+        # d(y, x) at [x - lo, y], on an orbit space r(-u) at u
+        mirror = (space._rows(slice(None))[:, lo:lo + rows].T if stored
+                  else space._cells(np.arange(n), 0))
+        sym = max(sym, float(np.abs(block - mirror).max()))
     msum = float(abs(space.measure.sum() - 1.0))
     passed = all(v <= _METRIC_TOL for v in (relax, real, sym, msum))
     return MetricReport(

@@ -77,7 +77,7 @@ class TransportPlan:
             raise AssertionError("cells are not distinct, in 0..n-1 and in row-major order")
         row = np.abs(np.bincount(rows, mass, n) - self.source_marginal).max()
         col = np.abs(np.bincount(cols, mass, n) - self.target_marginal).max()
-        recomputed = float(mass @ space.dist[rows, cols] ** 2)
+        recomputed = float(mass @ space._cells(rows, cols) ** 2)
         for ok, message in (
                 (np.all(mass >= 0.0), "coupling has negative mass"),
                 (row <= _PLAN_TOL, f"row sums off by {row}"),
@@ -176,7 +176,7 @@ class _TransportLP:
         it is optimal the mass per column and the row potentials u, v of d^2.
         """
         n, k, h = self.space.n, len(src), self.highs
-        h.addCols(k, self.space.dist[src, dst] ** 2 * self.scale, np.zeros(k), np.full(k, np.inf),
+        h.addCols(k, self.space._cells(src, dst) ** 2 * self.scale, np.zeros(k), np.full(k, np.inf),
                   2 * k, np.arange(0, 2 * k, 2, dtype=np.int32),
                   np.stack([src, n + dst], axis=1).ravel().astype(np.int32), np.ones(2 * k))
         if cold:
@@ -207,7 +207,7 @@ def _certified_plan(space: MeasuredSpace, a, b, src, dst, mass, u, v):
     n^2 cells as the Hopf-Lax kernel's minima on -v, less u.  Returns
     (plan, cells).  When the check fails, plan is None and cells holds
     (rows, cols): the least reduced-cost cell of each failing row, and of
-    each failing column by the kernel on -u, as dist is exactly symmetric.
+    each failing column by the kernel on -u, as the metric is exactly symmetric.
     """
     idx = np.arange(space.n)
     floor = -1e-10 * (1.0 / _cost_scale(space) + space.diameter ** 2)
@@ -218,7 +218,7 @@ def _certified_plan(space: MeasuredSpace, a, b, src, dst, mass, u, v):
         bad_cols = col_min - v < floor
         return None, (np.concatenate([idx[bad_rows], imin[bad_cols]]),
                       np.concatenate([jmin[bad_rows], idx[bad_cols]]))
-    cost = float(mass @ space.dist[src, dst] ** 2)
+    cost = float(mass @ space._cells(src, dst) ** 2)
     gap = abs(cost - (float(u @ a) + float(v @ b)))
     plan = TransportPlan(rows=src, cols=dst, mass=mass, source_marginal=a,
                          target_marginal=b, cost=cost, duality_gap=gap)
@@ -251,9 +251,9 @@ def _shortlist_plan(space: MeasuredSpace, a, b):
     # nearer than its (_NEAREST + 1)-th distance, in blocks of rows (every
     # cell when n <= _NEAREST)
     support = np.ones((n, n), dtype=bool)
-    block = max(1, _BLOCK_CELLS // n)
+    block = space._block_rows(_BLOCK_CELLS)
     for lo in range(0, n, block) if n > _NEAREST else ():
-        near = space.dist[lo:lo + block]
+        near = space._rows(slice(lo, lo + block))
         np.less(near, np.partition(near, _NEAREST, axis=1)[:, _NEAREST, None],
                 out=support[lo:lo + block])
     support[rows, cols] = True
@@ -320,7 +320,7 @@ def _staircase(a: np.ndarray, b: np.ndarray):
 
 def _tree_potentials(space: MeasuredSpace, rows, cols):
     """Potentials u, v with u_i + v_j = d(i, j)^2 on the staircase cells."""
-    cell_cost = space.dist[rows, cols] ** 2
+    cell_cost = space._cells(rows, cols) ** 2
     u = np.zeros(space.n)
     v = np.zeros(space.n)
     v[cols[0]] = cell_cost[0]

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from lenspace import (apply, build_from_graph, lipschitz_constant, make_field,
@@ -340,8 +340,9 @@ def test_kernel_callers_allocate_no_square_array():
 # orbit) and line spaces; the last of each kind is large enough that a
 # block holds at most an eighth of the rows, so columns are pruned
 _KERNEL_SPECS = ("circle:3", "circle:17", "circle:64:1e-100", "circle:800",
-                 "circle:1030:1e100", "torus2d:4:4", "torus2d:5:7", "torus2d:30:27",
-                 "complete:5", "complete:760", "path:9", "gauss:41", "path:750")
+                 "circle:1030:1e100", "torus2d:4:4", "torus2d:5:7", "torus2d:20:24",
+                 "torus2d:30:27", "complete:5", "complete:300", "complete:760", "path:9",
+                 "gauss:41", "path:750")
 
 
 @lru_cache(maxsize=None)
@@ -366,6 +367,8 @@ def _kernel_field(kind, n, rng):
        scales=st.lists(st.sampled_from([math.inf, 0.0, 5e-324, 1e-300, 1e-12, 0.01, 0.5,
                                         1.0, 7.25, 1e10, 1e300])
                        | st.floats(0.0, 1e6), min_size=1, max_size=4))
+@example(spec="torus2d:20:24", kind="random", seed=4, scales=[0.5, 7.25, 1e-12])
+@example(spec="complete:300", kind="integers", seed=5, scales=[1.0, 0.01])
 @settings(max_examples=60, deadline=None)
 def test_kernel_is_bitwise_the_dense_reference(spec, kind, seed, scales):
     # ties, t = 0 (an infinite scale), scale 0, tiny and huge scales, and

@@ -387,8 +387,7 @@ def test_tampered_distance_fails_edge_certificate_and_triangle_oracle(circle64, 
     h = circle64.mesh_h
     dist = circle64.dist.copy()
     dist[0, 32] = dist[32, 0] = dist[0, 32] + shift * h
-    g = replace(circle64)
-    vars(g)["dist"] = dist  # seed the cached distances with the tampered ones
+    g = replace(circle64, _metric=(None, dist))  # the tampered distances, stored whole
     rep = validate_metric(g)
     assert not rep.passed
     assert rep.symmetry_defect == 0.0
@@ -561,7 +560,6 @@ def test_metric_checks_allocate_no_square_array():
     # validate_metric and midpoint_defect each peak below a quarter of one
     # n x n float array
     g = _generate(_parse("circle:1024"))
-    g.dist  # the orbit space's distances are filled on first read, before the checks
     peaks = [_peak_bytes(run) for run in (lambda: validate_metric(g), lambda: g.midpoint_defect)]
     assert max(peaks) < g.n * g.n * 8 / 4, peaks
     # shortest_path, on either route and by orbit, allocates its result and
@@ -901,7 +899,7 @@ def test_orbit_dist_is_filled_on_first_read_bitwise(spec):
     src, dst, weight, _, starts = g.edges
     first = g.dist
     assert first is g.dist and not first.flags.writeable
-    assert first.tobytes() == shortest_path(g.n, src, dst, weight, starts, shape).tobytes()
+    assert first[0].tobytes() == shortest_path(g.n, src, dst, weight, starts, shape).tobytes()
     assert first.tobytes() == shortest_path(g.n, src, dst, weight, starts).tobytes()
     ref = csgraph_dist(g.n, zip(src.tolist(), dst.tolist(), weight.tolist()))
     assert first.tobytes() == ref.tobytes()
@@ -910,3 +908,89 @@ def test_orbit_dist_is_filled_on_first_read_bitwise(spec):
     from dataclasses import replace
     for copy in (replace(g), replace(_generate(_parse("path:9")))):  # the row, or dist, comes along
         assert copy.dist.tobytes() == shortest_path(copy.n, *copy.edges[:3], copy.edges[4]).tobytes()
+
+
+# the orbit spaces of test_orbit_dist_is_filled_on_first_read_bitwise and a
+# non-square torus of several kernel blocks, each keeping point 0's row, and
+# three spaces that store dist whole; the chorded ring's chords are longer
+# than the arcs they span
+_READER_SPECS = ("circle:3", "circle:17", "circle:1024", "torus2d:4:4", "torus2d:7:9",
+                 "complete:3", "complete:30", "torus2d:20:24", "gauss:41", "path:40",
+                 "chorded")
+
+
+def _reader_space(spec):
+    if spec != "chorded":
+        return _generate(_parse(spec))
+    edges = [(i, (i + 1) % 12, 1.0 + 0.25 * (i % 3)) for i in range(12)]
+    edges += [(0, 3, 9.0), (4, 9, 2.5), (2, 7, 4.0)]
+    return build_from_graph(edges, np.ones(12), 12)
+
+
+@pytest.mark.parametrize("spec", _READER_SPECS)
+def test_row_and_cell_readers_are_bitwise_the_full_matrix(spec):
+    from lenspace.space import shortest_path
+    g = _reader_space(spec)
+    n, (src, dst, weight, _, starts) = g.n, g.edges
+    full = shortest_path(n, src, dst, weight, starts)
+    assert (g._metric[0] is None) == (spec in ("gauss:41", "path:40", "chorded"))
+    # blocks of whole grid rows, as the kernel and transport take them, read
+    # as they are and squared into a buffer
+    for cells in (1, n + 1, 3 * n, n * n):
+        rows = g._block_rows(cells)
+        for lo in range(0, n, rows):
+            want = full[lo:lo + rows]
+            assert g._rows(slice(lo, lo + rows)).tobytes() == want.tobytes()
+            out = np.empty(want.shape)
+            assert g._rows(slice(lo, lo + rows), np.square, out) is out
+            assert out.tobytes() == (want * want).tobytes()
+    # index arrays with repeats, slices off the grid rows, and cells that
+    # broadcast
+    rng = np.random.default_rng(7)
+    idx = rng.integers(0, n, size=2 * n + 3)
+    assert g._rows(idx).tobytes() == full[idx].tobytes()
+    assert g._rows(idx, np.square).tobytes() == (full[idx] * full[idx]).tobytes()
+    for part in (slice(1, n, 2), slice(n // 2, n + 5), slice(0, 1), slice(n - 1, None)):
+        assert g._rows(part).tobytes() == full[part].tobytes()
+    i, j = idx[:, None], rng.integers(0, n, size=(1, 5))
+    assert g._cells(i, j).tobytes() == full[i, j].tobytes()
+    assert g._cells(np.arange(n), 0).tobytes() == full[:, 0].tobytes()
+    assert g._cells(idx, idx[::-1]).tobytes() == full[idx, idx[::-1]].tobytes()
+    assert g._metric[0] is None or "dist" not in vars(g)  # no reader filled it
+    assert g.dist.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("spec", ["circle:2048", "torus2d:48:48"])
+def test_orbit_metric_checks_save_and_transport_never_fill_dist(spec, tmp_path):
+    # each peaks below one n x n float array, and dist is never filled
+    from lenspace import w2
+    from lenspace.generators import save_space
+    g = _generate(_parse(spec))
+    point = (np.arange(g.n) == 0).astype(float)
+    for run in (lambda: validate_metric(g), lambda: g.midpoint_defect,
+                lambda: save_space(g, str(tmp_path / "space.json")),
+                lambda: w2(g, point, g.measure)):
+        peak = _peak_bytes(run)
+        assert peak < 8 * g.n * g.n, peak
+    assert "dist" not in vars(g)
+
+
+@pytest.mark.parametrize("spec", ["circle:3", "circle:17", "circle:1024", "torus2d:4:4",
+                                  "torus2d:7:9", "complete:3", "complete:30",
+                                  "torus2d:20:24", "torus2d:3:5:0.7:2.9"])
+def test_orbit_metric_report_is_bitwise_the_stored_report(spec):
+    # row 0 alone, against every row of the same metric stored whole; also
+    # with a tampered last entry of the row, which breaks all three defects,
+    # the symmetry r(u) = r(-u) among them
+    from dataclasses import astuple, replace
+    g = _generate(_parse(spec))
+    shape, row = g._metric
+    assert shape is not None
+    tampered = row.copy()
+    tampered[-1] += 3 * g.mesh_h
+    for space in (g, replace(g, _metric=(shape, tampered))):
+        orbit = validate_metric(space)
+        assert "dist" not in vars(space)
+        stored = validate_metric(replace(space, _metric=(None, space.dist)))
+        assert [repr(v) for v in astuple(orbit)] == [repr(v) for v in astuple(stored)]
+    assert min(orbit.relaxation_defect, orbit.realization_defect, orbit.symmetry_defect) > 0

@@ -652,7 +652,6 @@ def test_shortlist_solve_allocates_less_than_one_square_array(monkeypatch):
     # torus2d:32:32 has as many points as circle:1024, whose solves take
     # about 30 rounds and several times as long
     g = _generate(_parse("torus2d:32:32"))
-    g.dist  # the orbit space's distances are filled on first read, before the solve
     sizes = _lp_cells(monkeypatch)
     a = np.random.default_rng(3).gamma(1.0, size=g.n)
     a /= a.sum()

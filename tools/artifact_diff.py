@@ -116,6 +116,21 @@ CASES = [
                        "--field", "random", "--radius", "1.0"]),
     ("semigroup-ring", ["semigroup", "--space", RING, "--field", "random"]),
     ("semigroup-path", ["semigroup", "--space", PATH, "--field", "random"]),
+    # spaces with one distance row per orbit, read through the row and cell
+    # readers: a non-square grid's cells, several whole-grid-row kernel
+    # blocks, row-0 metric checks on a non-square grid, a complete graph's
+    # ball beyond 16 cells and its kernel in two blocks, and the smallest circle
+    ("transport-torus7x9", ["transport", "--space", "torus2d:7:9", "--mu0", "point:0",
+                            "--mu1", "nu"]),
+    ("semigroup-torus20x24", ["semigroup", "--space", "torus2d:20:24", "--field", "random"]),
+    ("doubling-torus9x7", ["doubling", "--space", "torus2d:9:7", "--r-min", "0.5",
+                           "--r-max", "2", "--field", "random", "--radius", "0.9"]),
+    ("gen-torus9x7", ["gen", "--spec", "torus2d:9:7"]),
+    ("transport-complete40", ["transport", "--space", "complete:40", "--mu0", "point:0",
+                              "--mu1", "nu"]),
+    ("semigroup-complete300", ["semigroup", "--space", "complete:300", "--field", "random"]),
+    ("transport-circle3", ["transport", "--space", "circle:3", "--mu0", "point:0",
+                           "--mu1", "nu"]),
 ]
 
 
