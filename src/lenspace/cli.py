@@ -181,7 +181,7 @@ def _cmd_constants(args: argparse.Namespace, out: str):
     K = None if args.K is None else _check_K(args.K)
     _check_tau(args.tau)
     if args.budget is not None:
-        _check_count("budget", args.budget, 1)
+        _check_count("budget", args.budget, 0)
     space = generate(parse_space_spec(args.space))
     family = default_witness_family(space, args.seed)
     # without --K the chain runs at the estimated LSI constant
@@ -414,8 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", parents=[common], help="estimate LSI/Talagrand/Poincare constants")
     p.add_argument("--space", required=True)
     p.add_argument("--which", default="all")
-    p.add_argument("--budget", type=int, default=None,
-                   help="refinement proposals per witness (default: per-inequality)")
+    p.add_argument("--budget", type=int, default=None, help="refinement proposals per "
+                   "witness, 0 to score only (default: lsi 20, talagrand 0, poincare 20)")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--K", type=float, default=None,
                    help="chain-check constant (default: estimated LSI)")

@@ -210,7 +210,7 @@ def test_estimate_constant_two_point_exhaustive(two_point):
 def test_estimate_constant_requires_budget(two_point):
     h = make_field(two_point, np.array([-1.0, 1.0]))
     with pytest.raises(ValueError, match="budget"):
-        estimate_constant(two_point, "poincare", [("pm", h)], budget=0)
+        estimate_constant(two_point, "poincare", [("pm", h)], budget=-1)
 
 
 def test_estimate_constant_all_degenerate_raises(two_point):
@@ -231,12 +231,39 @@ def test_estimator_soundness_appending_witnesses():
     base = [(f"w{i}", random_smoothed_field(_PATH8, np.random.default_rng([21, i])))
             for i in range(3)]
     extra = base + [("x", random_smoothed_field(_PATH8, np.random.default_rng([21, 99])))]
-    for which in ("lsi", "poincare"):
-        small = estimate_constant(_PATH8, which, base, budget=4, seed=1)
-        grown = estimate_constant(_PATH8, which, extra, budget=4, seed=1)
+    # talagrand at its default budget, which scores and refines nothing
+    for which, budget in (("lsi", 4), ("poincare", 4), ("talagrand", None)):
+        small = estimate_constant(_PATH8, which, base, budget=budget, seed=1)
+        grown = estimate_constant(_PATH8, which, extra, budget=budget, seed=1)
         assert grown.value <= small.value + 1e-12
         # earlier witnesses are evaluated identically in both runs
         assert grown.evaluations[:3] == small.evaluations
+
+
+@pytest.mark.parametrize("spec", ["path:20", "gauss:81:1:4", "circle:64", "torus2d:8:8",
+                                  "complete:7"])
+def test_talagrand_estimate_scores_each_witness_once(spec, monkeypatch):
+    g = _generate(_parse(spec))
+    family = inequalities.default_witness_family(g)
+    calls, w2 = [], inequalities.w2
+
+    def counted(space, mu0, mu1):
+        calls.append(space)
+        return w2(space, mu0, mu1)
+    monkeypatch.setattr(inequalities, "w2", counted)
+    est = estimate_constant(g, "talagrand", family)
+    assert len(calls) == len(family)
+    # a chain on a copy of the family, which keeps no scores, computes the
+    # Talagrand stage afresh: its least ratio is the estimate, bitwise
+    fresh = verify_chain(g, 1e-9, list(family), 0.05)
+    assert len(calls) == 2 * len(family)
+    stage = [c.ratio for c in fresh.checks if c.stage == "talagrand" and c.ratio is not None]
+    assert len(stage) == len(family)
+    assert min(stage) == est.value
+    # a chain on the family itself reuses the estimate's scores
+    again = verify_chain(g, 1e-9, family, 0.05)
+    assert len(calls) == 2 * len(family)
+    assert again == fresh
 
 
 def test_dual_talagrand_frozen_two_point(two_point):

@@ -102,6 +102,9 @@ CASES = [
     ("constants-alias", ["constants", "--space", "gauss:81:1:4", "--which", "t,p"]),
     ("constants-circle-K", ["constants", "--space", "circle:32", "--which", "talagrand",
                             "--K", "0.5", "--budget", "1"]),
+    # a Talagrand estimate at its default budget on a space whose W2 takes LPs
+    ("constants-torus-talagrand", ["constants", "--space", "torus2d:6:6",
+                                   "--which", "talagrand"]),
     # every form of each colon-spec parser on valid input: a lin: grid, an
     # indexed random field and a residual study; a tilt field; a geo: and a
     # comma-list grid
