@@ -470,7 +470,7 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

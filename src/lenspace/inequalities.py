@@ -53,22 +53,22 @@ def entropy_functional(space: MeasuredSpace, F: ScalarField) -> float:
     with 0 log 0 = 0.  Nonnegative by Jensen; zero iff |F| is constant
     nu-almost everywhere.
     """
+    return _entropy_and_mass(space, F, floor=-np.inf)[0]
+
+
+def _entropy_and_mass(space: MeasuredSpace, F: ScalarField, floor: float = 1e-12) -> tuple:
+    # an entropy at most floor, |F| constant up to rounding, is refused: exact
+    # transport gives it a rounding-level distance (~1e-8), no more informative
     vals = check_binding(space, F)
     mass = float(vals ** 2 @ space.measure)
     if mass <= 0:
         raise DegenerateWitnessError("witness carries no information: F vanishes nu-a.e.")
     p = vals ** 2 / mass
     pos = p > 0
-    return float((p[pos] * np.log(p[pos])) @ space.measure[pos])
-
-
-def _entropy_and_mass(space: MeasuredSpace, F: ScalarField) -> tuple:
-    # |F| constant up to rounding is refused: exact transport then returns a
-    # rounding-level distance (~1e-8), no more informative than the entropy
-    ent = entropy_functional(space, F)
-    if ent <= 1e-12:
+    ent = float((p[pos] * np.log(p[pos])) @ space.measure[pos])
+    if ent <= floor:
         raise DegenerateWitnessError("witness carries no information: entropy of F^2 vanishes")
-    return ent, float(F.values ** 2 @ space.measure)
+    return ent, mass
 
 
 def _unit_scale(space: MeasuredSpace, f: ScalarField) -> ScalarField:

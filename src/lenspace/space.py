@@ -40,8 +40,8 @@ class MeasuredSpace:
 
     dist[i, j] is the graph shortest-path distance, kept whole or, with one
     row per orbit (see the module docstring), as point 0's row.  Only the
-    readers _rows and _cells know which; the row fills dist only when it is
-    read, by doubling_constant, local_poincare_constant or a caller.
+    readers _rows and _cells know which; the row fills dist only when a
+    caller reads it, and nothing in the package does.
     measure is a probability vector.
     edges is the generating graph as read-only directed arrays
     (src, dst, weight, length, starts): each edge in both orientations,
@@ -674,14 +674,16 @@ def doubling_constant(space: MeasuredSpace, r_min: float, r_max: float,
     radii = np.linspace(r_min, r_max, r_steps)
     with np.errstate(over="ignore"):  # a ball of radius inf holds every point
         doubled = 2 * radii
-    worst = 1.0
-    for r, r2 in zip(radii, doubled):
-        inner = (space.dist <= r) @ space.measure
-        if np.any(inner <= 0):
-            x = int(np.argmin(inner))
-            raise ValueError(f"ball of radius {r} around point {x} has zero measure")
-        outer = (space.dist <= r2) @ space.measure
-        worst = max(worst, float((outer / inner).max()))
+    worst, rows = 1.0, space._block_rows(_BLOCK_CELLS)
+    for lo in range(0, space.n, rows):
+        d = space._rows(slice(lo, lo + rows))
+        for r, r2 in zip(radii, doubled):
+            inner = (d <= r) @ space.measure
+            if np.any(inner <= 0):
+                x = lo + int(np.argmin(inner))
+                raise ValueError(f"ball of radius {r} around point {x} has zero measure")
+            outer = (d <= r2) @ space.measure
+            worst = max(worst, float((outer / inner).max()))
     return worst
 
 
@@ -700,19 +702,20 @@ def local_poincare_constant(space: MeasuredSpace, f: ScalarField,
     vals = check_binding(space, f)
     _check_scales(radius, dilation)
     grad = grad_norm_field(space, f)
-    worst = 0.0
-    for x in range(space.n):
-        near = space.dist[x] <= radius
-        mass = space.measure[near].sum()
-        if mass <= 0:
-            raise ValueError(f"ball of radius {radius} around point {x} has zero measure")
-        mean_f = (vals[near] * space.measure[near]).sum() / mass
-        osc = (np.abs(vals[near] - mean_f) * space.measure[near]).sum() / mass
-        wide = space.dist[x] <= dilation * radius
-        wmass = space.measure[wide].sum()
-        grad_mean = (grad[wide] * space.measure[wide]).sum() / wmass
-        denom = radius * grad_mean
-        if osc <= 0:
-            continue
-        worst = max(worst, osc / denom) if denom > 0 else np.inf
+    worst, rows = 0.0, space._block_rows(_BLOCK_CELLS)
+    for lo in range(0, space.n, rows):
+        for x, d in enumerate(space._rows(slice(lo, lo + rows)), lo):
+            near = d <= radius
+            mass = space.measure[near].sum()
+            if mass <= 0:
+                raise ValueError(f"ball of radius {radius} around point {x} has zero measure")
+            mean_f = (vals[near] * space.measure[near]).sum() / mass
+            osc = (np.abs(vals[near] - mean_f) * space.measure[near]).sum() / mass
+            wide = d <= dilation * radius
+            wmass = space.measure[wide].sum()
+            grad_mean = (grad[wide] * space.measure[wide]).sum() / wmass
+            denom = radius * grad_mean
+            if osc <= 0:
+                continue
+            worst = max(worst, osc / denom) if denom > 0 else np.inf
     return float(worst)

@@ -5,7 +5,8 @@ collapsed by a loop over the edges with a dict, the space ids are hashed
 here from the documented fields, the all-pairs
 distances come from scipy's Dijkstra, the generalized eigenproblem from
 scipy's eigh, the dense Hopf-Lax
-minimum, the dense Lipschitz quotient, the nearest-distinct-point mesh
+minimum, the dense Lipschitz quotient, the doubling and local Poincare
+ratios over all of dist, the nearest-distinct-point mesh
 and the full triangle check run over all pairs, the dense Hopf-Lax minimizers
 take scipy's distances into one n x n cost array per scale, the JSON
 writer is json.dump's own indent path, the slopes loop over the
@@ -193,6 +194,41 @@ def dense_slopes(space, f):
             grad[x] = max(grad[x], abs(vals[y] - vals[x]) / length)
             sub[x] = max(sub[x], max(vals[x] - vals[y], 0.0) / length)
     return grad, sub
+
+
+def dense_doubling(space, r_min, r_max, r_steps) -> float:
+    """max over radii r and centres x of measure(B(x, 2r)) / measure(B(x, r)),
+    each ball mass of one radius from one product of the n x n mask of dist
+    with the measure."""
+    worst = 1.0
+    for r in np.linspace(r_min, r_max, r_steps):
+        inner = (space.dist <= r) @ space.measure
+        if np.any(inner <= 0):
+            x = int(np.argmin(inner))
+            raise ValueError(f"ball of radius {r} around point {x} has zero measure")
+        outer = (space.dist <= 2 * r) @ space.measure
+        worst = max(worst, float((outer / inner).max()))
+    return worst
+
+
+def dense_local_poincare(space, f, radius, dilation) -> float:
+    """The (1,1) Poincare ratio at scale radius by a loop over the centres,
+    each ball read from the centre's row of dist, the slopes from
+    dense_slopes."""
+    vals, grad, mu = f.values, dense_slopes(space, f)[0], space.measure
+    worst = 0.0
+    for x in range(space.n):
+        near = space.dist[x] <= radius
+        mass = mu[near].sum()
+        if mass <= 0:
+            raise ValueError(f"ball of radius {radius} around point {x} has zero measure")
+        mean_f = (vals[near] * mu[near]).sum() / mass
+        osc = (np.abs(vals[near] - mean_f) * mu[near]).sum() / mass
+        wide = space.dist[x] <= dilation * radius
+        grad_mean = (grad[wide] * mu[wide]).sum() / mu[wide].sum()
+        if osc > 0:
+            worst = max(worst, osc / (radius * grad_mean)) if radius * grad_mean > 0 else np.inf
+    return float(worst)
 
 
 def full_triangle_violation(dist) -> float:

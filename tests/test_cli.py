@@ -1051,6 +1051,10 @@ def test_cli_fuzz_exit_codes(fuzz_out, argv):
                 _strict_json(os.path.join(fuzz_out, name))
 
 
+_TOO_LARGE = ("Unable to allocate 7.11 PiB for an array with shape (1000000000000000,) "
+              "and data type float64")
+
+
 @pytest.mark.parametrize("argv, line", [
     (["transport", "--space", "circle:8:1e200", "--mu0", "point:0", "--mu1", "point:3"],
      "diameter 5e+199 is above 2^400: squares would overflow"),
@@ -1069,12 +1073,20 @@ def test_cli_fuzz_exit_codes(fuzz_out, argv):
     (["gen", "--spec", "gauss:3:1:1e308"], "width must be at most 2^400, got 1e+308"),
     (["gen", "--spec", "gauss:2:1:100"],
      "sigma 1.0 is too small for width 100.0 at n=2: every weight underflows to 0"),
+    (["doubling", "--space", "circle:16", "--r-min", "0.1", "--r-max", "1",
+      "--r-steps", str(10 ** 15)], _TOO_LARGE),
+    (["semigroup", "--space", "circle:16", "--times", f"geo:0.01:1:{10 ** 15}"], _TOO_LARGE),
+    (["chain", "--space", "circle:16", "--K", "0.5", "--psi-times", f"geo:0.01:1:{10 ** 15}"],
+     _TOO_LARGE),
 ], ids=["transport-huge", "constants-huge", "chain-huge", "semigroup-huge", "doubling-huge",
         "constants-tiny", "gauss-sigma-tiny", "gauss-width-huge", "gauss-width-max",
-        "gauss-weights-underflow"])
+        "gauss-weights-underflow", "doubling-radii", "semigroup-times", "chain-times"])
 def test_out_of_scale_spaces_exit2_in_one_line(tmp_path, capsys, argv, line):
     # these used to print numpy RuntimeWarnings, then end in an OverflowError
-    # traceback, a misleading message, or a run where every Q_t f equals f
+    # traceback, a misleading message, or a run where every Q_t f equals f;
+    # the grids of 10^15 points ended in numpy's MemoryError traceback with
+    # exit 1, the code of a failed check (beyond any address space, numpy
+    # refuses them before it allocates)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["--out-dir", str(tmp_path)] + argv) == 2

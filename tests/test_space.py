@@ -960,6 +960,63 @@ def test_row_and_cell_readers_are_bitwise_the_full_matrix(spec):
     assert g.dist.tobytes() == full.tobytes()
 
 
+def _ball_case(spec):
+    # the space under an uneven measure, so that the largest ratio sits at
+    # few centres; a doubling sweep from a fiftieth of the diameter to all of
+    # it, a Poincare radius of an eighth, and a random field
+    from dataclasses import replace
+    rng = np.random.default_rng(3)
+    g = _reader_space(spec)
+    weights = rng.gamma(1.0, size=g.n) + 0.05
+    g = replace(g, measure=weights / weights.sum())
+    f = make_field(g, rng.standard_normal(g.n))
+    return g, (g.diameter / 50, g.diameter, 9), g.diameter / 8, f
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_ball_constants(spec):
+    from oracles import dense_doubling, dense_local_poincare
+    g, sweep, radius, f = _ball_case(spec)
+    return dense_doubling(g, *sweep), dense_local_poincare(g, f, radius, 2.0)
+
+
+@pytest.mark.parametrize("per_row", [None, 7, 100])
+@pytest.mark.parametrize("spec", _READER_SPECS)
+def test_blocked_ball_constants_match_the_full_loops(spec, per_row, monkeypatch):
+    # blocks of one row (of one grid row on a torus), of 7 rows and of 100,
+    # each taking every radius before the next: the doubling constant moves
+    # at most by the rounding of each row's sum, the Poincare ratio not at all
+    import lenspace.space
+    g, sweep, radius, f = _ball_case(spec)
+    monkeypatch.setattr(lenspace.space, "_BLOCK_CELLS", 1 if per_row is None else per_row * g.n)
+    doubling, poincare = doubling_constant(g, *sweep), local_poincare_constant(g, f, radius, 2.0)
+    assert g._metric[0] is None or "dist" not in vars(g)
+    want_doubling, want_poincare = _reference_ball_constants(spec)
+    assert doubling == pytest.approx(want_doubling, rel=1e-12, abs=0)
+    assert repr(poincare) == repr(want_poincare)
+
+
+@pytest.mark.parametrize("block_cells", [1, 1 << 16])
+def test_blocked_zero_ball_error_names_the_first_point(block_cells, monkeypatch):
+    # points 2 and 4 weigh nothing: the first block holding one fails at
+    # r_min, as the loop over radii fails, on the smallest such point
+    import lenspace.space
+    from oracles import dense_doubling, dense_local_poincare
+    monkeypatch.setattr(lenspace.space, "_BLOCK_CELLS", block_cells)
+    g = build_from_graph([(i, i + 1, 1.0) for i in range(5)], np.array([1, 1, 0, 1, 0, 1.0]), 6)
+    f = make_field(g, np.arange(6.0))
+    for mine, dense in ((lambda: doubling_constant(g, 0.25, 3.0, 5),
+                         lambda: dense_doubling(g, 0.25, 3.0, 5)),
+                        (lambda: local_poincare_constant(g, f, 0.5, 2.0),
+                         lambda: dense_local_poincare(g, f, 0.5, 2.0))):
+        with pytest.raises(ValueError) as err:
+            mine()
+        with pytest.raises(ValueError) as want:
+            dense()
+        assert str(err.value) == str(want.value)
+        assert "around point 2 " in str(err.value)
+
+
 @pytest.mark.parametrize("spec", ["circle:2048", "torus2d:48:48"])
 def test_orbit_metric_checks_save_and_transport_never_fill_dist(spec, tmp_path):
     # each peaks below one n x n float array, and dist is never filled
@@ -967,9 +1024,12 @@ def test_orbit_metric_checks_save_and_transport_never_fill_dist(spec, tmp_path):
     from lenspace.generators import save_space
     g = _generate(_parse(spec))
     point = (np.arange(g.n) == 0).astype(float)
+    f = make_field(g, np.cos(np.arange(g.n)))
     for run in (lambda: validate_metric(g), lambda: g.midpoint_defect,
                 lambda: save_space(g, str(tmp_path / "space.json")),
-                lambda: w2(g, point, g.measure)):
+                lambda: w2(g, point, g.measure),
+                lambda: doubling_constant(g, g.diameter / 50, g.diameter / 2, 4),
+                lambda: local_poincare_constant(g, f, g.diameter / 20, 2.0)):
         peak = _peak_bytes(run)
         assert peak < 8 * g.n * g.n, peak
     assert "dist" not in vars(g)

@@ -134,6 +134,17 @@ CASES = [
     ("semigroup-complete300", ["semigroup", "--space", "complete:300", "--field", "random"]),
     ("transport-circle3", ["transport", "--space", "circle:3", "--mu0", "point:0",
                            "--mu1", "nu"]),
+    # doubling with a local Poincare field on spaces where ball masses summed
+    # a block of rows at a time can round differently from the whole product:
+    # an orbit circle, a complete graph, a non-square torus, a stored interval
+    ("doubling-circle1000", ["doubling", "--space", "circle:1000", "--r-min", "0.01",
+                             "--r-max", "1.5", "--field", "cos", "--radius", "0.2"]),
+    ("doubling-complete50", ["doubling", "--space", "complete:50", "--r-min", "0.5",
+                             "--r-max", "2", "--field", "random", "--radius", "1.0"]),
+    ("doubling-torus7x9", ["doubling", "--space", "torus2d:7:9", "--r-min", "0.5",
+                           "--r-max", "3", "--field", "random", "--radius", "0.9"]),
+    ("doubling-gauss201", ["doubling", "--space", "gauss:201", "--r-min", "0.05",
+                           "--r-max", "3", "--field", "coordinate", "--radius", "0.3"]),
 ]
 
 
